@@ -35,6 +35,7 @@ from .core import (
     HasdConfig,
     HasdState,
     IterationTrace,
+    NonFiniteProbeError,
     RunReport,
     a_from_rho,
     find_coupling,
@@ -72,6 +73,7 @@ __all__ = [
     "HasdState",
     "CouplingResult",
     "CouplingSearchError",
+    "NonFiniteProbeError",
     "IterationTrace",
     "RunReport",
     "a_from_rho",

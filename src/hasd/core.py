@@ -44,6 +44,26 @@ class CouplingSearchError(RuntimeError):
             "last zeta=%r" % (calls, bracket[0], bracket[1], last_zeta))
 
 
+class NonFiniteProbeError(CouplingSearchError):
+    """A coupling probe measured a NaN zeta.
+
+    A non-finite entry in the probe's gradient makes both norms in zeta
+    infinite or NaN, so this covers every non-finite gradient (and a finite
+    one whose squared norms overflow).  The search stops at that probe
+    instead of bisecting on a NaN comparison until its budget is spent.
+    """
+
+    def __init__(self, theta, bracket, calls):
+        self.theta = theta
+        self.bracket = bracket
+        self.calls = calls
+        self.last_zeta = math.nan
+        RuntimeError.__init__(
+            self, "zeta is NaN at theta=%.6e after %d oracle calls "
+            "(non-finite gradient), bracket=(%.6e, %.6e)"
+            % (theta, calls, bracket[0], bracket[1]))
+
+
 class ExactOptimum(Exception):
     """A probed point has an exactly zero gradient."""
 
@@ -291,7 +311,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     If the bracket collapses without acceptance (zeta need not be globally
     monotone), a uniform grid of theta values is scanned before raising
     CouplingSearchError.  Exceeding cfg.max_search_calls gradient
-    evaluations is a hard error.
+    evaluations is a hard error, and a NaN zeta (a non-finite gradient)
+    raises NonFiniteProbeError at the probe that measured it.
 
     When the objective carries a reference optimum and a probed point
     already has gap <= cfg.eps, or a probe hits a zero gradient, returns
@@ -305,6 +326,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
         nonlocal calls, last_zeta
         calls += 2
         zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
+        if math.isnan(zeta):
+            raise NonFiniteProbeError(th, (lo, hi), calls)
         last_zeta = zeta
         if 0.5 <= zeta <= 2.0:
             rho = th / (18.0 * cfg.L * (1.0 - th) ** 2 * state.A)

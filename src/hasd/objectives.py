@@ -15,10 +15,40 @@ import math
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp as _logsumexp
-from scipy.special import softmax as _softmax
 
 from .geometry import LpGeometry, lp_norm
+
+
+# The two kernels below repeat scipy.special.logsumexp/softmax step for step
+# (max shift, ties split out of the sum, numpy's log1p), so they return the
+# same bits.  On the oracles' short rows scipy's time goes to array-API
+# dispatch, not arithmetic: the kernels cost about a tenth of its logsumexp
+# and a third of its softmax.
+
+def _logsumexp(z):
+    """log(sum(exp(z))) of a nonempty 1-D float array, as a numpy float64."""
+    zmax = z.max()
+    if not math.isfinite(zmax):
+        # a +inf, -inf or NaN maximum: scipy's direct evaluation, silently
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.log(np.exp(z).sum())
+    top = z == zmax
+    m = np.float64(np.count_nonzero(top))
+    e = z - zmax
+    np.exp(e, out=e)
+    e[top] = 0.0
+    s = e.sum()
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + zmax
+
+
+def _softmax(z):
+    """exp(z) / sum(exp(z)) of a nonempty 1-D float array, shifted by max(z)."""
+    e = z - z.max()
+    np.exp(e, out=e)
+    e /= e.sum()
+    return e
 
 
 class SmoothnessUnavailable(Exception):
@@ -150,8 +180,8 @@ class LogSumExpAffine(SmoothObjective):
     def __init__(self, A, b, mu: float = 0.0, seed=None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValueError("A must be (n, d) with b of shape (n,)")
+        if A.ndim != 2 or A.shape[0] == 0 or b.shape != (A.shape[0],):
+            raise ValueError("A must be (n, d), n >= 1, with b of shape (n,)")
         if mu < 0:
             raise ValueError("mu must be nonnegative")
         super().__init__(A.shape[1])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hasd.core import (CouplingSearchError, ExactOptimum, HasdConfig,
-                       HasdState, a_from_rho, find_coupling,
-                       grad_norm_stopping, run, run_restarting,
+                       HasdState, NonFiniteProbeError, a_from_rho,
+                       find_coupling, grad_norm_stopping, run, run_restarting,
                        search_call_bound, step, step_t0, tolerance, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
@@ -252,6 +252,37 @@ def test_find_coupling_budget_error():
         find_coupling(state, obj, tiny)
     assert exc.value.calls == 2
     assert exc.value.last_zeta is not None
+
+
+class BrokenFarOut(Quadratic):
+    """Quadratic whose gradient has a bad entry outside the sup-norm ball of
+    radius 6: finite at x_0 = 0 and x_1 = 5 (center 10, L = 1, p = 2), bad
+    at the first probe's steepest step, x = 6.32."""
+
+    def __init__(self, bad):
+        super().__init__(np.ones(2), center=np.array([10.0, 0.0]))
+        self.reference_optimum = None
+        self.bad = bad
+
+    def gradient(self, x):
+        g = super().gradient(x)
+        if np.abs(x).max() > 6.0:
+            g[0] = self.bad
+        return g
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_find_coupling_raises_at_first_non_finite_probe(bad):
+    obj = BrokenFarOut(bad)
+    cfg = HasdConfig(L=1.0, geom=LpGeometry(2.0))
+    state, _ = step_t0(HasdState(np.zeros(2)), obj, cfg)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteProbeError) as exc:
+        find_coupling(state, obj, cfg)
+    # the first probe (theta = 1/2) is the one that fails, not the budget
+    assert exc.value.calls == 2 < cfg.max_search_calls
+    assert exc.value.theta == pytest.approx(0.5)
+    assert math.isnan(exc.value.last_zeta)
+    assert isinstance(exc.value, CouplingSearchError)
 
 
 def test_find_coupling_gap_early_exit():

@@ -112,6 +112,22 @@ def test_tune_all_divergent_warns_and_picks_smallest():
     assert all_div and best == 100.0
 
 
+def test_tune_ranks_non_finite_probe_as_divergent():
+    # hasd's gradient turns NaN beyond |x|_inf = 6 on the way to the center
+    # at 10: the coupling search fails at a probe, and the sweep ranks it
+    class NanFarOut(Quadratic):
+        def gradient(self, x):
+            g = super().gradient(x)
+            return g if np.abs(x).max() <= 6.0 else g * math.nan
+
+    obj = NanFarOut(np.ones(2), center=np.array([10.0, 0.0]))
+    obj.reference_optimum = None
+    with pytest.warns(RuntimeWarning, match="every stepsize diverged"):
+        best, all_div, finals = tune_method("hasd", obj, np.zeros(2),
+                                            LpGeometry(2.0), 1.0, 5, (1.0,))
+    assert all_div and best == 1.0 and finals == {1.0: math.inf}
+
+
 def test_run_method_lc_stepsize_is_scale_on_coupling():
     obj = make_logsumexp_instance(10, 4, 0.1, seed=2)
     geom = LpGeometry(math.inf)

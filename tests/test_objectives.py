@@ -2,16 +2,20 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
+from scipy.special import softmax as scipy_softmax
 
 from hasd.geometry import LpGeometry, lp_norm
 from hasd.objectives import (LogSumExpAffine, Quadratic, SmoothObjective,
                              SmoothnessUnavailable, SymmetricSoftmax,
-                             convert_smoothness, empirical_smoothness,
-                             load_instance, make_logsumexp_instance,
-                             save_instance, smoothness_bound, solve_reference)
+                             _logsumexp, _softmax, convert_smoothness,
+                             empirical_smoothness, load_instance,
+                             make_logsumexp_instance, save_instance,
+                             smoothness_bound, solve_reference)
 from oracles import fd_gradient, fd_hessian
 
 
@@ -232,6 +236,8 @@ def test_dimension_checks():
         obj.value(np.zeros(5))
     with pytest.raises(ValueError):
         obj.gradient(np.zeros(3))
+    with pytest.raises(ValueError):  # no rows: log of an empty sum
+        LogSumExpAffine(np.zeros((0, 3)), np.zeros(0))
 
 
 # ----------------------------------------------------------- persistence
@@ -271,3 +277,125 @@ def test_instance_round_trip_other_kinds(tmp_path):
         loaded = load_instance(doc)
         x = np.random.default_rng(22).standard_normal(obj.dim)
         assert loaded.value(x) == pytest.approx(obj.value(x), rel=1e-15)
+
+
+# ------------------------------------------- numpy kernels against scipy
+
+def assert_same(got, want):
+    """Equal bit for bit up to NaN payloads: same type, shape and values."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (got[~same], want[~same])
+
+
+def affine_rows(rng, count):
+    """count rows A @ x - b of random lengths, with x scaled over 1e-3..1e3."""
+    rows = []
+    while len(rows) < count:
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+        A = (rng.random((n, d)) < 0.8).astype(float)
+        b = rng.standard_normal(n)
+        X = rng.standard_normal((d, 250)) * 10.0 ** rng.uniform(-3, 3, 250)
+        rows.extend(np.ascontiguousarray((A @ X - b[:, None]).T))
+    return rows[:count]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernels_match_scipy_on_random_affine_rows():
+    rng = np.random.default_rng(20240928)
+    for z in affine_rows(rng, 10000):
+        assert_same(_logsumexp(z), scipy_logsumexp(z))
+        assert_same(_softmax(z), scipy_softmax(z))
+
+
+TIES_AND_SPREADS = [
+    [2.5],
+    [-1e300],
+    [3.0, 3.0, 1.0],
+    [4.0, 4.0, 4.0, 4.0],
+    [0.0, -0.0, -1.0],
+    [700.0, -700.0, 0.0],
+    [-700.0, -700.0, -745.0],
+    [709.5, 709.5, 0.0],
+    [-1e-300, -2e-300],
+    [1.7e308, 1.7976931348623157e308],
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", TIES_AND_SPREADS)
+def test_kernels_match_scipy_on_ties_and_extreme_spreads(z):
+    z = np.array(z)
+    assert_same(_logsumexp(z), scipy_logsumexp(z))
+    assert_same(_softmax(z), scipy_softmax(z))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernels_match_scipy_near_exp_range_limits():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        z = rng.uniform(-700.0, 700.0, int(rng.integers(1, 50)))
+        z[rng.random(z.size) < 0.2] = z.max()  # ties at the top
+        assert_same(_logsumexp(z), scipy_logsumexp(z))
+        assert_same(_softmax(z), scipy_softmax(z))
+
+
+NON_FINITE = [
+    [np.inf, 1.0],
+    [np.inf, np.inf, 0.0],
+    [-np.inf, 1.0],
+    [-np.inf, 2.0, 2.0],
+    [-np.inf],
+    [-np.inf, -np.inf, -np.inf],
+    [np.nan, 1.0],
+    [1.0, np.nan, -np.inf],
+    [np.inf, -np.inf],
+    [np.inf, np.nan],
+]
+
+
+@pytest.mark.parametrize("z", NON_FINITE)
+def test_kernels_match_scipy_on_non_finite_entries(z):
+    z = np.array(z)
+    with warnings.catch_warnings(record=True) as scipy_warned:
+        warnings.simplefilter("always")
+        want = scipy_logsumexp(z)
+    with warnings.catch_warnings(record=True) as kernel_warned:
+        warnings.simplefilter("always")
+        got = _logsumexp(z)
+    assert_same(got, want)
+    if not any(issubclass(w.category, RuntimeWarning) for w in scipy_warned):
+        assert not [w for w in kernel_warned
+                    if issubclass(w.category, RuntimeWarning)]
+    with np.errstate(all="ignore"):
+        assert_same(_softmax(z), scipy_softmax(z))
+
+
+def test_oracles_equal_scipy_formulas_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for seed, mu in ((0, 0.0), (1, 1e-2), (2, 1.0)):
+        obj = make_logsumexp_instance(40, 7, mu, seed=seed)
+        A, b = obj.A, obj.b
+        for scale in (1e-3, 1.0, 30.0):
+            x = scale * rng.standard_normal(7)
+            z = A @ x - b
+            w = scipy_softmax(z)
+            Aw = A.T @ w
+            assert obj.value(x) == (float(scipy_logsumexp(z))
+                                    + 0.5 * mu * float(x @ x))
+            assert_same(obj.gradient(x), A.T @ w + mu * x)
+            assert_same(obj.hessian(x), A.T @ (A * w[:, None])
+                        - np.outer(Aw, Aw) + mu * np.eye(7))
+    for alpha in (0.05, 1.0):
+        obj = SymmetricSoftmax(5, alpha=alpha)
+        for scale in (1e-3, 1.0, 30.0):
+            x = scale * rng.standard_normal(5)
+            u = np.concatenate([x, -x]) / alpha
+            w = scipy_softmax(u)
+            g = w[:5] - w[5:]
+            assert obj.value(x) == alpha * float(scipy_logsumexp(u))
+            assert_same(obj.gradient(x), g)
+            assert_same(obj.hessian(x), (np.diag(w[:5] + w[5:])
+                                         - np.outer(g, g)) / alpha)
