@@ -40,6 +40,8 @@ from .core import (
     a_from_rho,
     find_coupling,
     grad_norm_stopping,
+    invariant_violations,
+    iterate,
     run,
     run_restarting,
     search_call_bound,
@@ -81,6 +83,8 @@ __all__ = [
     "find_coupling",
     "step_t0",
     "step",
+    "iterate",
+    "invariant_violations",
     "run",
     "run_restarting",
     "grad_norm_stopping",

@@ -33,7 +33,7 @@ def tolerance(scale: float, rel: float = 1e-8) -> float:
 
 
 class CouplingSearchError(RuntimeError):
-    """The coupling search exhausted its oracle budget without acceptance."""
+    """Coupling search failed: bracket collapsed or oracle budget spent."""
 
     def __init__(self, bracket, calls, last_zeta=None):
         self.bracket = bracket
@@ -224,23 +224,6 @@ class RunReport:
     restart_G: list | None = None
     traces: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "final_f": self.final_f,
-            "gap": self.gap,
-            "iters": self.iters,
-            "oracle_calls": self.grad_calls,
-            "G_mean": self.G_mean,
-            "R": self.R,
-            "certificate": self.certificate,
-            "invariants": self.invariants,
-            "converged_early": self.converged_early,
-            "restart_gaps": self.restart_gaps,
-            "restart_G": self.restart_G,
-            "final_x": np.asarray(self.final_x, dtype=float).tolist(),
-        }
-
 
 def a_from_rho(A_t: float, L: float, rho: float) -> float:
     """Positive root a of 18 L rho a^2 = A_t + a.
@@ -298,7 +281,6 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
 
 
 _THETA_MIN = 1e-12
-_GRID_POINTS = 64
 
 
 def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
@@ -308,11 +290,11 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     and vanishes as theta -> 1, so a probe above the 5/4 target moves the
     lower end up and one below moves the upper end down.  Accepts as soon
     as zeta lands in [1/2, 2], which is all the downstream guarantees use.
-    If the bracket collapses without acceptance (zeta need not be globally
-    monotone), a uniform grid of theta values is scanned before raising
-    CouplingSearchError.  Exceeding cfg.max_search_calls gradient
-    evaluations is a hard error, and a NaN zeta (a non-finite gradient)
-    raises NonFiniteProbeError at the probe that measured it.
+    Raises CouplingSearchError when the bracket collapses (width at most
+    4e-12; zeta need not be globally monotone) or the next probe would
+    exceed cfg.max_search_calls gradient evaluations, and
+    NonFiniteProbeError at the probe that measured a NaN zeta (a
+    non-finite gradient).
 
     When the objective carries a reference optimum and a probed point
     already has gap <= cfg.eps, or a probe hits a zero gradient, returns
@@ -321,47 +303,33 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     ref = obj.reference_optimum
     calls = 0
     last_zeta = None
-
-    def attempt(th):
-        nonlocal calls, last_zeta
-        calls += 2
-        zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
-        if math.isnan(zeta):
-            raise NonFiniteProbeError(th, (lo, hi), calls)
-        last_zeta = zeta
-        if 0.5 <= zeta <= 2.0:
-            rho = th / (18.0 * cfg.L * (1.0 - th) ** 2 * state.A)
-            a = state.A * (1.0 - th) / th
-            return CouplingResult(theta=th, rho=rho, a_next=a, y=y, x_next=x,
-                                  zeta=zeta, oracle_calls=calls,
-                                  grad_x_next=gx)
-        if ref is not None:
-            fx = obj.value(x)
-            if fx - ref[1] <= cfg.eps:
-                return CouplingResult(theta=th, rho=None, a_next=None, y=y,
-                                      x_next=x, zeta=zeta, oracle_calls=calls,
-                                      early_converged=True, grad_x_next=gx,
-                                      f_x_next=fx)
-        return zeta
-
     lo, hi = _THETA_MIN, 1.0 - _THETA_MIN
     try:
         while calls + 2 <= cfg.max_search_calls and hi - lo > 4.0 * _THETA_MIN:
-            mid = 0.5 * (lo + hi)
-            out = attempt(mid)
-            if isinstance(out, CouplingResult):
-                return out
-            if out > 1.25:
-                lo = mid
+            th = 0.5 * (lo + hi)
+            calls += 2
+            zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
+            if math.isnan(zeta):
+                raise NonFiniteProbeError(th, (lo, hi), calls)
+            last_zeta = zeta
+            if 0.5 <= zeta <= 2.0:
+                rho = th / (18.0 * cfg.L * (1.0 - th) ** 2 * state.A)
+                a = state.A * (1.0 - th) / th
+                return CouplingResult(theta=th, rho=rho, a_next=a, y=y,
+                                      x_next=x, zeta=zeta, oracle_calls=calls,
+                                      grad_x_next=gx)
+            if ref is not None:
+                fx = obj.value(x)
+                if fx - ref[1] <= cfg.eps:
+                    return CouplingResult(theta=th, rho=None, a_next=None,
+                                          y=y, x_next=x, zeta=zeta,
+                                          oracle_calls=calls,
+                                          early_converged=True,
+                                          grad_x_next=gx, f_x_next=fx)
+            if zeta > 1.25:
+                lo = th
             else:
-                hi = mid
-        # bracket collapsed or budget nearly spent: fall back to a scan
-        for th in np.linspace(0.0, 1.0, _GRID_POINTS + 2)[1:-1]:
-            if calls + 2 > cfg.max_search_calls:
-                break
-            out = attempt(float(th))
-            if isinstance(out, CouplingResult):
-                return out
+                hi = th
     except ExactOptimum as opt:
         return CouplingResult(theta=None, rho=None, a_next=None, y=opt.y,
                               x_next=opt.x, zeta=None, oracle_calls=calls,
@@ -374,21 +342,46 @@ def _gap(f: float, ref) -> float | None:
     return None if ref is None else f - ref[1]
 
 
-def _hasd_trace(state: HasdState, cfg: HasdConfig, f_new: float, gap,
-                l2: float, dual: float, rho, theta, zeta, calls: int,
-                y, x_new, g_new) -> IterationTrace:
-    """Assemble the post-update trace row with invariant diagnostics."""
+def _fold(state: HasdState, obj, cfg: HasdConfig, y, x_new, g_new,
+          calls: int, coupling: CouplingResult | None = None):
+    """Shared tail of step_t0 and step: evaluate f at the new point, fold
+    the point into the state, and return its trace row.
+
+    coupling is the search result; at t = 0 there is none, and rho_0 is
+    read off the gradient-norm ratio at x_1.  At a zero gradient or an
+    early exit of the search the run has converged: x moves to the point
+    and nothing is folded in.
+    """
     L = cfg.L
-    inner = model = dual_q = None
-    if y is not None:
-        inner = float(np.asarray(g_new) @ (np.asarray(y) - np.asarray(x_new)))
-        model = L * lp_norm(np.asarray(x_new) - np.asarray(y), cfg.geom.p) ** 2
-        dual_q = dual * dual / (9.0 * L)
+    if coupling is None or coupling.f_x_next is None:
+        f_new = obj.value(x_new)
+    else:
+        f_new = coupling.f_x_next
+    gap = _gap(f_new, obj.reference_optimum)
+    dual = lp_norm(g_new, cfg.geom.p_dual)
+    l2 = float(np.linalg.norm(g_new))
+    theta = zeta = None
+    if coupling is not None:
+        theta, zeta = coupling.theta, coupling.zeta
+    if dual == 0.0 or (coupling is not None and coupling.early_converged):
+        state.x = np.asarray(x_new, dtype=float)
+        A, B = (None, None) if coupling is None else (state.A, state.B)
+        return IterationTrace(iter=state.t + 1, f=f_new, gap=gap, grad_l2=l2,
+                              grad_dual=dual, theta=theta, zeta=zeta,
+                              search_calls=calls, A=A, B=B, converged=True)
+    if coupling is None:
+        rho = (l2 * l2) / (dual * dual)
+        a = a_from_rho(0.0, L, rho)
+    else:
+        rho, a = coupling.rho, coupling.a_next
+    state.accumulate(a, x_new, f_new, g_new, dual, l2, L)
     return IterationTrace(
         iter=state.t, f=f_new, gap=gap, grad_l2=l2, grad_dual=dual,
         rho=rho, theta=theta, zeta=zeta, search_calls=calls,
         A=state.A, B=state.B, G_running=state.G_sum / state.t,
-        progress_inner=inner, progress_model=model, progress_dual=dual_q,
+        progress_inner=float(np.asarray(g_new) @ (y - x_new)),
+        progress_model=L * lp_norm(x_new - y, cfg.geom.p) ** 2,
+        progress_dual=dual * dual / (9.0 * L),
         potential_lhs=state.A * f_new + state.B,
         potential_rhs=state.psi_min(),
         growth_lhs=math.sqrt(state.A),
@@ -409,23 +402,7 @@ def step_t0(state: HasdState, obj, cfg: HasdConfig):
     if not np.any(g0):
         return state, None
     x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
-    g1 = obj.gradient(x1)
-    f1 = obj.value(x1)
-    gap = _gap(f1, obj.reference_optimum)
-    dual = lp_norm(g1, cfg.geom.p_dual)
-    l2 = float(np.linalg.norm(g1))
-    x0 = state.x.copy()
-    if dual == 0.0:
-        state.x = x1
-        tr = IterationTrace(iter=1, f=f1, gap=gap, grad_l2=0.0, grad_dual=0.0,
-                            search_calls=2, converged=True)
-        return state, tr
-    rho0 = (l2 * l2) / (dual * dual)
-    a1 = a_from_rho(0.0, cfg.L, rho0)
-    state.accumulate(a1, x1, f1, g1, dual, l2, cfg.L)
-    tr = _hasd_trace(state, cfg, f1, gap, l2, dual, rho0, None, None, 2,
-                     x0, x1, g1)
-    return state, tr
+    return state, _fold(state, obj, cfg, state.x, x1, obj.gradient(x1), 2)
 
 
 def step(state: HasdState, obj, cfg: HasdConfig):
@@ -433,56 +410,55 @@ def step(state: HasdState, obj, cfg: HasdConfig):
     if state.t < 1:
         raise ValueError("step requires t >= 1 (run step_t0 first)")
     res = find_coupling(state, obj, cfg)
-    if res.early_converged:
-        state.x = np.asarray(res.x_next, dtype=float)
-        f_new = res.f_x_next if res.f_x_next is not None else obj.value(state.x)
-        g = res.grad_x_next
-        tr = IterationTrace(
-            iter=state.t + 1, f=f_new, gap=_gap(f_new, obj.reference_optimum),
-            grad_l2=float(np.linalg.norm(g)),
-            grad_dual=lp_norm(g, cfg.geom.p_dual),
-            theta=res.theta, zeta=res.zeta, search_calls=res.oracle_calls,
-            A=state.A, B=state.B, converged=True)
-        return state, tr
-    g_new = res.grad_x_next
-    f_new = obj.value(res.x_next)
-    dual = lp_norm(g_new, cfg.geom.p_dual)
-    l2 = float(np.linalg.norm(g_new))
-    state.accumulate(res.a_next, res.x_next, f_new, g_new, dual, l2, cfg.L)
-    tr = _hasd_trace(state, cfg, f_new, _gap(f_new, obj.reference_optimum),
-                     l2, dual, res.rho, res.theta, res.zeta,
-                     res.oracle_calls, res.y, res.x_next, g_new)
-    return state, tr
+    return state, _fold(state, obj, cfg, res.y, res.x_next, res.grad_x_next,
+                        res.oracle_calls, res)
 
 
-def _invariant_counters(traces, L: float) -> dict:
-    """Count per-iteration violations of the run invariants."""
-    fails = {"window": 0, "recurrence": 0, "progress": 0, "potential": 0,
-             "growth": 0}
-    prev_A = 0.0
-    for tr in traces:
-        if tr.iter == 0 or tr.converged or tr.A is None:
-            continue
-        if tr.rho is not None and tr.grad_dual and tr.grad_l2 is not None:
-            r = (tr.grad_l2 ** 2) / (tr.grad_dual ** 2)
-            if not (0.5 * r - tolerance(r) <= tr.rho <= 2.0 * r + tolerance(r)):
-                fails["window"] += 1
-            a = tr.A - prev_A
-            resid = 18.0 * L * tr.rho * a * a - tr.A
-            if abs(resid) > tolerance(tr.A):
-                fails["recurrence"] += 1
-        if tr.progress_inner is not None:
-            m = tr.progress_model
-            if tr.progress_inner < m - tolerance(m) or m < tr.progress_dual - tolerance(m):
-                fails["progress"] += 1
-        if tr.potential_lhs is not None:
-            if tr.potential_lhs > tr.potential_rhs + tolerance(tr.potential_rhs):
-                fails["potential"] += 1
-        if tr.growth_lhs is not None:
-            if tr.growth_lhs < tr.growth_rhs - tolerance(tr.growth_rhs):
-                fails["growth"] += 1
-        prev_A = tr.A if tr.A is not None else prev_A
-    return fails
+def iterate(obj, x0, cfg: HasdConfig):
+    """The HASD iteration loop: yields (state, trace) after every step.
+
+    Runs step_t0, then step until a trace is converged, its dual gradient
+    norm is at most cfg.grad_tol, or state.t reaches cfg.max_iters.  The
+    same state object is yielded each time, updated in place.  Yields
+    nothing when cfg.max_iters is 0 or x0 is a stationary point.
+    """
+    if cfg.max_iters == 0:
+        return
+    state, tr = step_t0(HasdState(x0), obj, cfg)
+    while tr is not None:
+        yield state, tr
+        if (tr.converged or tr.grad_dual <= cfg.grad_tol
+                or state.t >= cfg.max_iters):
+            return
+        state, tr = step(state, obj, cfg)
+
+
+INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
+INVARIANT_TOL = 1e-8
+
+
+def invariant_violations(tr: IterationTrace, prev_A: float, L: float):
+    """Violation magnitudes of the five per-step guarantees on one row.
+
+    prev_A is A before the row's iteration.  A magnitude above
+    INVARIANT_TOL is a violation.  Growth is an absolute shortfall; the
+    other four are relative to the quantities compared.  Returns None for
+    rows that fold nothing into the state (converged rows, row 0).
+    """
+    if tr.converged or tr.rho is None:
+        return None
+    r = tr.grad_l2 ** 2 / tr.grad_dual ** 2
+    a = tr.A - prev_A
+    inner, model, dual_q = tr.progress_inner, tr.progress_model, tr.progress_dual
+    return {
+        "window": max(0.5 - tr.rho / r, tr.rho / r - 2.0, 0.0),
+        "recurrence": abs(18.0 * L * tr.rho * a * a - tr.A) / tr.A,
+        "progress": (max(model - inner, dual_q - model, 0.0)
+                     / max(abs(inner), model, dual_q, 1e-30)),
+        "potential": ((tr.potential_lhs - tr.potential_rhs)
+                      / max(abs(tr.potential_rhs), 1e-12)),
+        "growth": tr.growth_rhs - tr.growth_lhs,
+    }
 
 
 def run(obj, x0, cfg: HasdConfig) -> RunReport:
@@ -495,21 +471,19 @@ def run(obj, x0, cfg: HasdConfig) -> RunReport:
     traces = [IterationTrace(iter=0, f=f0, gap=_gap(f0, ref),
                              grad_l2=float(np.linalg.norm(g0)),
                              grad_dual=lp_norm(g0, cfg.geom.p_dual))]
-    state = HasdState(x0)
-    converged = False
-    if cfg.max_iters > 0:
-        state, tr = step_t0(state, obj, cfg)
-        if tr is None:
-            converged = True
-        else:
-            grad_calls += tr.search_calls
-            traces.append(tr)
-            converged = tr.converged or tr.grad_dual <= cfg.grad_tol
-    while not converged and state.t < cfg.max_iters:
-        state, tr = step(state, obj, cfg)
+    fails = dict.fromkeys(INVARIANTS, 0)
+    prev_A = 0.0
+    # with no step taken, the run converged iff x0 is stationary
+    state, converged = HasdState(x0), cfg.max_iters > 0
+    for state, tr in iterate(obj, x0, cfg):
         grad_calls += tr.search_calls
         traces.append(tr)
         converged = tr.converged or tr.grad_dual <= cfg.grad_tol
+        viol = invariant_violations(tr, prev_A, cfg.L)
+        if viol is not None:
+            for name, v in viol.items():
+                fails[name] += int(v > INVARIANT_TOL)
+            prev_A = tr.A
     final_f = traces[-1].f
     G_mean = state.G_sum / state.t if state.t > 0 else None
     R = None if ref is None else float(np.linalg.norm(x0 - ref[0]))
@@ -519,8 +493,7 @@ def run(obj, x0, cfg: HasdConfig) -> RunReport:
     return RunReport(method="hasd", final_x=state.x, final_f=final_f,
                      gap=_gap(final_f, ref), iters=state.t,
                      grad_calls=grad_calls, G_mean=G_mean, R=R,
-                     certificate=cert,
-                     invariants=_invariant_counters(traces, cfg.L),
+                     certificate=cert, invariants=fails,
                      converged_early=converged, traces=traces)
 
 

@@ -52,12 +52,6 @@ class LpGeometry:
         self.p = p
         self.p_dual = 1.0 if math.isinf(p) else p / (p - 1.0)
 
-    def norm(self, x) -> float:
-        return lp_norm(x, self.p)
-
-    def dual_norm(self, x) -> float:
-        return lp_norm(x, self.p_dual)
-
     def __repr__(self):
         return "LpGeometry(p=%r)" % (self.p,)
 

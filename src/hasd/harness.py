@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
-from .core import (CouplingSearchError, HasdConfig, HasdState, run,
-                   search_call_bound, step, step_t0, tolerance)
+from .core import (INVARIANT_TOL, CouplingSearchError, HasdConfig,
+                   invariant_violations, iterate, run, search_call_bound)
 from .geometry import (LpGeometry, lp_norm, lp_sq_hessian, lp_sq_hessian_split,
                        steepest_step, subproblem_value)
 from .objectives import (LogSumExpAffine, Quadratic, SmoothnessUnavailable,
@@ -382,7 +382,7 @@ class InvariantReport:
         return "\n".join(out)
 
 
-_REL = 1e-8
+_REL = INVARIANT_TOL
 
 _CHECKS = (
     ("window", _REL), ("recurrence", _REL), ("progress", _REL),
@@ -430,30 +430,16 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
     if R is not None and R > 0:
         call_cap = 2.0 * search_call_bound(geom.p, d, cfg.L, cfg.eps, R)
 
-    state = HasdState(x0)
+    state = None
     prev_A = 0.0
     min_dual_sq = math.inf
-
-    def check_row(tr):
-        nonlocal prev_A, min_dual_sq
-        if tr.grad_dual is not None:
-            min_dual_sq = min(min_dual_sq, tr.grad_dual ** 2)
-        if tr.converged or tr.A is None or tr.rho is None:
-            return
-        r = tr.grad_l2 ** 2 / tr.grad_dual ** 2
-        report.row("window").record(max(0.5 - tr.rho / r, tr.rho / r - 2.0, 0.0))
-        a = tr.A - prev_A
-        report.row("recurrence").record(
-            abs(18.0 * cfg.L * tr.rho * a * a - tr.A) / tr.A)
-        scale = max(abs(tr.progress_inner), tr.progress_model,
-                    tr.progress_dual, 1e-30)
-        report.row("progress").record(
-            max(tr.progress_model - tr.progress_inner,
-                tr.progress_dual - tr.progress_model, 0.0) / scale)
-        report.row("potential").record(
-            (tr.potential_lhs - tr.potential_rhs)
-            / max(abs(tr.potential_rhs), 1e-12))
-        report.row("growth").record(tr.growth_rhs - tr.growth_lhs)
+    for state, tr in iterate(obj, x0, cfg):
+        min_dual_sq = min(min_dual_sq, tr.grad_dual ** 2)
+        viol = invariant_violations(tr, prev_A, cfg.L)
+        if viol is None:
+            continue
+        for name, v in viol.items():
+            report.row(name).record(v)
         report.row("gain_range").record(
             max(1.0 - tr.G_running, tr.G_running - gain_cap, 0.0))
         if tr.iter >= 2:  # rows produced by an actual coupling search
@@ -481,14 +467,8 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
             report.row("grad_conversion").record(
                 (tr.grad_dual ** 2 - conv) / max(tr.grad_dual ** 2, conv, 1e-20))
         prev_A = tr.A
-
-    state, tr = step_t0(state, obj, cfg)
-    if tr is None:
+    if state is None:  # stationary start: no step was taken
         return
-    check_row(tr)
-    while not tr.converged and tr.grad_dual > cfg.grad_tol and state.t < iters:
-        state, tr = step(state, obj, cfg)
-        check_row(tr)
 
     T = state.t
     if ref is None or T == 0:
@@ -572,8 +552,10 @@ def check_invariants(cells=None, p_values=(2.0, 3.0, 4.0, math.inf),
     l_scale multiplies the smoothness constant handed to the optimizer
     (values below 1 deliberately violate the declared smoothness, which the
     progress check must catch).  Returns a report whose .ok drives the
-    process exit code.
+    process exit code.  Raises ValueError when iters < 1.
     """
+    if iters < 1:
+        raise ValueError("iteration budget must be at least 1")
     report = InvariantReport(rows=[CheckRow(name, tol) for name, tol in _CHECKS])
     if cells is None:
         cells = default_invariant_matrix(seeds)

@@ -87,9 +87,6 @@ class SmoothObjective:
     def gradient(self, x):
         raise NotImplementedError
 
-    def __call__(self, x) -> float:
-        return self.value(x)
-
 
 class Quadratic(SmoothObjective):
     """Separable convex quadratic 0.5 * sum_i h_i (x_i - c_i)^2 + f0, h_i >= 0."""

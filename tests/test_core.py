@@ -8,8 +8,9 @@ import pytest
 
 from hasd.core import (CouplingSearchError, ExactOptimum, HasdConfig,
                        HasdState, NonFiniteProbeError, a_from_rho,
-                       find_coupling, grad_norm_stopping, run, run_restarting,
-                       search_call_bound, step, step_t0, tolerance, zeta_eval)
+                       find_coupling, grad_norm_stopping, iterate, run,
+                       run_restarting, search_call_bound, step, step_t0,
+                       tolerance, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound)
@@ -297,6 +298,27 @@ def test_find_coupling_gap_early_exit():
     assert state.t == t_before and state.A == A_before  # nothing folded in
 
 
+def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
+    # zeta jumps from above the window straight to below it at theta = 0.3,
+    # so no probe is accepted: the search must stop once its bracket has
+    # collapsed onto the jump, well inside its oracle budget
+    obj, cfg = quad_cfg([1.0, 1.0])
+    obj.reference_optimum = None
+    state, _ = step_t0(HasdState(np.array([2.0, 0.0])), obj, cfg)
+
+    def jump(theta, state, obj, cfg):
+        x = state.x.copy()
+        return (3.0 if theta < 0.3 else 0.1), x, x, np.ones_like(x)
+
+    monkeypatch.setattr("hasd.core.zeta_eval", jump)
+    with pytest.raises(CouplingSearchError) as exc:
+        find_coupling(state, obj, cfg)
+    lo, hi = exc.value.bracket
+    assert lo < 0.3 <= hi and hi - lo <= 4e-12
+    assert exc.value.calls < cfg.max_search_calls
+    assert exc.value.last_zeta in (3.0, 0.1)
+
+
 # ------------------------------------------------------- invariant chains
 
 def assert_invariant_chain(report, L):
@@ -366,6 +388,17 @@ def test_run_convergence_by_gradient_tolerance():
     report = run(obj, np.array([3.0, -1.0]), cfg)
     assert report.converged_early and report.iters < 150
     assert lp_norm(obj.gradient(report.final_x), 2) <= 1e-9 or report.gap <= cfg.eps
+
+
+def test_iterate_yields_every_step_then_stops():
+    obj, cfg = quad_cfg([1.0, 2.0], max_iters=5, grad_tol=0.0)
+    x0 = np.array([3.0, -1.0])
+    seen = [(state.t, tr.iter) for state, tr in iterate(obj, x0, cfg)]
+    assert seen == [(t, t) for t in range(1, 6)]
+    states = {id(state) for state, _ in iterate(obj, x0, cfg)}
+    assert len(states) == 1  # one state, updated in place
+    assert list(iterate(obj, x0, replace(cfg, max_iters=0))) == []
+    assert list(iterate(obj, np.zeros(2), cfg)) == []  # stationary start
 
 
 def test_run_zero_iterations():

@@ -2,19 +2,23 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hasd.baselines import BaselineConfig, lc_run
 from hasd.cli import main
+from hasd.core import INVARIANTS, HasdConfig, iterate, run
 from hasd.geometry import LpGeometry
 from hasd.harness import (STEPSIZE_GRID, ExperimentConfig, attach_reference,
-                          check_invariants, config_hash, default_x0,
+                          check_invariants, config_hash,
+                          default_invariant_matrix, default_x0,
                           make_objective, run_bench, run_experiment,
                           run_method, tune_method)
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
-                             make_logsumexp_instance, save_instance)
+                             make_logsumexp_instance, save_instance,
+                             smoothness_bound, solve_reference)
 
 
 def test_default_grid_has_31_entries_ending_at_one():
@@ -252,6 +256,42 @@ def test_check_invariants_catches_violated_smoothness():
                               l_scale=0.5)
     assert not report.ok
     assert report.row("progress").failures > 0
+
+
+def test_check_invariants_rejects_empty_budget(capsys):
+    with pytest.raises(ValueError):
+        check_invariants(seeds=(0,), p_values=(2.0,), iters=0)
+    assert main(["check-invariants", "--iters", "0"]) == 2
+    capsys.readouterr()
+
+
+def _empirical_lse_cell():
+    obj = make_logsumexp_instance(40, 10, 1e-2, seed=0)  # sampled L
+    solve_reference(obj)
+    return obj, np.zeros(10)
+
+
+@pytest.mark.parametrize("make_cell", [
+    _empirical_lse_cell, lambda: default_invariant_matrix(seeds=(0,))[0]],
+    ids=["logsumexp", "quadratic"])
+def test_run_and_checker_agree_on_a_violated_cell(make_cell):
+    # half the smoothness constant makes the progress inequality fail on
+    # some steps; run's counters and the checker must see the same rows
+    # and count the same failures
+    obj, x0 = make_cell()
+    geom = LpGeometry(math.inf)
+    cfg = HasdConfig(L=smoothness_bound(obj, geom) * 0.5, geom=geom,
+                     max_iters=40)
+    report = check_invariants(cells=[(obj, x0)], p_values=(math.inf,),
+                              iters=40, l_scale=0.5)
+    rep = run(obj, x0, cfg)
+    assert rep.invariants["progress"] > 0
+    assert rep.invariants == {name: report.row(name).failures
+                              for name in INVARIANTS}
+    rows = [tr for _, tr in iterate(obj, x0, cfg)]
+    assert len(rows) == len(rep.traces) - 1
+    for ran, iterated in zip(rep.traces[1:], rows):
+        assert asdict(ran) == asdict(iterated)
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
