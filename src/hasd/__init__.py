@@ -40,13 +40,12 @@ from .core import (
     a_from_rho,
     find_coupling,
     grad_norm_stopping,
-    invariant_violations,
     iterate,
+    rate_bounds,
     run,
     run_restarting,
     search_call_bound,
     step,
-    step_t0,
     zeta_eval,
 )
 from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
@@ -81,12 +80,11 @@ __all__ = [
     "a_from_rho",
     "zeta_eval",
     "find_coupling",
-    "step_t0",
     "step",
     "iterate",
-    "invariant_violations",
     "run",
     "run_restarting",
+    "rate_bounds",
     "grad_norm_stopping",
     "search_call_bound",
     "BaselineConfig",

@@ -7,6 +7,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,7 @@ def _parse_name_list(text: str):
 
 
 # flag destinations that map straight onto ExperimentConfig fields
-_CFG_FIELDS = ("objective", "n", "d", "mu", "alpha", "seed", "methods", "p",
-               "iters", "grid", "stepsize", "out_dir", "check_invariants",
-               "ref_path", "instance_path")
+_CFG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _instance_flags(sp, with_config=True):
@@ -201,13 +200,7 @@ def cmd_check_invariants(args) -> int:
 
 
 def cmd_gen_instance(args) -> int:
-    cfg_kwargs = {name: getattr(args, name) for name in
-                  ("objective", "n", "d", "mu", "alpha", "seed")
-                  if getattr(args, name, None) is not None}
-    cfg = ExperimentConfig(instance_path=getattr(args, "instance_path", None),
-                           ref_path=getattr(args, "ref_path", None),
-                           **cfg_kwargs)
-    obj = make_objective(cfg)
+    obj = make_objective(_config_from_args(args))
     if args.solve_ref:
         solve_reference(obj)
     save_instance(obj, args.out)

@@ -16,6 +16,9 @@ Per accepted iteration the following hold (up to floating point):
   growth       sqrt(A_t) >= G_t * t / (18 sqrt(L))
 
 which combine into the rate  f(x_T) - f* <= 324 L ||x_0 - x*||_2^2 / (G^2 T^2).
+
+iterate yields a run's rows, x_0 first; a row that folds a step into the
+state carries these five as violation magnitudes in its `violations`.
 """
 
 import math
@@ -24,12 +27,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import LpGeometry, lp_norm, steepest_step
-
-
-def tolerance(scale: float, rel: float = 1e-8) -> float:
-    """Relative comparison tolerance with an absolute floor."""
-    s = abs(scale)
-    return rel * s + 1e-10 * (1.0 + s)
 
 
 class CouplingSearchError(RuntimeError):
@@ -194,14 +191,7 @@ class IterationTrace:
     A: float | None = None
     B: float | None = None
     G_running: float | None = None
-    # diagnostic extras for the invariant suite (not part of the CSV schema)
-    progress_inner: float | None = None
-    progress_model: float | None = None
-    progress_dual: float | None = None
-    potential_lhs: float | None = None
-    potential_rhs: float | None = None
-    growth_lhs: float | None = None
-    growth_rhs: float | None = None
+    violations: dict | None = None  # INVARIANTS -> magnitude; not in the CSV
     converged: bool = False
 
 
@@ -267,7 +257,7 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
     if state.A <= 0.0:
-        raise ValueError("coupling search requires A_t > 0 (run step_t0 first)")
+        raise ValueError("coupling search requires A_t > 0 (after the first step)")
     y = theta * state.x + (1.0 - theta) * state.v
     gy = obj.gradient(y)
     x = steepest_step(y, gy, cfg.step_L, cfg.geom)
@@ -342,15 +332,22 @@ def _gap(f: float, ref) -> float | None:
     return None if ref is None else f - ref[1]
 
 
+INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
+INVARIANT_TOL = 1e-8
+
+
 def _fold(state: HasdState, obj, cfg: HasdConfig, y, x_new, g_new,
           calls: int, coupling: CouplingResult | None = None):
-    """Shared tail of step_t0 and step: evaluate f at the new point, fold
-    the point into the state, and return its trace row.
+    """Evaluate f at the new point, fold the point into the state, and
+    return its trace row.
 
-    coupling is the search result; at t = 0 there is none, and rho_0 is
+    coupling is the search result; the first step has none, and rho_0 is
     read off the gradient-norm ratio at x_1.  At a zero gradient or an
     early exit of the search the run has converged: x moves to the point
-    and nothing is folded in.
+    and nothing is folded in.  A folded row carries the violation
+    magnitudes of the five per-step guarantees, keyed by INVARIANTS; one
+    above INVARIANT_TOL is a violation.  Growth is an absolute shortfall,
+    the other four are relative to the quantities compared.
     """
     L = cfg.L
     if coupling is None or coupling.f_x_next is None:
@@ -374,58 +371,63 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, y, x_new, g_new,
         a = a_from_rho(0.0, L, rho)
     else:
         rho, a = coupling.rho, coupling.a_next
+    A_before = state.A
     state.accumulate(a, x_new, f_new, g_new, dual, l2, L)
+    r = l2 ** 2 / dual ** 2
+    a = state.A - A_before  # the weight as folded into A
+    inner = float(np.asarray(g_new) @ (y - x_new))
+    model = L * lp_norm(x_new - y, cfg.geom.p) ** 2
+    dual_q = dual * dual / (9.0 * L)
+    psi_min = state.psi_min()
     return IterationTrace(
         iter=state.t, f=f_new, gap=gap, grad_l2=l2, grad_dual=dual,
         rho=rho, theta=theta, zeta=zeta, search_calls=calls,
         A=state.A, B=state.B, G_running=state.G_sum / state.t,
-        progress_inner=float(np.asarray(g_new) @ (y - x_new)),
-        progress_model=L * lp_norm(x_new - y, cfg.geom.p) ** 2,
-        progress_dual=dual * dual / (9.0 * L),
-        potential_lhs=state.A * f_new + state.B,
-        potential_rhs=state.psi_min(),
-        growth_lhs=math.sqrt(state.A),
-        growth_rhs=state.G_sum / (18.0 * math.sqrt(L)))
-
-
-def step_t0(state: HasdState, obj, cfg: HasdConfig):
-    """First iteration: y_0 = v_0 = x_0, then rho_0 is read off exactly.
-
-    Takes the steepest step from x_0, sets rho_0 to the gradient-norm
-    ratio at x_1 (so the window holds with equality) and a_1 = A_1 =
-    1/(18 L rho_0).  Returns (state, trace); trace is None when the run
-    starts at a stationary point.
-    """
-    if state.t != 0:
-        raise ValueError("step_t0 requires a fresh state (t = 0)")
-    g0 = obj.gradient(state.x)
-    if not np.any(g0):
-        return state, None
-    x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
-    return state, _fold(state, obj, cfg, state.x, x1, obj.gradient(x1), 2)
+        violations={
+            "window": max(0.5 - rho / r, rho / r - 2.0, 0.0),
+            "recurrence": abs(18.0 * L * rho * a * a - state.A) / state.A,
+            "progress": (max(model - inner, dual_q - model, 0.0)
+                         / max(abs(inner), model, dual_q, 1e-30)),
+            "potential": ((state.A * f_new + state.B - psi_min)
+                          / max(abs(psi_min), 1e-12)),
+            "growth": state.G_sum / (18.0 * math.sqrt(L)) - math.sqrt(state.A),
+        })
 
 
 def step(state: HasdState, obj, cfg: HasdConfig):
     """One accelerated iteration (t >= 1): search, step, fold into state."""
     if state.t < 1:
-        raise ValueError("step requires t >= 1 (run step_t0 first)")
+        raise ValueError("step requires t >= 1 (after the first step)")
     res = find_coupling(state, obj, cfg)
     return state, _fold(state, obj, cfg, res.y, res.x_next, res.grad_x_next,
                         res.oracle_calls, res)
 
 
 def iterate(obj, x0, cfg: HasdConfig):
-    """The HASD iteration loop: yields (state, trace) after every step.
+    """The HASD iteration loop: yields (state, trace) for the start x0 and
+    after every step.
 
-    Runs step_t0, then step until a trace is converged, its dual gradient
-    norm is at most cfg.grad_tol, or state.t reaches cfg.max_iters.  The
-    same state object is yielded each time, updated in place.  Yields
-    nothing when cfg.max_iters is 0 or x0 is a stationary point.
+    Row 0 holds f and the gradient norms at x0.  The first step is the
+    steepest step from y_0 = v_0 = x0 with the gradient row 0 already
+    holds; rho_0 is the gradient-norm ratio at x_1 (so the window holds
+    with equality) and a_1 = A_1 = 1/(18 L rho_0).  Then step runs until a
+    trace is converged, its dual gradient norm is at most cfg.grad_tol, or
+    state.t reaches cfg.max_iters.  Only row 0 is yielded when
+    cfg.max_iters is 0 or the gradient at x0 is exactly zero.  The same
+    state object is yielded each time, updated in place.
     """
-    if cfg.max_iters == 0:
+    state = HasdState(x0)
+    f0 = obj.value(state.x)
+    g0 = obj.gradient(state.x)
+    yield state, IterationTrace(iter=0, f=f0,
+                                gap=_gap(f0, obj.reference_optimum),
+                                grad_l2=float(np.linalg.norm(g0)),
+                                grad_dual=lp_norm(g0, cfg.geom.p_dual))
+    if cfg.max_iters == 0 or not np.any(g0):
         return
-    state, tr = step_t0(HasdState(x0), obj, cfg)
-    while tr is not None:
+    x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
+    tr = _fold(state, obj, cfg, state.x, x1, obj.gradient(x1), 1)
+    while True:
         yield state, tr
         if (tr.converged or tr.grad_dual <= cfg.grad_tol
                 or state.t >= cfg.max_iters):
@@ -433,67 +435,28 @@ def iterate(obj, x0, cfg: HasdConfig):
         state, tr = step(state, obj, cfg)
 
 
-INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
-INVARIANT_TOL = 1e-8
-
-
-def invariant_violations(tr: IterationTrace, prev_A: float, L: float):
-    """Violation magnitudes of the five per-step guarantees on one row.
-
-    prev_A is A before the row's iteration.  A magnitude above
-    INVARIANT_TOL is a violation.  Growth is an absolute shortfall; the
-    other four are relative to the quantities compared.  Returns None for
-    rows that fold nothing into the state (converged rows, row 0).
-    """
-    if tr.converged or tr.rho is None:
-        return None
-    r = tr.grad_l2 ** 2 / tr.grad_dual ** 2
-    a = tr.A - prev_A
-    inner, model, dual_q = tr.progress_inner, tr.progress_model, tr.progress_dual
-    return {
-        "window": max(0.5 - tr.rho / r, tr.rho / r - 2.0, 0.0),
-        "recurrence": abs(18.0 * L * tr.rho * a * a - tr.A) / tr.A,
-        "progress": (max(model - inner, dual_q - model, 0.0)
-                     / max(abs(inner), model, dual_q, 1e-30)),
-        "potential": ((tr.potential_lhs - tr.potential_rhs)
-                      / max(abs(tr.potential_rhs), 1e-12)),
-        "growth": tr.growth_rhs - tr.growth_lhs,
-    }
-
-
 def run(obj, x0, cfg: HasdConfig) -> RunReport:
     """Run HASD for cfg.max_iters iterations (or to early convergence)."""
     x0 = np.asarray(x0, dtype=float)
     ref = obj.reference_optimum
-    f0 = obj.value(x0)
-    g0 = obj.gradient(x0)
-    grad_calls = 1
-    traces = [IterationTrace(iter=0, f=f0, gap=_gap(f0, ref),
-                             grad_l2=float(np.linalg.norm(g0)),
-                             grad_dual=lp_norm(g0, cfg.geom.p_dual))]
+    traces = []
     fails = dict.fromkeys(INVARIANTS, 0)
-    prev_A = 0.0
-    # with no step taken, the run converged iff x0 is stationary
-    state, converged = HasdState(x0), cfg.max_iters > 0
     for state, tr in iterate(obj, x0, cfg):
-        grad_calls += tr.search_calls
         traces.append(tr)
-        converged = tr.converged or tr.grad_dual <= cfg.grad_tol
-        viol = invariant_violations(tr, prev_A, cfg.L)
-        if viol is not None:
-            for name, v in viol.items():
-                fails[name] += int(v > INVARIANT_TOL)
-            prev_A = tr.A
-    final_f = traces[-1].f
+        for name, v in (tr.violations or {}).items():
+            fails[name] += int(v > INVARIANT_TOL)
+    last = traces[-1]
+    # with no step taken, the run converged iff x0 is stationary
+    converged = ((last.converged or last.grad_dual <= cfg.grad_tol)
+                 if len(traces) > 1 else cfg.max_iters > 0)
     G_mean = state.G_sum / state.t if state.t > 0 else None
     R = None if ref is None else float(np.linalg.norm(x0 - ref[0]))
-    cert = None
-    if ref is not None and state.t > 0 and G_mean:
-        cert = 324.0 * cfg.L * R * R / (G_mean ** 2 * state.t ** 2)
-    return RunReport(method="hasd", final_x=state.x, final_f=final_f,
-                     gap=_gap(final_f, ref), iters=state.t,
-                     grad_calls=grad_calls, G_mean=G_mean, R=R,
-                     certificate=cert, invariants=fails,
+    cert = (rate_bounds(cfg.L, R, G_mean, state.t)[0]
+            if ref is not None and G_mean else None)
+    return RunReport(method="hasd", final_x=state.x, final_f=last.f,
+                     gap=_gap(last.f, ref), iters=state.t,
+                     grad_calls=1 + sum(tr.search_calls for tr in traces[1:]),
+                     G_mean=G_mean, R=R, certificate=cert, invariants=fails,
                      converged_early=converged, traces=traces)
 
 
@@ -559,6 +522,18 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
                      invariants=fails,
                      converged_early=bool(report and report.converged_early),
                      restart_gaps=gaps, restart_G=round_G, traces=traces)
+
+
+def rate_bounds(L: float, R: float, G: float, T: int):
+    """End-of-run bounds after T steps with mean gain G, from ||x0 - x*|| = R.
+
+    Returns (certificate, cubic): the gap bound f(x_T) - f* <= 324 L R^2 /
+    (G T)^2, and the bound 8748 L^2 R^2 / (G^2 T^3) on the smallest
+    squared dual gradient norm over steps 1..T.
+    """
+    cert = 324.0 * L * R * R / (G ** 2 * T ** 2)
+    cubic = 8748.0 * L ** 2 * R * R / (G ** 2 * T ** 3)
+    return cert, cubic
 
 
 def grad_norm_stopping(traces, L: float, R: float, G_hat: float, eps: float):

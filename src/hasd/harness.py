@@ -10,18 +10,18 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
-from .core import (INVARIANT_TOL, CouplingSearchError, HasdConfig,
-                   invariant_violations, iterate, run, search_call_bound)
+from .core import (INVARIANT_TOL, CouplingSearchError, HasdConfig, iterate,
+                   rate_bounds, run, search_call_bound)
 from .geometry import (LpGeometry, lp_norm, lp_sq_hessian, lp_sq_hessian_split,
                        steepest_step, subproblem_value)
 from .objectives import (LogSumExpAffine, Quadratic, SmoothnessUnavailable,
-                         SymmetricSoftmax, load_instance,
+                         SymmetricSoftmax, attach_reference, load_instance,
                          make_logsumexp_instance, smoothness_bound,
                          solve_reference)
 
@@ -78,16 +78,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """Canonical document for hashing; excludes out_dir, which names
         where results land but is no part of what the experiment is."""
-        return {
-            "objective": self.objective, "n": self.n, "d": self.d,
-            "mu": self.mu, "alpha": self.alpha, "seed": self.seed,
-            "methods": list(self.methods),
-            "p": "inf" if math.isinf(self.p) else self.p,
-            "iters": self.iters, "grid": list(self.grid),
-            "stepsize": self.stepsize,
-            "check_invariants": self.check_invariants,
-            "ref_path": self.ref_path, "instance_path": self.instance_path,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "out_dir"}
+        doc["p"] = "inf" if math.isinf(self.p) else self.p
+        return doc
 
 
 def config_hash(doc: dict) -> str:
@@ -112,19 +106,6 @@ def make_objective(cfg: ExperimentConfig, mu: float | None = None):
     if cfg.ref_path:
         attach_reference(obj, cfg.ref_path)
     return obj
-
-
-def attach_reference(obj, path):
-    """Attach a stored (x_star, f_star) pair from a JSON file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "ref_optimum" in doc:
-        doc = doc["ref_optimum"]
-    x = np.asarray(doc["x"], dtype=float)
-    if x.shape != (obj.dim,):
-        raise ValueError("reference optimum in %s has dimension %d, expected %d"
-                         % (path, x.size, obj.dim))
-    obj.reference_optimum = (x, float(doc["f"]))
 
 
 def default_x0(obj):
@@ -430,15 +411,14 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
     if R is not None and R > 0:
         call_cap = 2.0 * search_call_bound(geom.p, d, cfg.L, cfg.eps, R)
 
-    state = None
-    prev_A = 0.0
     min_dual_sq = math.inf
     for state, tr in iterate(obj, x0, cfg):
-        min_dual_sq = min(min_dual_sq, tr.grad_dual ** 2)
-        viol = invariant_violations(tr, prev_A, cfg.L)
-        if viol is None:
+        if tr.iter == 0:  # the start point: no step taken yet
             continue
-        for name, v in viol.items():
+        min_dual_sq = min(min_dual_sq, tr.grad_dual ** 2)
+        if tr.violations is None:
+            continue
+        for name, v in tr.violations.items():
             report.row(name).record(v)
         report.row("gain_range").record(
             max(1.0 - tr.G_running, tr.G_running - gain_cap, 0.0))
@@ -466,8 +446,7 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
             conv = 2.0 * cfg.L * max(gap, 0.0)
             report.row("grad_conversion").record(
                 (tr.grad_dual ** 2 - conv) / max(tr.grad_dual ** 2, conv, 1e-20))
-        prev_A = tr.A
-    if state is None:  # stationary start: no step was taken
+    if tr.iter == 0:  # stationary start: no step was taken
         return
 
     T = state.t
@@ -475,11 +454,8 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
         report.row("certificate").skip()
         report.row("min_grad_cubic").skip()
         return
-    G = state.G_sum / T
-    gap_T = obj.value(state.x) - f_star
-    cert = 324.0 * cfg.L * R * R / (G * G * T * T)
-    report.row("certificate").record((gap_T - cert) / cert)
-    cubic = 8748.0 * cfg.L ** 2 * R * R / (G * G * T ** 3)
+    cert, cubic = rate_bounds(cfg.L, R, state.G_sum / T, T)
+    report.row("certificate").record((tr.f - f_star - cert) / cert)
     if math.isfinite(min_dual_sq):
         report.row("min_grad_cubic").record((min_dual_sq - cubic) / cubic)
 

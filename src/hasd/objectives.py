@@ -380,13 +380,29 @@ def save_instance(obj: SmoothObjective, path=None) -> dict:
     return doc
 
 
+def _read_doc(source) -> dict:
+    if isinstance(source, dict):
+        return source
+    with open(source) as fh:
+        return json.load(fh)
+
+
+def attach_reference(obj: SmoothObjective, source):
+    """Attach a stored (x_star, f_star) pair: an {"x", "f"} document, one
+    under "ref_optimum" in an instance document, or a JSON file holding
+    either.  Raises ValueError when x_star does not match obj's dimension."""
+    doc = _read_doc(source)
+    doc = doc.get("ref_optimum", doc)
+    x = np.asarray(doc["x"], dtype=float)
+    if x.shape != (obj.dim,):
+        raise ValueError("reference optimum has dimension %d, expected %d"
+                         % (x.size, obj.dim))
+    obj.reference_optimum = (x, float(doc["f"]))
+
+
 def load_instance(source) -> SmoothObjective:
     """Rebuild an objective from a JSON document, dict, or file path."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    doc = _read_doc(source)
     kind = doc.get("kind")
     if kind == "logsumexp":
         if "A" in doc and "b" in doc:
@@ -409,6 +425,5 @@ def load_instance(source) -> SmoothObjective:
         pp = math.inf if s["p"] == "inf" else float(s["p"])
         obj.smoothness = (float(s["L"]), LpGeometry(pp))
     if "ref_optimum" in doc:
-        obj.reference_optimum = (np.asarray(doc["ref_optimum"]["x"], dtype=float),
-                                 float(doc["ref_optimum"]["f"]))
+        attach_reference(obj, doc)
     return obj

@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hasd.core import (CouplingSearchError, ExactOptimum, HasdConfig,
-                       HasdState, NonFiniteProbeError, a_from_rho,
-                       find_coupling, grad_norm_stopping, iterate, run,
-                       run_restarting, search_call_bound, step, step_t0,
-                       tolerance, zeta_eval)
+from hasd.core import (INVARIANT_TOL, CouplingSearchError, ExactOptimum,
+                       HasdConfig, HasdState, NonFiniteProbeError, a_from_rho,
+                       find_coupling, grad_norm_stopping, iterate, rate_bounds,
+                       run, run_restarting, search_call_bound, step,
+                       zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound)
@@ -24,13 +24,24 @@ def quad_cfg(h, p=2.0, **kw):
     return obj, HasdConfig(L=obj.smoothness_for(geom), geom=geom, **kw)
 
 
+def first_step(obj, x0, cfg):
+    """(state, row 1): iterate's start row, then its first step, at t = 1."""
+    return list(iterate(obj, x0, replace(cfg, max_iters=1)))[-1]
+
+
+class CountingQuadratic(Quadratic):
+    """Quadratic that records every point its gradient is evaluated at."""
+
+    def __init__(self, h):
+        super().__init__(np.asarray(h, dtype=float))
+        self.grad_points = []
+
+    def gradient(self, x):
+        self.grad_points.append(np.array(x, dtype=float))
+        return super().gradient(x)
+
+
 # ------------------------------------------------------------- utilities
-
-def test_tolerance():
-    assert tolerance(0.0) == 1e-10
-    assert tolerance(100.0) == pytest.approx(1e-6 + 1e-10 * 101.0)
-    assert tolerance(-100.0) == tolerance(100.0)
-
 
 def test_a_from_rho_closed_form():
     assert a_from_rho(0.0, 2.0, 3.0) == pytest.approx(1.0 / (18.0 * 2.0 * 3.0), rel=1e-15)
@@ -122,33 +133,36 @@ def test_state_rejects_matrix_start():
 
 # -------------------------------------------------------- first iteration
 
-def test_step_t0_quadratic_worked_example():
+def test_iterate_first_step_quadratic_worked_example():
     obj, cfg = quad_cfg([1.0, 1.0])
-    state = HasdState(np.array([2.0, 0.0]))
-    state, tr = step_t0(state, obj, cfg)
+    rows = iterate(obj, np.array([2.0, 0.0]), cfg)
+    state, row0 = next(rows)
+    assert (row0.iter, row0.f, row0.grad_l2, row0.grad_dual) == (0, 2.0, 2.0, 2.0)
+    assert row0.search_calls is None and row0.violations is None
+    assert state.t == 0 and state.A == 0.0
+    state, tr = next(rows)
     np.testing.assert_allclose(state.x, [1.0, 0.0], rtol=1e-15)
     assert tr.f == pytest.approx(0.5)
     assert tr.rho == pytest.approx(1.0)  # l2 and dual norms agree at p = 2
     assert state.A == pytest.approx(1.0 / 18.0, rel=1e-15)
     assert state.B == pytest.approx(1.0 / 324.0, rel=1e-15)
-    assert tr.search_calls == 2 and tr.iter == 1
+    # the step reuses row 0's gradient: one new gradient, at x_1
+    assert tr.search_calls == 1 and tr.iter == 1
     assert tr.G_running == pytest.approx(1.0)
-    assert tr.potential_lhs <= tr.potential_rhs + 1e-12
-    assert tr.growth_lhs >= tr.growth_rhs - 1e-12
+    assert tr.violations["potential"] <= 1e-12
+    assert tr.violations["growth"] <= 1e-12
 
 
-def test_step_t0_stationary_start():
+def test_iterate_stationary_start_yields_only_row_0():
     obj, cfg = quad_cfg([1.0, 2.0])
-    state, tr = step_t0(HasdState(np.zeros(2)), obj, cfg)
-    assert tr is None and state.t == 0
+    rows = list(iterate(obj, np.zeros(2), cfg))
+    assert len(rows) == 1
+    state, tr = rows[0]
+    assert tr.iter == 0 and tr.grad_dual == 0.0 and state.t == 0
 
 
-def test_step_t0_requires_fresh_state():
+def test_step_requires_first_step():
     obj, cfg = quad_cfg([1.0, 1.0])
-    state = HasdState(np.array([2.0, 0.0]))
-    state, _ = step_t0(state, obj, cfg)
-    with pytest.raises(ValueError):
-        step_t0(state, obj, cfg)
     with pytest.raises(ValueError):
         step(HasdState(np.ones(2)), obj, cfg)
 
@@ -160,7 +174,7 @@ def test_zeta_eval_validates_inputs():
     fresh = HasdState(np.ones(2))
     with pytest.raises(ValueError):
         zeta_eval(0.5, fresh, obj, cfg)  # A = 0
-    state, _ = step_t0(HasdState(np.array([2.0, 0.0])), obj, cfg)
+    state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             zeta_eval(bad, state, obj, cfg)
@@ -169,7 +183,7 @@ def test_zeta_eval_validates_inputs():
 def test_zeta_eval_p2_closed_form():
     # at p = 2 the norm ratio is 1, so zeta depends on theta alone
     obj, cfg = quad_cfg([1.0, 1.0])
-    state, _ = step_t0(HasdState(np.array([2.0, 0.0])), obj, cfg)
+    state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
     for th in (0.2, 0.5, 0.8):
         zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
         expected = 18.0 * cfg.L * (1 - th) ** 2 * state.A / th
@@ -185,7 +199,7 @@ def test_zeta_eval_p4_independent_recomputation():
     geom = LpGeometry(4)
     L = obj.smoothness_for(geom)
     cfg = HasdConfig(L=L, geom=geom)
-    state, _ = step_t0(HasdState(np.array([1.5, -1.0, 2.0])), obj, cfg)
+    state, _ = first_step(obj, np.array([1.5, -1.0, 2.0]), cfg)
     th = 0.37
     zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
 
@@ -223,7 +237,7 @@ def test_find_coupling_accepts_in_window():
         obj = Quadratic(np.array([1.0, 3.0, 0.5, 2.0]))
         geom = LpGeometry(p)
         cfg = HasdConfig(L=obj.smoothness_for(geom), geom=geom)
-        state, _ = step_t0(HasdState(np.array([2.0, -1.0, 1.5, 0.5])), obj, cfg)
+        state, _ = first_step(obj, np.array([2.0, -1.0, 1.5, 0.5]), cfg)
         res = find_coupling(state, obj, cfg)
         assert not res.early_converged
         assert 0.5 <= res.zeta <= 2.0
@@ -244,7 +258,7 @@ def test_find_coupling_accepts_in_window():
 def test_find_coupling_budget_error():
     obj, cfg = quad_cfg([1.0, 1.0])
     obj.reference_optimum = None  # no gap-based escape hatch
-    state, _ = step_t0(HasdState(np.array([2.0, 0.0])), obj, cfg)
+    state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
     for _ in range(4):  # grow A until the first probe leaves the window
         state, _ = step(state, obj, cfg)
     assert 18.0 * cfg.L * 0.25 * state.A / 0.5 > 2.0
@@ -276,7 +290,7 @@ class BrokenFarOut(Quadratic):
 def test_find_coupling_raises_at_first_non_finite_probe(bad):
     obj = BrokenFarOut(bad)
     cfg = HasdConfig(L=1.0, geom=LpGeometry(2.0))
-    state, _ = step_t0(HasdState(np.zeros(2)), obj, cfg)
+    state, _ = first_step(obj, np.zeros(2), cfg)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteProbeError) as exc:
         find_coupling(state, obj, cfg)
     # the first probe (theta = 1/2) is the one that fails, not the budget
@@ -288,7 +302,7 @@ def test_find_coupling_raises_at_first_non_finite_probe(bad):
 
 def test_find_coupling_gap_early_exit():
     obj, cfg = quad_cfg([1.0, 1.0])
-    state, _ = step_t0(HasdState(np.array([2.0, 0.0])), obj, cfg)
+    state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
     for _ in range(4):
         state, _ = step(state, obj, cfg)
     loose = replace(cfg, eps=1e6)
@@ -304,7 +318,7 @@ def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
     # collapsed onto the jump, well inside its oracle budget
     obj, cfg = quad_cfg([1.0, 1.0])
     obj.reference_optimum = None
-    state, _ = step_t0(HasdState(np.array([2.0, 0.0])), obj, cfg)
+    state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
 
     def jump(theta, state, obj, cfg):
         x = state.x.copy()
@@ -322,21 +336,25 @@ def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
 # ------------------------------------------------------- invariant chains
 
 def assert_invariant_chain(report, L):
-    """Re-verify the per-iteration guarantees from the raw trace rows."""
+    """Re-verify the per-iteration guarantees from the raw trace rows:
+    window, recurrence and growth from the CSV columns, progress and
+    potential from the magnitudes each row carries."""
+    def tol(scale):  # relative 1e-8 with an absolute floor
+        return 1e-8 * abs(scale) + 1e-10 * (1.0 + abs(scale))
+
     checked = 0
     prev_A = 0.0
     for tr in report.traces:
         if tr.iter == 0 or tr.converged or tr.A is None:
             continue
         r = tr.grad_l2 ** 2 / tr.grad_dual ** 2
-        assert 0.5 * r - tolerance(r) <= tr.rho <= 2.0 * r + tolerance(r)
+        assert 0.5 * r - tol(r) <= tr.rho <= 2.0 * r + tol(r)
         a = tr.A - prev_A
-        assert abs(18.0 * L * tr.rho * a * a - tr.A) <= tolerance(tr.A)
-        m = tr.progress_model
-        assert tr.progress_inner >= m - tolerance(m)
-        assert m >= tr.progress_dual - tolerance(m)
-        assert tr.potential_lhs <= tr.potential_rhs + tolerance(tr.potential_rhs)
-        assert tr.growth_lhs >= tr.growth_rhs - tolerance(tr.growth_rhs)
+        assert abs(18.0 * L * tr.rho * a * a - tr.A) <= tol(tr.A)
+        growth = tr.G_running * tr.iter / (18.0 * math.sqrt(L))
+        assert math.sqrt(tr.A) >= growth - tol(growth)
+        assert tr.violations["progress"] <= INVARIANT_TOL
+        assert tr.violations["potential"] <= INVARIANT_TOL
         prev_A = tr.A
         checked += 1
     assert checked > 0
@@ -382,6 +400,23 @@ def test_run_rate_certificate_and_call_accounting():
     assert report.iters == report.traces[-1].iter
 
 
+def test_run_evaluates_the_start_gradient_once():
+    obj = CountingQuadratic([1.0, 2.0])
+    x0 = np.array([3.0, -1.0])
+    cfg = HasdConfig(L=2.0, geom=LpGeometry(2), max_iters=6, grad_tol=0.0)
+    report = run(obj, x0, cfg)
+    at_x0 = [x for x in obj.grad_points if np.array_equal(x, x0)]
+    assert len(at_x0) == 1
+    assert report.grad_calls == len(obj.grad_points)
+    assert report.traces[1].search_calls == 1
+
+
+def test_rate_bounds():
+    cert, cubic = rate_bounds(2.0, 3.0, 1.5, 4)
+    assert cert == pytest.approx(324.0 * 2.0 * 9.0 / (1.5 * 4) ** 2, rel=1e-15)
+    assert cubic == pytest.approx(8748.0 * 4.0 * 9.0 / (1.5 ** 2 * 4 ** 3), rel=1e-15)
+
+
 def test_run_convergence_by_gradient_tolerance():
     obj, _ = quad_cfg([1.0, 2.0])
     cfg = HasdConfig(L=2.0, geom=LpGeometry(2), max_iters=150, grad_tol=1e-9)
@@ -394,11 +429,11 @@ def test_iterate_yields_every_step_then_stops():
     obj, cfg = quad_cfg([1.0, 2.0], max_iters=5, grad_tol=0.0)
     x0 = np.array([3.0, -1.0])
     seen = [(state.t, tr.iter) for state, tr in iterate(obj, x0, cfg)]
-    assert seen == [(t, t) for t in range(1, 6)]
+    assert seen == [(t, t) for t in range(0, 6)]  # row 0, then every step
     states = {id(state) for state, _ in iterate(obj, x0, cfg)}
     assert len(states) == 1  # one state, updated in place
-    assert list(iterate(obj, x0, replace(cfg, max_iters=0))) == []
-    assert list(iterate(obj, np.zeros(2), cfg)) == []  # stationary start
+    only = [tr.iter for _, tr in iterate(obj, x0, replace(cfg, max_iters=0))]
+    assert only == [0]
 
 
 def test_run_zero_iterations():
@@ -406,12 +441,14 @@ def test_run_zero_iterations():
     report = run(obj, np.array([2.0, 0.0]), cfg)
     assert report.iters == 0 and len(report.traces) == 1
     assert report.G_mean is None and report.certificate is None
+    assert report.grad_calls == 1 and not report.converged_early
 
 
 def test_run_stationary_start():
     obj, cfg = quad_cfg([1.0, 2.0])
     report = run(obj, np.zeros(2), cfg)
     assert report.converged_early and report.iters == 0
+    assert report.grad_calls == 1 and len(report.traces) == 1
     assert report.final_f == pytest.approx(0.0)
 
 
@@ -499,5 +536,4 @@ def test_grad_norm_stopping_scans_traces():
     assert seen == min(duals)
     # the observed minimum respects the cubic-decay guarantee
     T = report.iters
-    assert seen ** 2 <= 8748.0 * cfg.L ** 2 * report.R ** 2 / (
-        report.G_mean ** 2 * T ** 3) * (1 + 1e-6)
+    assert seen ** 2 <= rate_bounds(cfg.L, report.R, report.G_mean, T)[1] * (1 + 1e-6)

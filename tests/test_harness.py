@@ -53,6 +53,20 @@ def test_config_hash_ignores_output_location():
     assert config_hash(c.to_dict()) != config_hash(a.to_dict())
 
 
+def test_config_hash_is_stable():
+    # pinned digests: the canonical document must not drift between versions
+    cfgs = [ExperimentConfig(),
+            ExperimentConfig(objective="quadratic", d=5, p=4.0,
+                             check_invariants=True, ref_path="ref.json",
+                             instance_path="inst.json", out_dir="elsewhere"),
+            ExperimentConfig(p=3.0, mu=1e-2, methods=("hasd", "sd_p"),
+                             grid=(0.1, 0.5), stepsize=0.2)]
+    assert [config_hash(c.to_dict()) for c in cfgs] == [
+        "7d3b3f909f7f321e6380e25aba928028987a93bc1dae7f9154a260a2d2589866",
+        "d759c3065bdc71549955f4c78a226ab17f08a993efa9e041c7ad45ce13a3dd9f",
+        "2577365fadc9d7802289ec221e337615b6950b0eed6738f9ea40cc21190ae280"]
+
+
 def test_default_x0_convention():
     soft = SymmetricSoftmax(6)
     assert np.array_equal(default_x0(soft), np.ones(6))
@@ -289,8 +303,8 @@ def test_run_and_checker_agree_on_a_violated_cell(make_cell):
     assert rep.invariants == {name: report.row(name).failures
                               for name in INVARIANTS}
     rows = [tr for _, tr in iterate(obj, x0, cfg)]
-    assert len(rows) == len(rep.traces) - 1
-    for ran, iterated in zip(rep.traces[1:], rows):
+    assert len(rows) == len(rep.traces)
+    for ran, iterated in zip(rep.traces, rows):
         assert asdict(ran) == asdict(iterated)
 
 
@@ -351,6 +365,17 @@ def test_cli_gen_instance_roundtrip(tmp_path, capsys):
                "--out", out])
     assert rc == 0
     capsys.readouterr()
+
+
+def test_cli_rejects_instance_with_misshapen_reference(tmp_path, capsys):
+    doc = save_instance(Quadratic(np.ones(4)))
+    doc["ref_optimum"] = {"x": [0.5], "f": 0.0}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["run", "--instance", str(path), "--p", "2", "--iters", "4",
+               "--methods", "hasd", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "dimension 1, expected 4" in capsys.readouterr().err
 
 
 def test_cli_tune_writes_json(tmp_path, capsys):

@@ -260,6 +260,17 @@ def test_instance_round_trip(tmp_path):
     assert doc["kind"] == "logsumexp" and doc["mu"] == 1e-4
 
 
+def test_load_instance_checks_reference_shape(tmp_path):
+    doc = save_instance(Quadratic(np.ones(4)))
+    doc["ref_optimum"] = {"x": [0.5], "f": 0.0}
+    with pytest.raises(ValueError, match="dimension 1, expected 4"):
+        load_instance(doc)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="dimension 1, expected 4"):
+        load_instance(str(path))
+
+
 def test_instance_round_trip_regenerates_from_seed(tmp_path):
     obj = make_logsumexp_instance(12, 5, 0.0, seed=21)
     doc = save_instance(obj)
