@@ -7,6 +7,7 @@ emit the same RunReport/trace rows as the accelerated method, with the
 coupling-specific columns left empty.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ def _row(obj, t: int, x, g, geom: LpGeometry | None) -> IterationTrace:
     f = obj.value(x)
     dual = None if geom is None else lp_norm(g, geom.p_dual)
     return IterationTrace(iter=t, f=f, gap=_gap(f, obj.reference_optimum),
-                          grad_l2=float(np.linalg.norm(g)), grad_dual=dual)
+                          grad_l2=math.sqrt(g @ g), grad_dual=dual)
 
 
 def _report(method: str, obj, x, rows, calls: int) -> RunReport:

@@ -202,7 +202,10 @@ def cmd_check_invariants(args) -> int:
 def cmd_gen_instance(args) -> int:
     obj = make_objective(_config_from_args(args))
     if args.solve_ref:
-        solve_reference(obj)
+        try:
+            solve_reference(obj)
+        except RuntimeError as exc:  # e.g. an objective unbounded below
+            raise ValueError("no reference optimum: %s" % exc) from exc
     save_instance(obj, args.out)
     ref = " (with reference optimum)" if obj.reference_optimum is not None else ""
     print("wrote %s instance d=%d to %s%s"

@@ -116,7 +116,9 @@ class HasdState:
     The lower model psi_t(x) = 0.5 ||x - x0||_2^2 + <u_t, x> + c_t is kept
     in accumulator form: u_t = sum a_i grad f(x_i) and c_t = sum a_i
     (f(x_i) - <grad f(x_i), x_i>), so its minimizer v_t = x0 - u_t and
-    minimum value are exact closed forms with no drift.
+    minimum value are exact closed forms with no drift.  v is refreshed
+    whenever grad_accum changes, so coupling probes read it without
+    recomputing it.
     """
 
     def __init__(self, x0):
@@ -129,13 +131,9 @@ class HasdState:
         self.A = 0.0
         self.B = 0.0
         self.grad_accum = np.zeros_like(x0)
+        self.v = self.x0 - self.grad_accum  # minimizer of the lower model
         self.psi_const = 0.0
         self.G_sum = 0.0
-
-    @property
-    def v(self):
-        """Minimizer of the current lower model."""
-        return self.x0 - self.grad_accum
 
     def psi(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -153,6 +151,7 @@ class HasdState:
         self.A += a
         self.B += (self.A / (18.0 * L)) * dual * dual
         self.grad_accum = self.grad_accum + a * np.asarray(g_new, dtype=float)
+        self.v = self.x0 - self.grad_accum
         self.psi_const += a * (f_new - float(np.asarray(g_new) @ np.asarray(x_new)))
         self.G_sum += dual / l2
         self.x = np.asarray(x_new, dtype=float)
@@ -265,7 +264,8 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     dual = lp_norm(gx, cfg.geom.p_dual)
     if dual == 0.0:
         raise ExactOptimum(x, y)
-    l2 = float(np.linalg.norm(gx))
+    # np.linalg.norm's own formula for a 1-D float64 vector, minus its dispatch
+    l2 = math.sqrt(gx @ gx)
     zeta = (18.0 * cfg.L * (1.0 - theta) ** 2 * state.A / theta) * (l2 * l2) / (dual * dual)
     return zeta, y, x, gx
 
@@ -356,7 +356,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, y, x_new, g_new,
         f_new = coupling.f_x_next
     gap = _gap(f_new, obj.reference_optimum)
     dual = lp_norm(g_new, cfg.geom.p_dual)
-    l2 = float(np.linalg.norm(g_new))
+    l2 = math.sqrt(g_new @ g_new)
     theta = zeta = None
     if coupling is not None:
         theta, zeta = coupling.theta, coupling.zeta
@@ -421,9 +421,9 @@ def iterate(obj, x0, cfg: HasdConfig):
     g0 = obj.gradient(state.x)
     yield state, IterationTrace(iter=0, f=f0,
                                 gap=_gap(f0, obj.reference_optimum),
-                                grad_l2=float(np.linalg.norm(g0)),
+                                grad_l2=math.sqrt(g0 @ g0),
                                 grad_dual=lp_norm(g0, cfg.geom.p_dual))
-    if cfg.max_iters == 0 or not np.any(g0):
+    if cfg.max_iters == 0 or not g0.any():
         return
     x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
     tr = _fold(state, obj, cfg, state.x, x1, obj.gradient(x1), 1)

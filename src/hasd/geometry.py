@@ -25,15 +25,17 @@ def lp_norm(x, p: float) -> float:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return 0.0
+    # ufunc reduces over all axes are what a.max()/a.sum()/np.sum run,
+    # without their wrappers: the same bits at a fraction of the call cost
     a = np.abs(x)
-    m = float(a.max())
+    if p == 1.0:
+        return float(np.add.reduce(a, None))
+    m = float(np.maximum.reduce(a, None))
     if m == 0.0 or math.isinf(p):
         return m
-    if p == 1.0:
-        return float(a.sum())
     if p == 2.0:
-        return m * float(np.sqrt(np.sum((a / m) ** 2)))
-    return m * float(np.sum((a / m) ** p) ** (1.0 / p))
+        return m * math.sqrt(np.add.reduce((a / m) ** 2, None))
+    return m * float(np.add.reduce((a / m) ** p, None) ** (1.0 / p))
 
 
 class LpGeometry:
@@ -80,7 +82,7 @@ def steepest_step(y, grad, L: float, geom: LpGeometry):
     g = np.asarray(grad, dtype=float)
     if y.shape != g.shape:
         raise ValueError("shape mismatch: y %r vs grad %r" % (y.shape, g.shape))
-    if not np.any(g):
+    if not g.any():
         return y.copy()
     p = geom.p
     if math.isinf(p):

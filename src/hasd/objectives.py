@@ -23,21 +23,23 @@ from .geometry import LpGeometry, lp_norm
 # (max shift, ties split out of the sum, numpy's log1p), so they return the
 # same bits.  On the oracles' short rows scipy's time goes to array-API
 # dispatch, not arithmetic: the kernels cost about a tenth of its logsumexp
-# and a third of its softmax.
+# and a third of its softmax.  They call the ufunc reduces that the
+# .max()/.sum() methods wrap, which is the same arithmetic without the
+# wrapper's call cost.
 
 def _logsumexp(z):
     """log(sum(exp(z))) of a nonempty 1-D float array, as a numpy float64."""
-    zmax = z.max()
+    zmax = np.maximum.reduce(z)
     if not math.isfinite(zmax):
         # a +inf, -inf or NaN maximum: scipy's direct evaluation, silently
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.log(np.exp(z).sum())
+            return np.log(np.add.reduce(np.exp(z)))
     top = z == zmax
     m = np.float64(np.count_nonzero(top))
     e = z - zmax
     np.exp(e, out=e)
     e[top] = 0.0
-    s = e.sum()
+    s = np.add.reduce(e)
     if s != 0:
         s = s / m
     return np.log1p(s) + np.log(m) + zmax
@@ -45,9 +47,9 @@ def _logsumexp(z):
 
 def _softmax(z):
     """exp(z) / sum(exp(z)) of a nonempty 1-D float array, shifted by max(z)."""
-    e = z - z.max()
+    e = z - np.maximum.reduce(z)
     np.exp(e, out=e)
-    e /= e.sum()
+    e /= np.add.reduce(e)
     return e
 
 
@@ -303,7 +305,7 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
 
     Requires a Hessian oracle.  Stores (x_star, f_star) on the objective
     and returns the pair.  Raises RuntimeError if the gradient norm target
-    is not reached.
+    is not reached, as on an objective unbounded below.
     """
     if isinstance(obj, Quadratic):
         obj.reference_optimum = (obj.center.copy(), obj.offset)
@@ -314,9 +316,17 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
     if not hasattr(obj, "hessian"):
         raise SmoothnessUnavailable("reference solve needs a Hessian oracle")
     x0 = np.zeros(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
+    start_gn = []  # ||grad f(x0)||_2, read off L-BFGS-B's first evaluation
+
+    def jac(x):
+        g = obj.gradient(x)
+        if not start_gn:
+            start_gn.append(float(np.linalg.norm(g)))
+        return g
+
     # quasi-Newton first: a weakly regularized optimum can sit very far from
     # the start, beyond what trust-region radii cover in few iterations
-    res = optimize.minimize(obj.value, x0, jac=obj.gradient, method="L-BFGS-B",
+    res = optimize.minimize(obj.value, x0, jac=jac, method="L-BFGS-B",
                             options={"maxfun": 200000, "ftol": 0.0,
                                      "gtol": 1e-12})
     x = np.asarray(res.x, dtype=float)
@@ -343,13 +353,16 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
             break
     # a far-away optimum raises the rounding floor of the gradient oracle
     # itself (intermediates of size ~||H|| ||x|| and |f|); below that floor
-    # the residual is pure evaluation noise, not distance to the optimum
+    # the residual is pure evaluation noise, not distance to the optimum.
+    # The floor grows with |f| without limit on an objective unbounded
+    # below, so it may excuse at most a millionth of the start's gradient.
     eps_mach = float(np.finfo(float).eps)
     h_norm = float(np.linalg.norm(obj.hessian(x), 2))
     f_x = float(obj.value(x))
     floor = 32.0 * eps_mach * (1.0 + abs(f_x)
                                + h_norm * float(np.linalg.norm(x)))
-    if gn > max(grad_tol, floor):
+    cap = 1e-6 * max(1.0, start_gn[0])
+    if gn > max(grad_tol, min(floor, cap)):
         raise RuntimeError("reference solve stalled at ||grad||_2 = %.3e" % gn)
     obj.reference_optimum = (x, f_x)
     return obj.reference_optimum

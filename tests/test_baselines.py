@@ -35,6 +35,23 @@ def test_gd_one_step():
     assert rep.traces[0].grad_dual is None  # no geometry given
 
 
+def test_rows_use_numpys_l2_norm_bit_for_bit():
+    # rows compute ||g||_2 as sqrt(g @ g); it must equal np.linalg.norm
+    obj = make_logsumexp_instance(30, 8, 0.0, seed=6)
+    grads = []
+    gradient = obj.gradient
+
+    def recording_gradient(x):
+        grads.append(gradient(x))
+        return grads[-1]
+
+    obj.gradient = recording_gradient
+    rep = gd_run(obj, np.zeros(8), BaselineConfig("gd", 0.05, 15))
+    assert len(grads) == len(rep.traces) == 16
+    for g, tr in zip(grads, rep.traces):
+        assert tr.grad_l2 == float(np.linalg.norm(g))
+
+
 def test_gd_descends_and_meets_classical_rate():
     obj = Quadratic(np.array([1.0, 4.0, 9.0]))
     L = 9.0

@@ -126,6 +126,39 @@ def test_state_model_bookkeeping():
     np.testing.assert_allclose(st.v, -(a1 * g1 + a2 * g2), rtol=1e-15)
 
 
+def test_state_v_is_refreshed_on_every_accumulate():
+    rng = np.random.default_rng(5)
+    st = HasdState(rng.standard_normal(6))
+    assert st.v.tobytes() == (st.x0 - st.grad_accum).tobytes()
+    for _ in range(8):
+        g = rng.standard_normal(6) * 10.0 ** rng.uniform(-5, 5)
+        st.accumulate(rng.uniform(0.1, 3.0), rng.standard_normal(6), 1.0, g,
+                      dual=1.0, l2=1.0, L=2.0)
+        assert st.v.tobytes() == (st.x0 - st.grad_accum).tobytes()
+
+
+def test_rows_and_zeta_use_numpys_l2_norm_bit_for_bit():
+    # the loop computes ||g||_2 as sqrt(g @ g); the rows and every probe's
+    # zeta must carry exactly what np.linalg.norm gives
+    obj = make_logsumexp_instance(60, 40, 1e-3, seed=4)
+    geom = LpGeometry(4)
+    cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom, max_iters=12)
+    rng = np.random.default_rng(9)
+    for _ in range(20):  # row 0 alone, from many starts
+        x0 = rng.standard_normal(40) * 10.0 ** rng.uniform(-3, 3)
+        _, row0 = next(iterate(obj, x0, cfg))
+        assert row0.grad_l2 == float(np.linalg.norm(obj.gradient(x0)))
+    for state, tr in iterate(obj, x0, cfg):
+        g = obj.gradient(state.x)
+        assert tr.grad_l2 == float(np.linalg.norm(g))
+    assert state.t == 12
+    for th in np.linspace(0.05, 0.95, 19):
+        zeta, _, _, gx = zeta_eval(th, state, obj, cfg)
+        l2, dual = float(np.linalg.norm(gx)), lp_norm(gx, geom.p_dual)
+        assert zeta == ((18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th)
+                        * (l2 * l2) / (dual * dual))
+
+
 def test_state_rejects_matrix_start():
     with pytest.raises(ValueError):
         HasdState(np.zeros((2, 2)))

@@ -53,6 +53,101 @@ def test_lp_norm_properties():
             assert lp_norm(u + v, p) <= lp_norm(u, p) + lp_norm(v, p) + 1e-12
 
 
+# ------------------------------------------ hot path, bit for bit
+# lp_norm and steepest_step call the ufunc reduces and ndarray.any that
+# a.max(), a.sum(), np.sum and np.any wrap.  The wrapped forms are written
+# out below, and the results must agree bit for bit (any NaN matches NaN).
+
+def _wrapped_lp_norm(x, p):
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return 0.0
+    a = np.abs(x)
+    m = float(a.max())
+    if m == 0.0 or math.isinf(p):
+        return m
+    if p == 1.0:
+        return float(a.sum())
+    if p == 2.0:
+        return m * float(np.sqrt(np.sum((a / m) ** 2)))
+    return m * float(np.sum((a / m) ** p) ** (1.0 / p))
+
+
+def _wrapped_steepest_step(y, g, L, geom):
+    y = np.asarray(y, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if not np.any(g):
+        return y.copy()
+    p = geom.p
+    if math.isinf(p):
+        return y - (0.5 / L) * _wrapped_lp_norm(g, 1.0) * np.sign(g)
+    if p == 2.0:
+        return y - g / (2.0 * L)
+    dual = _wrapped_lp_norm(g, geom.p_dual)
+    direction = np.sign(g) * np.abs(g) ** (1.0 / (p - 1.0))
+    return y - (0.5 / L) * dual ** ((p - 2.0) / (p - 1.0)) * direction
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _hot_path_vectors():
+    rng = np.random.default_rng(41)
+    vecs = [np.array([]), np.zeros(5), np.array([-0.0, 0.0]),
+            np.array([5e-324, -5e-324, 0.0]), 5e-324 * rng.integers(-9, 9, 40),
+            np.array([1.0, math.nan, -2.0]), np.array([math.inf, 1.0]),
+            np.array([-math.inf, 3.0, math.inf]), np.array([math.nan, math.inf]),
+            np.array([1.7976931348623157e308, -1.7976931348623157e308]),
+            rng.standard_normal((2, 3))]
+    for scale in 10.0 ** np.arange(-300, 301, 20):
+        for n in (1, 2, 7, 50, 300):
+            vecs.append(scale * rng.standard_normal(n))
+    return vecs
+
+
+def test_lp_norm_matches_wrapped_reduces_bit_for_bit():
+    for x in _hot_path_vectors():
+        for p in (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf):
+            with np.errstate(all="ignore"):
+                got, want = lp_norm(x, p), _wrapped_lp_norm(x, p)
+            assert _same_bits(got, want), (x, p, got, want)
+
+
+def test_steepest_step_matches_wrapped_any_bit_for_bit():
+    rng = np.random.default_rng(43)
+    grads = [np.zeros(4), np.array([-0.0, 0.0, 0.0, -0.0]),
+             np.array([1.0, math.nan, -1.0, 0.0]), np.array([math.nan] * 4),
+             np.array([1.0, -1.0, 2.0, -2.0]), np.array([0.0, 3.0, 0.0, -5e-324])]
+    grads += [rng.standard_normal(4) * 10.0 ** rng.uniform(-100, 100)
+              for _ in range(50)]
+    y = np.array([0.5, -1.5, 2.0, 0.0])
+    for g in grads:
+        for p in (2.0, 3.0, 4.0, math.inf):
+            geom = LpGeometry(p)
+            with np.errstate(all="ignore"):
+                got = steepest_step(y, g, 3.0, geom)
+                want = _wrapped_steepest_step(y, g, 3.0, geom)
+            assert _same_bits(got, want), (g, p, got, want)
+
+
+def test_sqrt_of_self_dot_is_numpys_l2_norm():
+    # core and baselines compute ||g||_2 of a 1-D float64 gradient as
+    # math.sqrt(g @ g), which is np.linalg.norm's own formula for such input
+    rng = np.random.default_rng(47)
+    for scale in 10.0 ** np.arange(-150, 151, 10):
+        for n in (1, 3, 6, 50, 129, 1000):
+            g = scale * rng.standard_normal(n)
+            assert math.sqrt(g @ g) == float(np.linalg.norm(g))
+    for g in (np.zeros(3), np.array([5e-324, 1e-310]), np.array([1e200, 1e200]),
+              np.array([math.inf, 1.0]), np.array([math.nan, 1.0])):
+        with np.errstate(all="ignore"):
+            assert _same_bits(math.sqrt(g @ g), float(np.linalg.norm(g)))
+
+
 def test_geometry_dual_exponents():
     assert LpGeometry(2).p_dual == 2.0
     assert LpGeometry(3).p_dual == pytest.approx(1.5)

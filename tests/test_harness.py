@@ -367,6 +367,16 @@ def test_cli_gen_instance_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_gen_instance_without_reference_optimum_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    rc = main(["gen-instance", "--objective", "logsumexp", "--n", "200",
+               "--d", "50", "--mu", "0", "--seed", "0",
+               "--solve-reference", "--out", str(path)])
+    assert rc == 2
+    assert "no reference optimum" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_cli_rejects_instance_with_misshapen_reference(tmp_path, capsys):
     doc = save_instance(Quadratic(np.ones(4)))
     doc["ref_optimum"] = {"x": [0.5], "f": 0.0}

@@ -230,6 +230,15 @@ def test_solve_reference_reaches_tolerance():
     assert obj.reference_optimum[1] == fs
 
 
+def test_solve_reference_rejects_unbounded_objective():
+    # mu = 0 with positive rows is unbounded below: the solve runs off to
+    # |x| ~ 1e35, where the rounding floor alone would excuse ||grad|| ~ 6
+    obj = make_logsumexp_instance(200, 50, 0.0, seed=0)
+    with pytest.raises(RuntimeError, match="stalled"):
+        solve_reference(obj)
+    assert obj.reference_optimum is None
+
+
 def test_dimension_checks():
     obj = SymmetricSoftmax(4)
     with pytest.raises(ValueError):
