@@ -39,7 +39,6 @@ from .core import (
     RunReport,
     a_from_rho,
     find_coupling,
-    grad_norm_stopping,
     iterate,
     rate_bounds,
     run,
@@ -85,7 +84,6 @@ __all__ = [
     "run",
     "run_restarting",
     "rate_bounds",
-    "grad_norm_stopping",
     "search_call_bound",
     "BaselineConfig",
     "gd_run",

@@ -4,7 +4,8 @@ Gradient descent, Nesterov-accelerated gradient descent, linear coupling
 (steepest-descent primal step plus Euclidean mirror-descent dual step),
 and plain l_p steepest descent.  All run with a fixed tuned stepsize and
 emit the same RunReport/trace rows as the accelerated method, with the
-coupling-specific columns left empty.
+coupling-specific columns left empty.  With BaselineConfig.all_rows off a
+run builds only its final row, which is all a stepsize sweep ranks.
 """
 
 import math
@@ -24,6 +25,7 @@ class BaselineConfig:
     stepsize: float
     iters: int
     geom: LpGeometry | None = None
+    all_rows: bool = True  # False: trace only the final iterate
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -36,18 +38,22 @@ class BaselineConfig:
             raise ValueError("%s requires a geometry" % self.method)
 
 
-def _row(obj, t: int, x, g, geom: LpGeometry | None) -> IterationTrace:
+def _row(rows: list, obj, t: int, x, g, cfg: BaselineConfig):
+    """Append the trace row of iterate t, g being grad f(x); with
+    cfg.all_rows off, only the final one (t == cfg.iters) is built."""
+    if not (cfg.all_rows or t == cfg.iters):
+        return
     f = obj.value(x)
-    dual = None if geom is None else lp_norm(g, geom.p_dual)
-    return IterationTrace(iter=t, f=f, gap=_gap(f, obj.reference_optimum),
-                          grad_l2=math.sqrt(g @ g), grad_dual=dual)
+    dual = None if cfg.geom is None else lp_norm(g, cfg.geom.p_dual)
+    rows.append(IterationTrace(iter=t, f=f, gap=_gap(f, obj.reference_optimum),
+                               grad_l2=math.sqrt(g @ g), grad_dual=dual))
 
 
-def _report(method: str, obj, x, rows, calls: int) -> RunReport:
+def _report(method: str, obj, x, rows, calls: int, iters: int) -> RunReport:
     f = rows[-1].f
     return RunReport(method=method, final_x=np.asarray(x, dtype=float),
                      final_f=f, gap=_gap(f, obj.reference_optimum),
-                     iters=len(rows) - 1, grad_calls=calls, traces=rows)
+                     iters=iters, grad_calls=calls, traces=rows)
 
 
 def gd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
@@ -56,13 +62,14 @@ def gd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
     alpha = cfg.stepsize
     g = obj.gradient(x)
     calls = 1
-    rows = [_row(obj, 0, x, g, cfg.geom)]
+    rows = []
+    _row(rows, obj, 0, x, g, cfg)
     for t in range(cfg.iters):
         x = x - alpha * g
         g = obj.gradient(x)
         calls += 1
-        rows.append(_row(obj, t + 1, x, g, cfg.geom))
-    return _report("gd", obj, x, rows, calls)
+        _row(rows, obj, t + 1, x, g, cfg)
+    return _report("gd", obj, x, rows, calls, cfg.iters)
 
 
 def agd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
@@ -80,7 +87,8 @@ def agd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
     alpha = cfg.stepsize
     gx = obj.gradient(x)
     calls = 1
-    rows = [_row(obj, 0, x, gx, cfg.geom)]
+    rows = []
+    _row(rows, obj, 0, x, gx, cfg)
     for t in range(cfg.iters):
         if t > 0:
             gx = obj.gradient(x)
@@ -91,8 +99,8 @@ def agd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
         y = y_new
         gy = obj.gradient(y)
         calls += 1
-        rows.append(_row(obj, t + 1, y, gy, cfg.geom))
-    return _report("agd", obj, y, rows, calls)
+        _row(rows, obj, t + 1, y, gy, cfg)
+    return _report("agd", obj, y, rows, calls, cfg.iters)
 
 
 def lc_run(obj, x0, cfg: BaselineConfig) -> RunReport:
@@ -113,7 +121,8 @@ def lc_run(obj, x0, cfg: BaselineConfig) -> RunReport:
     y = z.copy()
     g = obj.gradient(y)
     calls = 1
-    rows = [_row(obj, 0, y, g, geom)]
+    rows = []
+    _row(rows, obj, 0, y, g, cfg)
     for t in range(cfg.iters):
         beta = 2.0 / (t + 2.0)
         x = beta * z + (1.0 - beta) * y
@@ -124,8 +133,8 @@ def lc_run(obj, x0, cfg: BaselineConfig) -> RunReport:
         z = z - ((t + 1.0) * alpha / 2.0) * g
         g = obj.gradient(y)
         calls += 1
-        rows.append(_row(obj, t + 1, y, g, geom))
-    return _report("lc", obj, y, rows, calls)
+        _row(rows, obj, t + 1, y, g, cfg)
+    return _report("lc", obj, y, rows, calls, cfg.iters)
 
 
 def sdp_run(obj, x0, cfg: BaselineConfig) -> RunReport:
@@ -137,10 +146,11 @@ def sdp_run(obj, x0, cfg: BaselineConfig) -> RunReport:
     x = np.asarray(x0, dtype=float).copy()
     g = obj.gradient(x)
     calls = 1
-    rows = [_row(obj, 0, x, g, geom)]
+    rows = []
+    _row(rows, obj, 0, x, g, cfg)
     for t in range(cfg.iters):
         x = steepest_step(x, g, 1.0 / (2.0 * cfg.stepsize), geom)
         g = obj.gradient(x)
         calls += 1
-        rows.append(_row(obj, t + 1, x, g, geom))
-    return _report("sd_p", obj, x, rows, calls)
+        _row(rows, obj, t + 1, x, g, cfg)
+    return _report("sd_p", obj, x, rows, calls, cfg.iters)

@@ -423,7 +423,7 @@ def iterate(obj, x0, cfg: HasdConfig):
                                 gap=_gap(f0, obj.reference_optimum),
                                 grad_l2=math.sqrt(g0 @ g0),
                                 grad_dual=lp_norm(g0, cfg.geom.p_dual))
-    if cfg.max_iters == 0 or not g0.any():
+    if cfg.max_iters == 0 or not np.count_nonzero(g0):
         return
     x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
     tr = _fold(state, obj, cfg, state.x, x1, obj.gradient(x1), 1)
@@ -535,19 +535,3 @@ def rate_bounds(L: float, R: float, G: float, T: int):
     cubic = 8748.0 * L ** 2 * R * R / (G ** 2 * T ** 3)
     return cert, cubic
 
-
-def grad_norm_stopping(traces, L: float, R: float, G_hat: float, eps: float):
-    """Iteration counts guaranteeing a small dual gradient norm.
-
-    Returns (T_naive, T_improved, min_grad_dual): the direct count
-    ceil(18 sqrt(2) L R / (G_hat eps)), the cubic-decay count
-    ceil(21 (L R)^{2/3} / (G_hat eps)^{2/3}), and the smallest dual
-    gradient norm observed in the traces (None if no rows carry one).
-    """
-    if L <= 0 or R <= 0 or G_hat <= 0 or eps <= 0:
-        raise ValueError("need positive L, R, G_hat, eps")
-    T_naive = math.ceil(18.0 * math.sqrt(2.0) * L * R / (G_hat * eps))
-    T_improved = math.ceil(21.0 * (L * R) ** (2.0 / 3.0) / (G_hat * eps) ** (2.0 / 3.0))
-    seen = [tr.grad_dual for tr in traces
-            if tr.grad_dual is not None and tr.iter >= 1]
-    return T_naive, T_improved, (min(seen) if seen else None)

@@ -82,7 +82,7 @@ def steepest_step(y, grad, L: float, geom: LpGeometry):
     g = np.asarray(grad, dtype=float)
     if y.shape != g.shape:
         raise ValueError("shape mismatch: y %r vs grad %r" % (y.shape, g.shape))
-    if not g.any():
+    if not np.count_nonzero(g):  # cheaper than g.any(); NaN counts as nonzero
         return y.copy()
     p = geom.p
     if math.isinf(p):

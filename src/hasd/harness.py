@@ -117,7 +117,7 @@ def default_x0(obj):
 
 
 def run_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
-               stepsize: float):
+               stepsize: float, all_rows: bool = True):
     """One report for one method.
 
     Stepsize semantics: gd and agd take the grid value as their literal
@@ -126,12 +126,15 @@ def run_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
     theory coupling 1/L (hasd scales the steepest step, lc scales the
     alpha = 1/(2L) that drives both of its sequences).  sd_p takes alpha
     literally like gd.
+
+    With all_rows off a baseline traces only its final iterate (iters and
+    grad_calls stay exact); hasd always traces every row.
     """
     if method == "hasd":
         cfg = HasdConfig(L=L, geom=geom, max_iters=iters, step_scale=stepsize)
         return run(obj, x0, cfg)
     alpha = stepsize / (2.0 * L) if method == "lc" else stepsize
-    bcfg = BaselineConfig(method, alpha, iters, geom=geom)
+    bcfg = BaselineConfig(method, alpha, iters, geom=geom, all_rows=all_rows)
     runner = {"gd": gd_run, "agd": agd_run, "lc": lc_run, "sd_p": sdp_run}
     return runner[method](obj, x0, bcfg)
 
@@ -143,13 +146,15 @@ def tune_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
     Returns (best, all_divergent, final_values).  Divergent runs (non-finite
     final value, or a failed coupling search) rank as +inf; ties break
     toward the smaller stepsize.  If every point diverges the smallest grid
-    point is returned with a warning.
+    point is returned with a warning.  Baseline grid runs trace only their
+    final row, the one value ranked.
     """
     finals = {}
     for s in grid:
         with np.errstate(all="ignore"):
             try:
-                rep = run_method(method, obj, x0, geom, L, iters, s)
+                rep = run_method(method, obj, x0, geom, L, iters, s,
+                                 all_rows=False)
                 f = float(rep.final_f)
             except CouplingSearchError:
                 f = math.inf

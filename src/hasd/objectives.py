@@ -183,25 +183,67 @@ class LogSumExpAffine(SmoothObjective):
             raise ValueError("A must be (n, d), n >= 1, with b of shape (n,)")
         if mu < 0:
             raise ValueError("mu must be nonnegative")
+        if not (A.flags.c_contiguous or A.flags.f_contiguous):
+            # a strided view would be copied on every product: copy it once
+            A = np.ascontiguousarray(A)
         super().__init__(A.shape[1])
         self.A = A
         self.b = b
         self.mu = float(mu)
         self.seed = seed
+        self._last = None  # (x.tobytes(), A x - b) at the last point mapped
+
+    def _logits(self, x):
+        """z = A x - b at a checked x, shared by the three oracles.
+
+        The last point's logits are kept under the bytes of x, so value and
+        gradient at one point make one product with A (a point mutated in
+        place has new bytes, hence a miss).  Key and logits are stored as
+        one tuple in one assignment, so a concurrent caller never pairs one
+        point's key with another's logits.  Callers must not mutate z, and
+        A and b must not change after construction.
+        """
+        key = x.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        # on a contiguous x, ndarray.dot is the gemv that @ calls, with less
+        # dispatch; on a negative stride the two round differently
+        z = self.A.dot(x) if x.flags.c_contiguous else self.A @ x
+        z -= self.b
+        self._last = (key, z)
+        return z
 
     def value(self, x) -> float:
         x = self._check(x)
-        v = float(_logsumexp(self.A @ x - self.b))
+        v = float(_logsumexp(self._logits(x)))
         return v + 0.5 * self.mu * float(x @ x)
 
     def gradient(self, x):
         x = self._check(x)
-        w = _softmax(self.A @ x - self.b)
-        return self.A.T @ w + self.mu * x
+        g = self.A.T.dot(_softmax(self._logits(x)))
+        g += self.mu * x
+        return g
+
+    def certifies_unbounded(self, x) -> bool:
+        """True when x proves f unbounded below: mu = 0 and a_k . x < 0
+        for every row k, after the rounding of the products is allowed for.
+
+        Then f(t x) = log sum_k exp(t a_k . x - b_k) tends to -inf as t
+        grows.  The margin (d + 2) eps |a_k| . |x| covers the rounding
+        error of any summation order of a length-d dot product.
+        """
+        if self.mu != 0.0:
+            return False
+        x = self._check(x)
+        slack = (self.dim + 2) * float(np.finfo(float).eps)
+        with np.errstate(all="ignore"):  # a non-finite x certifies nothing
+            worst = self.A.dot(x) + slack * np.abs(self.A).dot(np.abs(x))
+        return bool(np.maximum.reduce(worst) < 0.0)
 
     def hessian(self, x):
         x = self._check(x)
-        w = _softmax(self.A @ x - self.b)
+        w = _softmax(self._logits(x))
         Aw = self.A.T @ w
         H = self.A.T @ (self.A * w[:, None]) - np.outer(Aw, Aw)
         return H + self.mu * np.eye(self.dim)
@@ -305,7 +347,8 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
 
     Requires a Hessian oracle.  Stores (x_star, f_star) on the objective
     and returns the pair.  Raises RuntimeError if the gradient norm target
-    is not reached, as on an objective unbounded below.
+    is not reached, and as soon as an iterate certifies that a
+    LogSumExpAffine objective is unbounded below (see certifies_unbounded).
     """
     if isinstance(obj, Quadratic):
         obj.reference_optimum = (obj.center.copy(), obj.offset)
@@ -317,11 +360,15 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
         raise SmoothnessUnavailable("reference solve needs a Hessian oracle")
     x0 = np.zeros(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     start_gn = []  # ||grad f(x0)||_2, read off L-BFGS-B's first evaluation
+    certify = isinstance(obj, LogSumExpAffine)
 
     def jac(x):
         g = obj.gradient(x)
         if not start_gn:
             start_gn.append(float(np.linalg.norm(g)))
+        if certify and obj.certifies_unbounded(x):
+            raise RuntimeError("reference solve stopped: f is unbounded "
+                               "below along the current iterate")
         return g
 
     # quasi-Newton first: a weakly regularized optimum can sit very far from

@@ -179,3 +179,21 @@ def test_rows_carry_gap_and_dual_norm():
         assert tr.gap is not None and tr.gap >= -1e-15
         assert tr.grad_dual is not None
         assert tr.rho is None and tr.theta is None and tr.A is None
+
+
+def test_final_row_only_runs_equal_full_runs():
+    obj = make_logsumexp_instance(15, 4, 1e-2, seed=9)
+    geom = LpGeometry(3.0)
+    x0 = np.random.default_rng(10).standard_normal(4)
+    runners = (("gd", gd_run), ("agd", agd_run), ("lc", lc_run),
+               ("sd_p", sdp_run))
+    for method, runner in runners:
+        for iters in (0, 1, 7):
+            full = runner(obj, x0, BaselineConfig(method, 0.05, iters, geom=geom))
+            last = runner(obj, x0, BaselineConfig(method, 0.05, iters,
+                                                  geom=geom, all_rows=False))
+            assert len(full.traces) == iters + 1
+            assert last.traces == full.traces[-1:]
+            assert (last.final_f, last.gap, last.iters, last.grad_calls) == (
+                full.final_f, full.gap, full.iters, full.grad_calls)
+            np.testing.assert_array_equal(last.final_x, full.final_x)

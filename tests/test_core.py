@@ -8,9 +8,8 @@ import pytest
 
 from hasd.core import (INVARIANT_TOL, CouplingSearchError, ExactOptimum,
                        HasdConfig, HasdState, NonFiniteProbeError, a_from_rho,
-                       find_coupling, grad_norm_stopping, iterate, rate_bounds,
-                       run, run_restarting, search_call_bound, step,
-                       zeta_eval)
+                       find_coupling, iterate, rate_bounds, run,
+                       run_restarting, search_call_bound, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound)
@@ -549,24 +548,3 @@ def test_restarting_without_reference_uses_supplied_K():
     assert report.gap is None and report.restart_gaps is None
     assert len(report.restart_G) == 3
 
-
-# ------------------------------------------------------ gradient stopping
-
-def test_grad_norm_stopping_counts():
-    T_naive, T_improved, _ = grad_norm_stopping([], 1.0, 1.0, 1.0, 1.0)
-    assert T_naive == 26  # ceil(18 sqrt(2))
-    assert T_improved == 21
-    assert T_improved < T_naive
-    with pytest.raises(ValueError):
-        grad_norm_stopping([], 0.0, 1.0, 1.0, 1.0)
-
-
-def test_grad_norm_stopping_scans_traces():
-    obj, cfg = quad_cfg([1.0, 2.0], max_iters=15)
-    report = run(obj, np.array([3.0, -1.0]), cfg)
-    _, _, seen = grad_norm_stopping(report.traces, cfg.L, report.R, 1.0, 1e-2)
-    duals = [tr.grad_dual for tr in report.traces if tr.iter >= 1]
-    assert seen == min(duals)
-    # the observed minimum respects the cubic-decay guarantee
-    T = report.iters
-    assert seen ** 2 <= rate_bounds(cfg.L, report.R, report.G_mean, T)[1] * (1 + 1e-6)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from hasd.baselines import BaselineConfig, lc_run
 from hasd.cli import main
-from hasd.core import INVARIANTS, HasdConfig, iterate, run
+from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig, iterate,
+                       run)
 from hasd.geometry import LpGeometry
 from hasd.harness import (STEPSIZE_GRID, ExperimentConfig, attach_reference,
                           check_invariants, config_hash,
@@ -144,6 +146,49 @@ def test_tune_ranks_non_finite_probe_as_divergent():
         best, all_div, finals = tune_method("hasd", obj, np.zeros(2),
                                             LpGeometry(2.0), 1.0, 5, (1.0,))
     assert all_div and best == 1.0 and finals == {1.0: math.inf}
+
+
+def test_tune_method_finals_equal_full_row_runs_bit_for_bit():
+    # the quadratic's largest stepsize overflows: divergent points rank +inf
+    cases = ((make_logsumexp_instance(20, 5, 1e-3, seed=8), LpGeometry(math.inf)),
+             (Quadratic(4.0 * np.ones(5), center=np.ones(5)), LpGeometry(3.0)))
+    x0 = np.random.default_rng(9).standard_normal(5)
+    grid = (1e-4, 0.02, 0.5, 1.0, 50.0, 1e14)
+    divergent = 0
+    for obj, geom in cases:
+        L = smoothness_bound(obj, geom)
+        for method in ("hasd", "gd", "agd", "lc", "sd_p"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                _, _, finals = tune_method(method, obj, x0, geom, L, 25, grid)
+            for s in grid:
+                with np.errstate(all="ignore"):
+                    try:
+                        f = run_method(method, obj, x0, geom, L, 25, s).final_f
+                    except CouplingSearchError:
+                        f = math.inf
+                want = f if math.isfinite(f) else math.inf
+                assert finals[s] == want, (method, s)
+                divergent += want == math.inf
+    assert divergent > 0
+
+
+def test_tune_method_baseline_grid_run_values_only_its_final_point():
+    class CountingValue(Quadratic):
+        """Quadratic that counts its value calls."""
+
+        def __init__(self, h):
+            super().__init__(np.asarray(h, dtype=float))
+            self.values = 0
+
+        def value(self, x):
+            self.values += 1
+            return super().value(x)
+
+    for method in ("gd", "agd", "lc", "sd_p"):
+        obj = CountingValue([1.0, 2.0, 3.0])
+        tune_method(method, obj, np.ones(3), LpGeometry(2.0), 3.0, 12, (0.1,))
+        assert obj.values == 1, method  # a full-row run values all 13 rows
 
 
 def test_run_method_lc_stepsize_is_scale_on_coupling():

@@ -174,6 +174,17 @@ def test_logsumexp_mu_zero_unbounded_below():
     vals = [obj.value(-c * np.ones(8)) for c in (0.0, 10.0, 100.0)]
     assert vals[2] < vals[1] < vals[0]
     assert vals[2] < vals[0] - 50
+    assert obj.certifies_unbounded(-np.ones(8))
+    assert not obj.certifies_unbounded(np.zeros(8))
+    assert not obj.certifies_unbounded(np.ones(8))
+    for bad in (math.nan, math.inf, -math.inf):  # no certificate from these
+        assert not obj.certifies_unbounded(np.full(8, bad))
+    # a row with a_k . x = 0 leaves f bounded along x
+    flat = LogSumExpAffine(np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2))
+    assert not flat.certifies_unbounded(np.array([-1.0, -1.0]))
+    assert flat.certifies_unbounded(np.array([-1.0, -0.5]))
+    regularized = make_logsumexp_instance(30, 8, 1e-6, seed=12)
+    assert not regularized.certifies_unbounded(-np.ones(8))
 
 
 def test_logsumexp_smoothness_upper_holds_empirically():
@@ -231,12 +242,23 @@ def test_solve_reference_reaches_tolerance():
 
 
 def test_solve_reference_rejects_unbounded_objective():
-    # mu = 0 with positive rows is unbounded below: the solve runs off to
-    # |x| ~ 1e35, where the rounding floor alone would excuse ||grad|| ~ 6
-    obj = make_logsumexp_instance(200, 50, 0.0, seed=0)
-    with pytest.raises(RuntimeError, match="stalled"):
-        solve_reference(obj)
-    assert obj.reference_optimum is None
+    # mu = 0 with positive rows is unbounded below.  Left to its budget the
+    # solve runs off to |x| ~ 1e35 (200,003 gradient calls on seed 1),
+    # where the rounding floor alone would excuse ||grad|| ~ 6; an iterate
+    # with a_k . x < 0 on every row certifies the ray and stops it early
+    for seed in (0, 1, 2):
+        obj = make_logsumexp_instance(200, 50, 0.0, seed=seed)
+        calls = []
+
+        def counted(x, gradient=obj.gradient):
+            calls.append(None)
+            return gradient(x)
+
+        obj.gradient = counted
+        with pytest.raises(RuntimeError, match="unbounded below"):
+            solve_reference(obj)
+        assert len(calls) <= 2000
+        assert obj.reference_optimum is None
 
 
 def test_dimension_checks():
@@ -419,3 +441,115 @@ def test_oracles_equal_scipy_formulas_bit_for_bit():
             assert_same(obj.gradient(x), g)
             assert_same(obj.hessian(x), (np.diag(w[:5] + w[5:])
                                          - np.outer(g, g)) / alpha)
+
+
+# ------------------------------------- the memoized LogSumExp affine map
+
+def unmemoized_oracles(A, b, mu, x):
+    """value, gradient and Hessian by the pre-memo formulas, each with its
+    own product A @ x."""
+    x = np.asarray(x, dtype=float)
+    value = float(_logsumexp(A @ x - b)) + 0.5 * mu * float(x @ x)
+    w = _softmax(A @ x - b)
+    grad = A.T @ w + mu * x
+    Aw = A.T @ w
+    hess = A.T @ (A * w[:, None]) - np.outer(Aw, Aw) + mu * np.eye(x.size)
+    return value, grad, hess
+
+
+def assert_oracle(obj, which, x):
+    """obj's oracle `which` at x equals the pre-memo formula bit for bit."""
+    k = ("value", "gradient", "hessian").index(which)
+    want = unmemoized_oracles(obj.A, obj.b, obj.mu, x)[k]
+    assert_same(getattr(obj, which)(x), want)
+
+
+def test_memoized_oracles_equal_unmemoized_formulas_in_any_call_order():
+    rng = np.random.default_rng(31)
+    for mu in (0.0, 1e-2):
+        obj = make_logsumexp_instance(30, 6, mu, seed=3)
+        x, y = rng.standard_normal(6), rng.standard_normal(6)
+        for which in ("gradient", "value", "value", "hessian", "gradient",
+                      "gradient"):
+            assert_oracle(obj, which, x)  # each call after one at x
+        for which in ("value", "gradient", "hessian", "value", "gradient"):
+            assert_oracle(obj, which, x)  # points alternate: every call misses
+            assert_oracle(obj, which, y)
+
+
+def test_memoized_oracles_see_a_point_mutated_in_place():
+    obj = make_logsumexp_instance(30, 6, 1e-2, seed=4)
+    x = np.random.default_rng(32).standard_normal(6)
+    for which in ("value", "gradient", "hessian"):
+        obj.gradient(x)
+        x[2] += 0.5  # same array object, new point
+        assert_oracle(obj, which, x)
+        obj.value(x)
+        x *= -1.0
+        assert_oracle(obj, which, x)
+
+
+def test_memoized_oracles_on_strided_views_and_degenerate_shapes():
+    rng = np.random.default_rng(33)
+    obj = make_logsumexp_instance(25, 7, 1e-3, seed=5)
+    big = rng.standard_normal(21)
+    for x in (big[::3], big[::-3], big[3:10]):
+        for which in ("gradient", "value", "hessian"):
+            assert_oracle(obj, which, x)
+        assert_oracle(obj, "value", x.copy())  # equal bytes, other object
+    for n, d in ((1, 1), (1, 4), (5, 1)):
+        A = rng.uniform(0.5, 2.0, (n, d))
+        obj = LogSumExpAffine(A, rng.standard_normal(n), mu=0.3)
+        x = rng.standard_normal(d)
+        for which in ("value", "gradient", "hessian", "value"):
+            assert_oracle(obj, which, x)
+    # a strided A is stored as a contiguous copy, whose products are BLAS gemv
+    wide = rng.standard_normal((10, 14))
+    obj = LogSumExpAffine(wide[:, ::2], rng.standard_normal(10), mu=0.1)
+    assert obj.A.flags.c_contiguous
+    np.testing.assert_array_equal(obj.A, wide[:, ::2])
+    for which in ("value", "gradient", "hessian"):
+        assert_oracle(obj, which, rng.standard_normal(7))
+
+
+def test_memoized_oracles_across_scales_and_non_finite_points():
+    rng = np.random.default_rng(34)
+    obj = make_logsumexp_instance(40, 8, 1e-2, seed=6)
+    points = [10.0 ** e * rng.standard_normal(8) for e in np.linspace(-3, 3, 13)]
+    for bad in (math.inf, -math.inf, math.nan):
+        for i in (0, 5):
+            x = rng.standard_normal(8)
+            x[i] = bad
+            points.append(x)
+    with np.errstate(all="ignore"):
+        for x in points:
+            for which in ("value", "gradient", "value", "hessian"):
+                assert_oracle(obj, which, x)
+
+
+def test_value_after_gradient_at_one_point_maps_it_once():
+    class CountingMatrix(np.ndarray):
+        """Counts the matrix-vector products taken with it or its transpose."""
+
+        products = 0
+
+        def dot(self, other, *args):
+            CountingMatrix.products += 1
+            return np.asarray(self).dot(other, *args)
+
+        def __matmul__(self, other):
+            CountingMatrix.products += 1
+            return np.asarray(self) @ other
+
+    obj = make_logsumexp_instance(20, 5, 1e-2, seed=7)
+    obj.A = obj.A.view(CountingMatrix)
+    x = np.random.default_rng(35).standard_normal(5)
+    obj.gradient(x)
+    after_gradient = CountingMatrix.products
+    assert after_gradient == 2  # A x, then A^T w
+    obj.value(x)
+    assert CountingMatrix.products == after_gradient  # no second A x
+    obj.gradient(x)
+    assert CountingMatrix.products == after_gradient + 1  # only A^T w
+    obj.value(x + 1.0)
+    assert CountingMatrix.products == after_gradient + 2  # a new point
