@@ -5,6 +5,10 @@ and the next iterate x_{t+1} are chosen *simultaneously*: the scalar rho_t
 tying them together must land within a factor 2 of the squared l2/l_{p*}
 gradient-norm ratio measured at the resulting point.  The pair is found by
 a binary search over the interpolation parameter theta = A_t / A_{t+1}.
+Only part of zeta needs the oracle: the factor 18 L (1-theta)^2 A_t /
+theta is known up front and the norm ratio lies in [d^-(1-2/p), 1], so
+without a reference optimum the search settles the probes those bounds
+already decide and evaluates only the rest.
 
 Per accepted iteration the following hold (up to floating point):
 
@@ -30,7 +34,11 @@ from .geometry import LpGeometry, lp_norm, steepest_step
 
 
 class CouplingSearchError(RuntimeError):
-    """Coupling search failed: bracket collapsed or oracle budget spent."""
+    """Coupling search failed: bracket collapsed or oracle budget spent.
+
+    calls counts gradient evaluations, and last_zeta is the zeta of the
+    last evaluated probe (None when every probe was settled unevaluated).
+    """
 
     def __init__(self, bracket, calls, last_zeta=None):
         self.bracket = bracket
@@ -48,6 +56,8 @@ class NonFiniteProbeError(CouplingSearchError):
     infinite or NaN, so this covers every non-finite gradient (and a finite
     one whose squared norms overflow).  The search stops at that probe
     instead of bisecting on a NaN comparison until its budget is spent.
+    Only an evaluated probe can raise it: one that find_coupling settles
+    from its norm bounds computes no gradient.
     """
 
     def __init__(self, theta, bracket, calls):
@@ -231,14 +241,22 @@ def search_call_bound(p: float, d: int, L: float, eps: float, R: float) -> float
     """Worst-case number of theta probes for one coupling search.
 
     9 + (5(p-2)/2p) log2(d) + log2(L D_R / eps),  D_R = (R + 1458 R^2)
-    (20 R + 4374 R^2).  Each probe costs two gradient evaluations.
-    Valid for eps <= L D_R / 6.
+    (20 R + 4374 R^2).  Each evaluated probe costs two gradient
+    evaluations; find_coupling settles some probes without evaluating
+    them, so this also bounds its evaluated probes.  Valid for
+    eps <= L D_R / 6.
     """
     if d <= 0 or L <= 0 or eps <= 0 or R <= 0:
         raise ValueError("need positive d, L, eps, R")
     coeff = 0.5 if math.isinf(p) else (p - 2.0) / (2.0 * p)
     D_R = (R + 1458.0 * R * R) * (20.0 * R + 4374.0 * R * R)
     return 9.0 + 5.0 * coeff * math.log2(d) + math.log2(L * D_R / eps)
+
+
+def _coupling_factor(theta: float, A_t: float, L: float) -> float:
+    """c(theta) = 18 L (1-theta)^2 A_t / theta, the factor of zeta that
+    needs no oracle call: zeta(theta) = c(theta) * ||g||_2^2 / ||g||_{p*}^2."""
+    return 18.0 * L * (1.0 - theta) ** 2 * A_t / theta
 
 
 def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
@@ -266,11 +284,26 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
         raise ExactOptimum(x, y)
     # np.linalg.norm's own formula for a 1-D float64 vector, minus its dispatch
     l2 = math.sqrt(gx @ gx)
-    zeta = (18.0 * cfg.L * (1.0 - theta) ** 2 * state.A / theta) * (l2 * l2) / (dual * dual)
+    zeta = _coupling_factor(theta, state.A, cfg.L) * (l2 * l2) / (dual * dual)
     return zeta, y, x, gx
 
 
 _THETA_MIN = 1e-12
+
+# Relative margin beyond which find_coupling settles a probe from
+# c(theta) alone.  By Hoelder, r = ||g||_2^2 / ||g||_{p*}^2 lies in
+# [d^-(1-2/p), 1], but the computed r can leave that interval by an ulp
+# where r sits at an end (1/d for a uniform g at p = inf, 1 for a
+# one-hot g).  The computed r (sqrt(g @ g) squared over lp_norm squared)
+# carries the rounding of two sums of d nonnegative terms, at most d ulps
+# each, plus a few ulps from the powers, the square root and the
+# squares: under 3d + 20 ulps in all.  d ** (1-2/p) is off by under
+# 1 + ln(d) ulps and zeta takes two more roundings.  At d = 10^9 the
+# total is about 3.3e-7, below the margin, so a probe with
+# c > 2 (1 + margin) d^(1-2/p) measures zeta > 2 and one with
+# c < (1 - margin) / 2 measures zeta < 1/2, as long as the squared
+# gradient norms neither overflow nor underflow.
+_SETTLE_MARGIN = 1e-6
 
 
 def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
@@ -289,14 +322,39 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     When the objective carries a reference optimum and a probed point
     already has gap <= cfg.eps, or a probe hits a zero gradient, returns
     early_converged=True with that point.
+
+    zeta(theta) = c(theta) r, where c(theta) = 18 L (1-theta)^2 A_t / theta
+    needs no oracle call and r lies in [d^-(1-2/p), 1].  Without a
+    reference optimum, a probe whose c alone puts zeta above 2 or below
+    1/2 (beyond _SETTLE_MARGIN) is settled without evaluating it: it
+    moves the bracket as its measured zeta would have, so every evaluated
+    probe, and the accepted one, is the probe a search evaluating every
+    theta evaluates.  Only the evaluated probes cost oracle calls, count
+    against cfg.max_search_calls, can raise NonFiniteProbeError or hit
+    an exact optimum, and set last_zeta; settled probes are bounded by
+    the bracket collapsing.  With a reference every probe is evaluated,
+    so that each rejected point gets its gap checked.
     """
+    if state.A <= 0.0:
+        raise ValueError("coupling search requires A_t > 0 (after the first step)")
     ref = obj.reference_optimum
+    # c > above means zeta > 2 and c < below means zeta < 1/2
+    above = 2.0 * (1.0 + _SETTLE_MARGIN) * state.x.size ** (1.0 - 2.0 / cfg.geom.p)
+    below = 0.5 * (1.0 - _SETTLE_MARGIN)
     calls = 0
     last_zeta = None
     lo, hi = _THETA_MIN, 1.0 - _THETA_MIN
     try:
         while calls + 2 <= cfg.max_search_calls and hi - lo > 4.0 * _THETA_MIN:
             th = 0.5 * (lo + hi)
+            if ref is None:
+                c = _coupling_factor(th, state.A, cfg.L)
+                if c > above:
+                    lo = th
+                    continue
+                if c < below:
+                    hi = th
+                    continue
             calls += 2
             zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
             if math.isnan(zeta):

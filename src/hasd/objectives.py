@@ -447,43 +447,59 @@ def _read_doc(source) -> dict:
         return json.load(fh)
 
 
+def _require(doc: dict, key: str, what: str):
+    """doc[key], or a ValueError naming the key the document lacks."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError("%s has no %r key" % (what, key)) from None
+
+
 def attach_reference(obj: SmoothObjective, source):
     """Attach a stored (x_star, f_star) pair: an {"x", "f"} document, one
     under "ref_optimum" in an instance document, or a JSON file holding
-    either.  Raises ValueError when x_star does not match obj's dimension."""
+    either.  Raises ValueError when x_star does not match obj's dimension
+    or a key is missing."""
     doc = _read_doc(source)
     doc = doc.get("ref_optimum", doc)
-    x = np.asarray(doc["x"], dtype=float)
+    x = np.asarray(_require(doc, "x", "reference optimum"), dtype=float)
     if x.shape != (obj.dim,):
         raise ValueError("reference optimum has dimension %d, expected %d"
                          % (x.size, obj.dim))
-    obj.reference_optimum = (x, float(doc["f"]))
+    obj.reference_optimum = (x, float(_require(doc, "f", "reference optimum")))
 
 
 def load_instance(source) -> SmoothObjective:
-    """Rebuild an objective from a JSON document, dict, or file path."""
+    """Rebuild an objective from a JSON document, dict, or file path.
+
+    Raises ValueError on an unknown kind or a missing key."""
     doc = _read_doc(source)
     kind = doc.get("kind")
+    what = "%s instance" % (kind,)
     if kind == "logsumexp":
         if "A" in doc and "b" in doc:
             obj = LogSumExpAffine(np.asarray(doc["A"], dtype=float),
                                   np.asarray(doc["b"], dtype=float),
                                   mu=doc.get("mu", 0.0), seed=doc.get("seed"))
         else:
-            obj = make_logsumexp_instance(doc["n"], doc["d"], doc.get("mu", 0.0),
-                                          doc["seed"])
+            obj = make_logsumexp_instance(_require(doc, "n", what),
+                                          _require(doc, "d", what),
+                                          doc.get("mu", 0.0),
+                                          _require(doc, "seed", what))
     elif kind == "softmax":
-        obj = SymmetricSoftmax(doc["d"], alpha=doc.get("alpha", 1.0))
+        obj = SymmetricSoftmax(_require(doc, "d", what), alpha=doc.get("alpha", 1.0))
     elif kind == "quadratic":
-        obj = Quadratic(np.asarray(doc["h"], dtype=float),
-                        center=np.asarray(doc["center"], dtype=float),
+        obj = Quadratic(np.asarray(_require(doc, "h", what), dtype=float),
+                        center=np.asarray(_require(doc, "center", what),
+                                          dtype=float),
                         offset=doc.get("offset", 0.0))
     else:
         raise ValueError("unknown instance kind %r" % (kind,))
     if "smoothness" in doc:
         s = doc["smoothness"]
-        pp = math.inf if s["p"] == "inf" else float(s["p"])
-        obj.smoothness = (float(s["L"]), LpGeometry(pp))
+        p = _require(s, "p", "smoothness entry")
+        pp = math.inf if p == "inf" else float(p)
+        obj.smoothness = (float(_require(s, "L", "smoothness entry")), LpGeometry(pp))
     if "ref_optimum" in doc:
         attach_reference(obj, doc)
     return obj

@@ -6,13 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hasd.core import (INVARIANT_TOL, CouplingSearchError, ExactOptimum,
-                       HasdConfig, HasdState, NonFiniteProbeError, a_from_rho,
-                       find_coupling, iterate, rate_bounds, run,
-                       run_restarting, search_call_bound, step, zeta_eval)
+from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, CouplingSearchError,
+                       ExactOptimum, HasdConfig, HasdState,
+                       NonFiniteProbeError, a_from_rho, find_coupling,
+                       iterate, rate_bounds, run, run_restarting,
+                       search_call_bound, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
-                             make_logsumexp_instance, smoothness_bound)
+                             make_logsumexp_instance, smoothness_bound,
+                             solve_reference)
 
 INF = math.inf
 
@@ -206,6 +208,9 @@ def test_zeta_eval_validates_inputs():
     fresh = HasdState(np.ones(2))
     with pytest.raises(ValueError):
         zeta_eval(0.5, fresh, obj, cfg)  # A = 0
+    obj.reference_optimum = None  # the search that settles probes unevaluated
+    with pytest.raises(ValueError):
+        find_coupling(fresh, obj, cfg)
     state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
@@ -288,12 +293,14 @@ def test_find_coupling_accepts_in_window():
 
 
 def test_find_coupling_budget_error():
-    obj, cfg = quad_cfg([1.0, 1.0])
+    # at p = inf the norm bounds leave the probes near the window
+    # undecided; at this state the first evaluated one is rejected
+    obj, cfg = quad_cfg([1.0, 1.0], p=INF)
     obj.reference_optimum = None  # no gap-based escape hatch
     state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
-    for _ in range(4):  # grow A until the first probe leaves the window
+    for _ in range(3):
         state, _ = step(state, obj, cfg)
-    assert 18.0 * cfg.L * 0.25 * state.A / 0.5 > 2.0
+    assert find_coupling(state, obj, cfg).oracle_calls > 2
     tiny = replace(cfg, max_search_calls=2)
     with pytest.raises(CouplingSearchError) as exc:
         find_coupling(state, obj, tiny)
@@ -363,6 +370,104 @@ def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
     assert lo < 0.3 <= hi and hi - lo <= 4e-12
     assert exc.value.calls < cfg.max_search_calls
     assert exc.value.last_zeta in (3.0, 0.1)
+
+
+def search_every_probe(state, obj, cfg):
+    """The coupling search that evaluates every probe it bisects on."""
+    ref = obj.reference_optimum
+    calls = 0
+    lo, hi = 1e-12, 1.0 - 1e-12
+    while calls + 2 <= cfg.max_search_calls and hi - lo > 4e-12:
+        th = 0.5 * (lo + hi)
+        calls += 2
+        zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
+        if 0.5 <= zeta <= 2.0:
+            rho = th / (18.0 * cfg.L * (1.0 - th) ** 2 * state.A)
+            a = state.A * (1.0 - th) / th
+            return th, rho, a, zeta, y, x, gx, calls, False
+        if ref is not None:
+            if obj.value(x) - ref[1] <= cfg.eps:
+                return th, None, None, zeta, y, x, gx, calls, True
+        if zeta > 1.25:
+            lo = th
+        else:
+            hi = th
+    raise AssertionError("reference search failed")
+
+
+def coupling_states(p):
+    """Search states along HASD runs on three objectives at exponent p."""
+    lse = make_logsumexp_instance(30, 8, 1e-3, seed=2)
+    solve_reference(lse)
+    for obj, x0 in ((lse, np.linspace(-1.0, 1.0, 8)),
+                    (SymmetricSoftmax(7, alpha=0.5), np.linspace(-1.0, 2.0, 7)),
+                    (Quadratic(np.array([0.5, 1.0, 2.0, 4.0, 1.5]),
+                               center=np.array([1.0, 0.0, -1.0, 2.0, 0.5])),
+                     np.array([2.0, -1.0, 0.5, 1.0, -2.0]))):
+        geom = LpGeometry(p)
+        cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom, max_iters=12)
+        for state, tr in iterate(obj, x0, cfg):
+            if state.t >= 1 and not tr.converged:
+                yield obj, state, cfg
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, INF])
+def test_find_coupling_matches_a_search_evaluating_every_probe(p):
+    settled = early = 0
+    for obj, state, cfg in coupling_states(p):
+        ref = obj.reference_optimum
+        # eps = 1 lets the gap check stop some searches early
+        for attach, eps in ((False, cfg.eps), (True, cfg.eps), (True, 1.0)):
+            obj.reference_optimum = ref if attach else None
+            want = search_every_probe(state, obj, replace(cfg, eps=eps))
+            res = find_coupling(state, obj, replace(cfg, eps=eps))
+            got = (res.theta, res.rho, res.a_next, res.zeta)
+            assert got == want[:4]
+            assert res.y.tobytes() == want[4].tobytes()
+            assert res.x_next.tobytes() == want[5].tobytes()
+            assert res.grad_x_next.tobytes() == want[6].tobytes()
+            assert res.early_converged == want[8]
+            early += res.early_converged
+            if attach:
+                assert res.oracle_calls == want[7]
+            else:
+                assert res.oracle_calls <= want[7]
+                settled += want[7] - res.oracle_calls
+    assert settled > 0 and early > 0
+
+
+def test_find_coupling_settles_every_rejected_probe_at_p2():
+    # at p = 2 the norm ratio is 1, so c(theta) alone decides every probe
+    # outside the window and each search evaluates only the one it accepts
+    obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
+    obj.reference_optimum = None
+    cfg = HasdConfig(L=4.0, geom=LpGeometry(2), max_iters=30, grad_tol=0.0)
+    report = run(obj, np.array([2.0, -1.0, 0.5, 1.0, -2.0]), cfg)
+    searches = [tr.search_calls for tr in report.traces[2:]]
+    assert len(searches) == 29 and set(searches) == {2}
+    assert report.grad_calls == len(obj.grad_points) == 2 + 2 * 29
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, INF])
+def test_settle_margin_covers_the_computed_norm_ratio(p):
+    # the ratio as zeta_eval computes it stays within _SETTLE_MARGIN of
+    # Hoelder's interval [d^-(1-2/p), 1], including where r sits at an end;
+    # entries lie in [e^-5, 1] times the scale, so every squared norm stays
+    # finite and normal up to d = 10^4
+    geom = LpGeometry(p)
+    rng = np.random.default_rng(0)
+    for d in (1, 2, 3, 10, 100, 1000, 10000):
+        r_min = d ** -(1.0 - 2.0 / p)
+        one_hot = np.zeros(d)
+        one_hot[d // 2] = 1.0
+        signed = rng.choice([-1.0, 1.0], d) * np.exp(rng.uniform(-5.0, 0.0, d))
+        for g in (np.ones(d), one_hot, signed):
+            for scale in (1e-150, 1e-50, 1e-5, 1.0, 3e7, 1e50, 1e150):
+                gs = scale * g
+                l2 = math.sqrt(gs @ gs)
+                dual = lp_norm(gs, geom.p_dual)
+                r = (l2 * l2) / (dual * dual)
+                assert r_min * (1.0 - _SETTLE_MARGIN) <= r <= 1.0 + _SETTLE_MARGIN
 
 
 # ------------------------------------------------------- invariant chains

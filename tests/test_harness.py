@@ -433,6 +433,29 @@ def test_cli_rejects_instance_with_misshapen_reference(tmp_path, capsys):
     assert "dimension 1, expected 4" in capsys.readouterr().err
 
 
+def test_cli_rejects_instance_missing_a_key(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"kind": "logsumexp", "n": 5, "d": 3}))
+    rc = main(["run", "--instance", str(path), "--p", "2", "--iters", "4",
+               "--methods", "hasd", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "Traceback" not in err
+
+
+def test_cli_rejects_reference_missing_f(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    save_instance(Quadratic(np.ones(4)), str(inst))
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"x": [0.0] * 4}))
+    rc = main(["run", "--instance", str(inst), "--ref-optimum", str(ref),
+               "--p", "2", "--iters", "4", "--methods", "hasd",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'f'" in err and "Traceback" not in err
+
+
 def test_cli_tune_writes_json(tmp_path, capsys):
     out = str(tmp_path / "tuned")
     rc = main(["tune", "--objective", "quadratic", "--d", "3", "--seed", "5",
