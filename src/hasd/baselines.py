@@ -4,17 +4,21 @@ Gradient descent, Nesterov-accelerated gradient descent, linear coupling
 (steepest-descent primal step plus Euclidean mirror-descent dual step),
 and plain l_p steepest descent.  All run with a fixed tuned stepsize and
 emit the same RunReport/trace rows as the accelerated method, with the
-coupling-specific columns left empty.  With BaselineConfig.all_rows off a
-run builds only its final row, which is all a stepsize sweep ranks.
+coupling-specific columns left empty.  Each method's loop is a generator
+of its iterates; one driver takes the first iters + 1 of them and builds
+the rows and the report.  With BaselineConfig.all_rows off a run builds
+only its final row, which is all a stepsize sweep ranks, and evaluates no
+gradient that only an unbuilt row would use: agd and lc then make
+iters + 1 gradient calls instead of 2 iters.
 """
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IterationTrace, RunReport, _gap
-from .geometry import LpGeometry, lp_norm, steepest_step
+from .core import RunReport, _row_head
+from .geometry import LpGeometry, steepest_step
 
 _METHODS = ("gd", "agd", "lc", "sd_p")
 
@@ -25,7 +29,7 @@ class BaselineConfig:
     stepsize: float
     iters: int
     geom: LpGeometry | None = None
-    all_rows: bool = True  # False: trace only the final iterate
+    all_rows: bool = True  # False: build only the final row
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -38,38 +42,42 @@ class BaselineConfig:
             raise ValueError("%s requires a geometry" % self.method)
 
 
-def _row(rows: list, obj, t: int, x, g, cfg: BaselineConfig):
-    """Append the trace row of iterate t, g being grad f(x); with
-    cfg.all_rows off, only the final one (t == cfg.iters) is built."""
-    if not (cfg.all_rows or t == cfg.iters):
-        return
-    f = obj.value(x)
-    dual = None if cfg.geom is None else lp_norm(g, cfg.geom.p_dual)
-    rows.append(IterationTrace(iter=t, f=f, gap=_gap(f, obj.reference_optimum),
-                               grad_l2=math.sqrt(g @ g), grad_dual=dual))
+def _drive(method: str, obj, cfg: BaselineConfig, points) -> RunReport:
+    """Trace and report the first cfg.iters + 1 points of a baseline.
+
+    points yields (x_t, grad f(x_t) or None, gradient calls since the
+    previous yield) for t = 0, 1, ...  Every row is built, or with
+    cfg.all_rows off only the final one (t == cfg.iters); a built row
+    whose gradient was not yielded evaluates it here.  points is never
+    advanced past the final row, so grad_calls counts the calls made.
+    """
+    rows = []
+    calls = 0
+    for t, (x, g, n) in zip(range(cfg.iters + 1), points):
+        calls += n
+        if cfg.all_rows or t == cfg.iters:
+            if g is None:
+                g = obj.gradient(x)
+                calls += 1
+            rows.append(_row_head(obj, t, x, g, cfg.geom))
+    return RunReport(method=method, final_x=x, final_f=rows[-1].f,
+                     gap=rows[-1].gap, iters=cfg.iters, grad_calls=calls,
+                     traces=rows)
 
 
-def _report(method: str, obj, x, rows, calls: int, iters: int) -> RunReport:
-    f = rows[-1].f
-    return RunReport(method=method, final_x=np.asarray(x, dtype=float),
-                     final_f=f, gap=_gap(f, obj.reference_optimum),
-                     iters=iters, grad_calls=calls, traces=rows)
+def _descent(obj, x0, update):
+    """Points of x_{t+1} = update(x_t, grad f(x_t)), each with its gradient."""
+    x = np.asarray(x0, dtype=float).copy()
+    while True:
+        g = obj.gradient(x)
+        yield x, g, 1
+        x = update(x, g)
 
 
 def gd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
     """x_{t+1} = x_t - alpha * grad f(x_t)."""
-    x = np.asarray(x0, dtype=float).copy()
     alpha = cfg.stepsize
-    g = obj.gradient(x)
-    calls = 1
-    rows = []
-    _row(rows, obj, 0, x, g, cfg)
-    for t in range(cfg.iters):
-        x = x - alpha * g
-        g = obj.gradient(x)
-        calls += 1
-        _row(rows, obj, t + 1, x, g, cfg)
-    return _report("gd", obj, x, rows, calls, cfg.iters)
+    return _drive("gd", obj, cfg, _descent(obj, x0, lambda x, g: x - alpha * g))
 
 
 def agd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
@@ -82,25 +90,22 @@ def agd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
     clipped to zero; there is no earlier y to extrapolate from).  The y
     sequence is the one traced and returned.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    y = x.copy()
     alpha = cfg.stepsize
-    gx = obj.gradient(x)
-    calls = 1
-    rows = []
-    _row(rows, obj, 0, x, gx, cfg)
-    for t in range(cfg.iters):
-        if t > 0:
-            gx = obj.gradient(x)
-            calls += 1
-        y_new = x - alpha * gx
-        beta = max(0.0, (t - 1.0) / (t + 2.0))
-        x = y_new + beta * (y_new - y)
-        y = y_new
-        gy = obj.gradient(y)
-        calls += 1
-        _row(rows, obj, t + 1, y, gy, cfg)
-    return _report("agd", obj, y, rows, calls, cfg.iters)
+
+    def points():
+        y = x = np.asarray(x0, dtype=float).copy()
+        gx = obj.gradient(x)
+        yield x, gx, 1
+        for t in itertools.count():
+            if t > 0:
+                gx = obj.gradient(x)
+            y_new = x - alpha * gx
+            beta = max(0.0, (t - 1.0) / (t + 2.0))
+            x = y_new + beta * (y_new - y)
+            y = y_new
+            yield y, None, int(t > 0)  # grad f(y) only feeds a row
+
+    return _drive("agd", obj, cfg, points())
 
 
 def lc_run(obj, x0, cfg: BaselineConfig) -> RunReport:
@@ -117,24 +122,21 @@ def lc_run(obj, x0, cfg: BaselineConfig) -> RunReport:
     """
     geom = cfg.geom
     alpha = cfg.stepsize
-    z = np.asarray(x0, dtype=float).copy()
-    y = z.copy()
-    g = obj.gradient(y)
-    calls = 1
-    rows = []
-    _row(rows, obj, 0, y, g, cfg)
-    for t in range(cfg.iters):
-        beta = 2.0 / (t + 2.0)
-        x = beta * z + (1.0 - beta) * y
-        if t > 0:
-            g = obj.gradient(x)
-            calls += 1
-        y = steepest_step(x, g, 1.0 / (2.0 * alpha), geom)
-        z = z - ((t + 1.0) * alpha / 2.0) * g
+
+    def points():
+        y = z = np.asarray(x0, dtype=float).copy()
         g = obj.gradient(y)
-        calls += 1
-        _row(rows, obj, t + 1, y, g, cfg)
-    return _report("lc", obj, y, rows, calls, cfg.iters)
+        yield y, g, 1
+        for t in itertools.count():
+            beta = 2.0 / (t + 2.0)
+            x = beta * z + (1.0 - beta) * y
+            if t > 0:
+                g = obj.gradient(x)
+            y = steepest_step(x, g, 1.0 / (2.0 * alpha), geom)
+            z = z - ((t + 1.0) * alpha / 2.0) * g
+            yield y, None, int(t > 0)  # grad f(y) only feeds a row
+
+    return _drive("lc", obj, cfg, points())
 
 
 def sdp_run(obj, x0, cfg: BaselineConfig) -> RunReport:
@@ -142,15 +144,6 @@ def sdp_run(obj, x0, cfg: BaselineConfig) -> RunReport:
 
     At p = 2 this is gradient descent with stepsize alpha.
     """
-    geom = cfg.geom
-    x = np.asarray(x0, dtype=float).copy()
-    g = obj.gradient(x)
-    calls = 1
-    rows = []
-    _row(rows, obj, 0, x, g, cfg)
-    for t in range(cfg.iters):
-        x = steepest_step(x, g, 1.0 / (2.0 * cfg.stepsize), geom)
-        g = obj.gradient(x)
-        calls += 1
-        _row(rows, obj, t + 1, x, g, cfg)
-    return _report("sd_p", obj, x, rows, calls, cfg.iters)
+    weight = 1.0 / (2.0 * cfg.stepsize)
+    return _drive("sd_p", obj, cfg, _descent(
+        obj, x0, lambda x, g: steepest_step(x, g, weight, cfg.geom)))

@@ -390,6 +390,15 @@ def _gap(f: float, ref) -> float | None:
     return None if ref is None else f - ref[1]
 
 
+def _row_head(obj, t: int, x, g, geom: LpGeometry | None) -> IterationTrace:
+    """Trace row t at x, g being grad f(x): f, gap, ||g||_2 and ||g||_{p*}
+    (no dual norm without a geometry); the coupling columns stay empty."""
+    f = obj.value(x)
+    dual = None if geom is None else lp_norm(g, geom.p_dual)
+    return IterationTrace(iter=t, f=f, gap=_gap(f, obj.reference_optimum),
+                          grad_l2=math.sqrt(g @ g), grad_dual=dual)
+
+
 INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
 INVARIANT_TOL = 1e-8
 
@@ -475,12 +484,8 @@ def iterate(obj, x0, cfg: HasdConfig):
     state object is yielded each time, updated in place.
     """
     state = HasdState(x0)
-    f0 = obj.value(state.x)
     g0 = obj.gradient(state.x)
-    yield state, IterationTrace(iter=0, f=f0,
-                                gap=_gap(f0, obj.reference_optimum),
-                                grad_l2=math.sqrt(g0 @ g0),
-                                grad_dual=lp_norm(g0, cfg.geom.p_dual))
+    yield state, _row_head(obj, 0, state.x, g0, cfg.geom)
     if cfg.max_iters == 0 or not np.count_nonzero(g0):
         return
     x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
@@ -545,41 +550,32 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
     T = math.ceil((36.0 / G_hat) * math.sqrt(cfg.L / mu))
     inner_cfg = replace(cfg, max_iters=T, eps=min(cfg.eps, eps))
     x = x0
-    gaps = [gap0] if gap0 is not None else None
-    round_G = []
-    traces = []
-    offset = 0
-    grad_calls = 0
-    fails = None
-    report = None
-    for k in range(K):
-        report = run(obj, x, inner_cfg)
-        x = report.final_x
-        grad_calls += report.grad_calls
-        if gaps is not None:
-            gaps.append(report.gap)
-        round_G.append(report.G_mean)
-        if fails is None:
-            fails = dict(report.invariants)
-        else:
-            for key, n in report.invariants.items():
-                fails[key] += n
-        rows = report.traces if k == 0 else report.traces[1:]
-        for tr in rows:
+    rounds = []
+    for _ in range(K):
+        rounds.append(run(obj, x, inner_cfg))
+        x = rounds[-1].final_x
+        if rounds[-1].gap is not None and rounds[-1].gap <= eps:
+            break
+    traces = rounds[0].traces[:1] if rounds else []  # row 0 of round 0
+    for rep in rounds:
+        offset = traces[-1].iter
+        for tr in rep.traces[1:]:
             tr.iter += offset
             traces.append(tr)
-        offset = traces[-1].iter if traces else 0
-        if report.gap is not None and report.gap <= eps:
-            break
-    final_f = obj.value(x)
-    return RunReport(method="hasd+restart", final_x=x, final_f=final_f,
-                     gap=_gap(final_f, ref), iters=offset,
-                     grad_calls=grad_calls,
-                     G_mean=report.G_mean if report else None,
+    last = rounds[-1] if rounds else None
+    return RunReport(method="hasd+restart", final_x=x,
+                     final_f=last.final_f if last else f_start,
+                     gap=last.gap if last else gap0,
+                     iters=traces[-1].iter if traces else 0,
+                     grad_calls=sum(r.grad_calls for r in rounds),
+                     G_mean=last.G_mean if last else None,
                      R=None if ref is None else float(np.linalg.norm(x0 - ref[0])),
-                     invariants=fails,
-                     converged_early=bool(report and report.converged_early),
-                     restart_gaps=gaps, restart_G=round_G, traces=traces)
+                     invariants={key: sum(r.invariants[key] for r in rounds)
+                                 for key in INVARIANTS} if last else None,
+                     converged_early=bool(last and last.converged_early),
+                     restart_gaps=(None if gap0 is None
+                                   else [gap0] + [r.gap for r in rounds]),
+                     restart_G=[r.G_mean for r in rounds], traces=traces)
 
 
 def rate_bounds(L: float, R: float, G: float, T: int):

@@ -168,6 +168,7 @@ def tune_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
 
 
 def _fmt(v) -> str:
+    # integers (iter, search_calls) print as str prints them
     return "" if v is None else "%.17g" % float(v)
 
 
@@ -175,12 +176,10 @@ def write_trace_csv(path, traces, cfg_hash: str, gaps=None):
     """Write one run's rows in the stable trace schema (17 significant digits)."""
     lines = ["# config_hash=%s" % cfg_hash, ",".join(TRACE_COLUMNS)]
     for i, tr in enumerate(traces):
-        gap = tr.gap if gaps is None else gaps[i]
-        lines.append(",".join([
-            str(tr.iter), _fmt(tr.f), _fmt(gap), _fmt(tr.grad_l2),
-            _fmt(tr.grad_dual), _fmt(tr.rho), _fmt(tr.theta), _fmt(tr.zeta),
-            "" if tr.search_calls is None else str(tr.search_calls),
-            _fmt(tr.A), _fmt(tr.B), _fmt(tr.G_running)]))
+        row = {c: getattr(tr, c) for c in TRACE_COLUMNS}
+        if gaps is not None:
+            row["gap"] = gaps[i]
+        lines.append(",".join(_fmt(v) for v in row.values()))
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:

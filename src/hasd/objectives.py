@@ -440,11 +440,19 @@ def save_instance(obj: SmoothObjective, path=None) -> dict:
     return doc
 
 
-def _read_doc(source) -> dict:
-    if isinstance(source, dict):
-        return source
-    with open(source) as fh:
-        return json.load(fh)
+def _read_doc(source, what: str) -> dict:
+    if not isinstance(source, dict):
+        with open(source) as fh:
+            source = json.load(fh)
+    return _object(source, what)
+
+
+def _object(doc, what: str) -> dict:
+    """doc, or a ValueError naming the part that should be a JSON object."""
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be a JSON object, not %s"
+                         % (what, type(doc).__name__))
+    return doc
 
 
 def _require(doc: dict, key: str, what: str):
@@ -458,10 +466,10 @@ def _require(doc: dict, key: str, what: str):
 def attach_reference(obj: SmoothObjective, source):
     """Attach a stored (x_star, f_star) pair: an {"x", "f"} document, one
     under "ref_optimum" in an instance document, or a JSON file holding
-    either.  Raises ValueError when x_star does not match obj's dimension
-    or a key is missing."""
-    doc = _read_doc(source)
-    doc = doc.get("ref_optimum", doc)
+    either.  Raises ValueError when x_star does not match obj's dimension,
+    a key is missing, or the document is not a JSON object."""
+    doc = _read_doc(source, "reference document")
+    doc = _object(doc.get("ref_optimum", doc), "reference optimum")
     x = np.asarray(_require(doc, "x", "reference optimum"), dtype=float)
     if x.shape != (obj.dim,):
         raise ValueError("reference optimum has dimension %d, expected %d"
@@ -472,8 +480,9 @@ def attach_reference(obj: SmoothObjective, source):
 def load_instance(source) -> SmoothObjective:
     """Rebuild an objective from a JSON document, dict, or file path.
 
-    Raises ValueError on an unknown kind or a missing key."""
-    doc = _read_doc(source)
+    Raises ValueError on an unknown kind, a missing key, or a part that
+    should be a JSON object and is not."""
+    doc = _read_doc(source, "instance")
     kind = doc.get("kind")
     what = "%s instance" % (kind,)
     if kind == "logsumexp":
@@ -496,7 +505,7 @@ def load_instance(source) -> SmoothObjective:
     else:
         raise ValueError("unknown instance kind %r" % (kind,))
     if "smoothness" in doc:
-        s = doc["smoothness"]
+        s = _object(doc["smoothness"], "smoothness entry")
         p = _require(s, "p", "smoothness entry")
         pp = math.inf if p == "inf" else float(p)
         obj.smoothness = (float(_require(s, "L", "smoothness entry")), LpGeometry(pp))

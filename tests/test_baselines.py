@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hasd.baselines import (BaselineConfig, agd_run, gd_run, lc_run, sdp_run)
+from hasd.core import HasdConfig, iterate
 from hasd.geometry import LpGeometry, steepest_step
 from hasd.objectives import Quadratic, make_logsumexp_instance
 
@@ -182,18 +183,44 @@ def test_rows_carry_gap_and_dual_norm():
 
 
 def test_final_row_only_runs_equal_full_runs():
+    # a final-row-only run builds the full run's last row and computes no
+    # gradient that only an unbuilt row would use; grad_calls counts the
+    # calls each run made
     obj = make_logsumexp_instance(15, 4, 1e-2, seed=9)
+    calls = []
+    gradient = obj.gradient
+
+    def counting_gradient(x):
+        calls.append(1)
+        return gradient(x)
+
+    obj.gradient = counting_gradient
     geom = LpGeometry(3.0)
     x0 = np.random.default_rng(10).standard_normal(4)
     runners = (("gd", gd_run), ("agd", agd_run), ("lc", lc_run),
                ("sd_p", sdp_run))
     for method, runner in runners:
         for iters in (0, 1, 7):
+            calls.clear()
             full = runner(obj, x0, BaselineConfig(method, 0.05, iters, geom=geom))
+            assert full.grad_calls == len(calls)
+            calls.clear()
             last = runner(obj, x0, BaselineConfig(method, 0.05, iters,
                                                   geom=geom, all_rows=False))
+            assert last.grad_calls == len(calls) == iters + 1
             assert len(full.traces) == iters + 1
             assert last.traces == full.traces[-1:]
-            assert (last.final_f, last.gap, last.iters, last.grad_calls) == (
-                full.final_f, full.gap, full.iters, full.grad_calls)
+            assert (last.final_f, last.gap, last.iters) == (
+                full.final_f, full.gap, full.iters)
             np.testing.assert_array_equal(last.final_x, full.final_x)
+
+
+def test_row_0_is_hasds_row_0():
+    # baselines and HASD build the start row with the same head
+    obj = make_logsumexp_instance(15, 4, 1e-2, seed=9)
+    geom = LpGeometry(3.0)
+    x0 = np.random.default_rng(11).standard_normal(4)
+    _, hasd_row = next(iterate(obj, x0, HasdConfig(L=1.0, geom=geom)))
+    for method, runner in (("gd", gd_run), ("sd_p", sdp_run)):
+        rep = runner(obj, x0, BaselineConfig(method, 0.05, 0, geom=geom))
+        assert rep.traces == [hasd_row]

@@ -1,5 +1,6 @@
 """Accelerated steepest-descent core: coupling search, state, invariants."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -653,3 +654,85 @@ def test_restarting_without_reference_uses_supplied_K():
     assert report.gap is None and report.restart_gaps is None
     assert len(report.restart_G) == 3
 
+
+def _restart_aggregate_inline(obj, x0, rounds, gap0):
+    """run_restarting's report fields as the hand-kept counters built them
+    before the report was assembled from its round reports."""
+    ref = obj.reference_optimum
+    x = x0
+    gaps = [gap0] if gap0 is not None else None
+    round_G, traces = [], []
+    offset = grad_calls = 0
+    fails = report = None
+    for k, report in enumerate(rounds):
+        x = report.final_x
+        grad_calls += report.grad_calls
+        if gaps is not None:
+            gaps.append(report.gap)
+        round_G.append(report.G_mean)
+        if fails is None:
+            fails = dict(report.invariants)
+        else:
+            for key, n in report.invariants.items():
+                fails[key] += n
+        for tr in (report.traces if k == 0 else report.traces[1:]):
+            tr.iter += offset
+            traces.append(tr)
+        offset = traces[-1].iter if traces else 0
+    final_f = obj.value(x)
+    return dict(final_x=x, final_f=final_f,
+                gap=None if ref is None else final_f - ref[1], iters=offset,
+                grad_calls=grad_calls,
+                G_mean=report.G_mean if report else None,
+                R=None if ref is None else float(np.linalg.norm(x0 - ref[0])),
+                invariants=fails,
+                converged_early=bool(report and report.converged_early),
+                restart_gaps=gaps, restart_G=round_G, traces=traces)
+
+
+def test_restarting_report_is_built_from_its_rounds(monkeypatch):
+    # every field equals the hand-kept aggregation, and no value call
+    # follows the last round (its report already holds the final value)
+    cases = []
+    for p in (2.0, 4.0, INF):
+        for seed in (0, 1, 2):
+            obj = make_logsumexp_instance(12, 4, 1e-1, seed=seed,
+                                          declare_smoothness=True)
+            solve_reference(obj)
+            for K in (None, 0, 2):
+                cases.append((obj, LpGeometry(p), K))
+    quad = Quadratic(np.array([1.0, 2.0, 0.5]))
+    cases.append((quad, LpGeometry(2), None))
+    events = []
+    rounds = []
+
+    def recording_run(obj, x, cfg):
+        rep = run(obj, x, cfg)
+        rounds.append(copy.deepcopy(rep))
+        events.append("run")
+        return rep
+
+    monkeypatch.setattr("hasd.core.run", recording_run)
+    round_counts = set()
+    for obj, geom, K in cases:
+        cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom)
+        x0 = np.linspace(-1.0, 1.0, obj.dim)
+        value = obj.value
+
+        def recording_value(x):
+            events.append("value")
+            return value(x)
+
+        obj.value = recording_value
+        events.clear()
+        rounds.clear()
+        rep = run_restarting(obj, x0, mu=1e-1, eps=1e-3, cfg=cfg, G_hat=16.0,
+                             K=K)
+        del obj.value
+        assert events[-1] == ("run" if rounds else "value")
+        round_counts.add(len(rounds))
+        gap0 = obj.value(x0) - obj.reference_optimum[1]
+        want = _restart_aggregate_inline(obj, x0, rounds, gap0)
+        assert want.pop("final_x").tobytes() == rep.final_x.tobytes()
+        assert want == {key: getattr(rep, key) for key in want}
+    assert 0 in round_counts and max(round_counts) > 2

@@ -17,7 +17,7 @@ from hasd.harness import (STEPSIZE_GRID, ExperimentConfig, attach_reference,
                           check_invariants, config_hash,
                           default_invariant_matrix, default_x0,
                           make_objective, run_bench, run_experiment,
-                          run_method, tune_method)
+                          run_method, tune_method, write_trace_csv)
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
                              make_logsumexp_instance, save_instance,
                              smoothness_bound, solve_reference)
@@ -247,6 +247,41 @@ def test_trace_csv_schema(tmp_path):
     assert all(row.split(",")[8] == "" for row in gd_lines[2:])
 
 
+def _trace_lines_field_by_field(traces, gaps=None):
+    """Trace CSV rows with each of the twelve fields formatted by hand."""
+    def fmt(v):
+        return "" if v is None else "%.17g" % float(v)
+
+    lines = []
+    for i, tr in enumerate(traces):
+        gap = tr.gap if gaps is None else gaps[i]
+        lines.append(",".join([
+            str(tr.iter), fmt(tr.f), fmt(gap), fmt(tr.grad_l2),
+            fmt(tr.grad_dual), fmt(tr.rho), fmt(tr.theta), fmt(tr.zeta),
+            "" if tr.search_calls is None else str(tr.search_calls),
+            fmt(tr.A), fmt(tr.B), fmt(tr.G_running)]))
+    return lines
+
+
+def test_trace_csv_rows_follow_the_column_tuple(tmp_path):
+    # HASD rows (row 0 without coupling cells), baseline rows (no gap,
+    # no coupling cells), each with and without substituted gaps
+    obj = make_logsumexp_instance(12, 4, 1e-2, seed=3, declare_smoothness=True)
+    geom = LpGeometry(3.0)
+    x0 = np.linspace(-1.0, 1.0, 4)
+    hasd = run(obj, x0, HasdConfig(L=smoothness_bound(obj, geom), geom=geom,
+                                   max_iters=6)).traces
+    lc = lc_run(obj, x0, BaselineConfig("lc", 0.05, 6, geom=geom)).traces
+    assert hasd[0].rho is None and hasd[-1].search_calls is not None
+    assert lc[-1].gap is None and lc[-1].grad_dual is not None
+    path = tmp_path / "trace.csv"
+    for traces in (hasd, lc):
+        for gaps in (None, [None] + [0.1 / 3 ** i for i in range(1, len(traces))]):
+            write_trace_csv(path, traces, "h", gaps)
+            lines = path.read_text().splitlines()
+            assert lines[2:] == _trace_lines_field_by_field(traces, gaps)
+
+
 def test_plot_data_long_format(tmp_path):
     cfg = _small_cfg(tmp_path, "plot")
     summary = run_experiment(cfg)
@@ -454,6 +489,30 @@ def test_cli_rejects_reference_missing_f(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "'f'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("instance,ref,named", [
+    ([1, 2], None, "instance"),
+    ({"smoothness": [1, 2]}, None, "smoothness entry"),
+    ({"ref_optimum": [1, 2]}, None, "reference optimum"),
+    ({}, [0.5], "reference document"),
+], ids=["instance", "smoothness", "ref_optimum", "ref_file"])
+def test_cli_rejects_json_that_is_not_an_object(tmp_path, capsys, instance,
+                                                ref, named):
+    # a part that should be a JSON object and is not is a configuration
+    # error (exit 2, one line naming the part), not an invariant failure
+    if isinstance(instance, dict):
+        instance = {**save_instance(Quadratic(np.ones(4))), **instance}
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    argv = ["run", "--instance", str(inst), "--p", "2", "--iters", "4",
+            "--methods", "hasd", "--out", str(tmp_path / "out")]
+    if ref is not None:
+        (tmp_path / "ref.json").write_text(json.dumps(ref))
+        argv += ["--ref-optimum", str(tmp_path / "ref.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: %s must be a JSON object, not list\n" % named)
 
 
 def test_cli_tune_writes_json(tmp_path, capsys):
