@@ -23,6 +23,9 @@ which combine into the rate  f(x_T) - f* <= 324 L ||x_0 - x*||_2^2 / (G^2 T^2).
 
 iterate yields a run's rows, x_0 first; a row that folds a step into the
 state carries these five as violation magnitudes in its `violations`.
+The iterates depend only on the coupling search and the steepest step, so
+with rows off (the tuning sweep's grid runs) the loop takes no f value, no
+violation and no row until the final one.
 """
 
 import math
@@ -128,7 +131,9 @@ class HasdState:
     (f(x_i) - <grad f(x_i), x_i>), so its minimizer v_t = x0 - u_t and
     minimum value are exact closed forms with no drift.  v is refreshed
     whenever grad_accum changes, so coupling probes read it without
-    recomputing it.
+    recomputing it.  A point folded in without its f value leaves c_t, and
+    so psi, undefined: psi and psi_min then raise ValueError.  grad_calls
+    counts the gradient evaluations the run has spent.
     """
 
     def __init__(self, x0):
@@ -142,27 +147,38 @@ class HasdState:
         self.B = 0.0
         self.grad_accum = np.zeros_like(x0)
         self.v = self.x0 - self.grad_accum  # minimizer of the lower model
-        self.psi_const = 0.0
+        self.psi_const = 0.0  # None once a point is folded without f
         self.G_sum = 0.0
+        self.grad_calls = 0
+
+    def _psi_const(self) -> float:
+        if self.psi_const is None:
+            raise ValueError("psi is undefined: a point was folded into this "
+                             "state without its f value")
+        return self.psi_const
 
     def psi(self, x) -> float:
         x = np.asarray(x, dtype=float)
         d = x - self.x0
-        return 0.5 * float(d @ d) + float(self.grad_accum @ x) + self.psi_const
+        return 0.5 * float(d @ d) + float(self.grad_accum @ x) + self._psi_const()
 
     def psi_min(self) -> float:
         """psi_t at its minimizer v_t, in closed form."""
         u = self.grad_accum
-        return float(u @ self.x0) - 0.5 * float(u @ u) + self.psi_const
+        return float(u @ self.x0) - 0.5 * float(u @ u) + self._psi_const()
 
-    def accumulate(self, a: float, x_new, f_new: float, g_new, dual: float,
-                   l2: float, L: float):
-        """Fold an accepted iterate into A, B, psi, and the gain average."""
+    def accumulate(self, a: float, x_new, f_new: float | None, g_new,
+                   dual: float, l2: float, L: float):
+        """Fold an accepted iterate into A, B, psi, and the gain average;
+        f_new None leaves psi undefined from here on."""
         self.A += a
         self.B += (self.A / (18.0 * L)) * dual * dual
         self.grad_accum = self.grad_accum + a * np.asarray(g_new, dtype=float)
         self.v = self.x0 - self.grad_accum
-        self.psi_const += a * (f_new - float(np.asarray(g_new) @ np.asarray(x_new)))
+        if f_new is None or self.psi_const is None:
+            self.psi_const = None
+        else:
+            self.psi_const += a * (f_new - float(np.asarray(g_new) @ np.asarray(x_new)))
         self.G_sum += dual / l2
         self.x = np.asarray(x_new, dtype=float)
         self.t += 1
@@ -170,7 +186,11 @@ class HasdState:
 
 @dataclass
 class CouplingResult:
-    """Outcome of one coupling search."""
+    """Outcome of one coupling search.
+
+    grad_dual and grad_l2 are ||grad f(x_next)||_{p*} and ||.||_2, as the
+    probe computed them.
+    """
 
     theta: float | None
     rho: float | None
@@ -182,6 +202,8 @@ class CouplingResult:
     early_converged: bool = False
     grad_x_next: np.ndarray | None = None
     f_x_next: float | None = None
+    grad_dual: float | None = None
+    grad_l2: float | None = None
 
 
 @dataclass
@@ -271,6 +293,12 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     Costs exactly two gradient evaluations.  Raises ExactOptimum if the
     gradient at x_theta vanishes identically.
     """
+    return _probe(theta, state, obj, cfg)[:4]
+
+
+def _probe(theta: float, state: HasdState, obj, cfg: HasdConfig):
+    """zeta_eval's probe, also returning the two gradient norms in zeta:
+    (zeta, y, x, grad f(x), ||grad f(x)||_{p*}, ||grad f(x)||_2)."""
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
     if state.A <= 0.0:
@@ -285,7 +313,7 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     # np.linalg.norm's own formula for a 1-D float64 vector, minus its dispatch
     l2 = math.sqrt(gx @ gx)
     zeta = _coupling_factor(theta, state.A, cfg.L) * (l2 * l2) / (dual * dual)
-    return zeta, y, x, gx
+    return zeta, y, x, gx, dual, l2
 
 
 _THETA_MIN = 1e-12
@@ -356,7 +384,7 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
                     hi = th
                     continue
             calls += 2
-            zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
+            zeta, y, x, gx, dual, l2 = _probe(th, state, obj, cfg)
             if math.isnan(zeta):
                 raise NonFiniteProbeError(th, (lo, hi), calls)
             last_zeta = zeta
@@ -365,7 +393,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
                 a = state.A * (1.0 - th) / th
                 return CouplingResult(theta=th, rho=rho, a_next=a, y=y,
                                       x_next=x, zeta=zeta, oracle_calls=calls,
-                                      grad_x_next=gx)
+                                      grad_x_next=gx, grad_dual=dual,
+                                      grad_l2=l2)
             if ref is not None:
                 fx = obj.value(x)
                 if fx - ref[1] <= cfg.eps:
@@ -373,7 +402,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
                                           y=y, x_next=x, zeta=zeta,
                                           oracle_calls=calls,
                                           early_converged=True,
-                                          grad_x_next=gx, f_x_next=fx)
+                                          grad_x_next=gx, f_x_next=fx,
+                                          grad_dual=dual, grad_l2=l2)
             if zeta > 1.25:
                 lo = th
             else:
@@ -382,7 +412,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
         return CouplingResult(theta=None, rho=None, a_next=None, y=opt.y,
                               x_next=opt.x, zeta=None, oracle_calls=calls,
                               early_converged=True,
-                              grad_x_next=np.zeros_like(opt.x))
+                              grad_x_next=np.zeros_like(opt.x),
+                              grad_dual=0.0, grad_l2=0.0)
     raise CouplingSearchError((lo, hi), calls, last_zeta)
 
 
@@ -403,74 +434,95 @@ INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
 INVARIANT_TOL = 1e-8
 
 
-def _fold(state: HasdState, obj, cfg: HasdConfig, y, x_new, g_new,
-          calls: int, coupling: CouplingResult | None = None):
-    """Evaluate f at the new point, fold the point into the state, and
-    return its trace row.
+def _ends_run(cfg: HasdConfig, t: int, dual: float, converged: bool) -> bool:
+    """The stop rule: a converged step, a dual gradient norm at most
+    cfg.grad_tol, or t steps folded in with t >= cfg.max_iters."""
+    return converged or dual <= cfg.grad_tol or t >= cfg.max_iters
 
-    coupling is the search result; the first step has none, and rho_0 is
-    read off the gradient-norm ratio at x_1.  At a zero gradient or an
-    early exit of the search the run has converged: x moves to the point
-    and nothing is folded in.  A folded row carries the violation
-    magnitudes of the five per-step guarantees, keyed by INVARIANTS; one
-    above INVARIANT_TOL is a violation.  Growth is an absolute shortfall,
-    the other four are relative to the quantities compared.
+
+def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
+          rows: bool = True):
+    """Fold the point a step reached into the state and return its trace row.
+
+    res is the step's search result.  The first step has no search: it
+    passes its steepest step from x0 in the same form (theta, rho and zeta
+    None, one oracle call), and rho_0 is read off the gradient-norm ratio at
+    x_1.  At a zero gradient or an early exit of the search the run has
+    converged: x moves to the point and nothing is folded in.  A folded row
+    carries the violation magnitudes of the five per-step guarantees, keyed
+    by INVARIANTS; one above INVARIANT_TOL is a violation.  Growth is an
+    absolute shortfall, the other four are relative to the quantities
+    compared.
+
+    With rows off only what the iterates read is folded in: no f value is
+    taken (psi is left undefined) and no row is built, except for the step
+    that ends the run, whose row has no violations.  Otherwise None is
+    returned.
     """
     L = cfg.L
-    if coupling is None or coupling.f_x_next is None:
-        f_new = obj.value(x_new)
-    else:
-        f_new = coupling.f_x_next
-    gap = _gap(f_new, obj.reference_optimum)
-    dual = lp_norm(g_new, cfg.geom.p_dual)
-    l2 = math.sqrt(g_new @ g_new)
-    theta = zeta = None
-    if coupling is not None:
-        theta, zeta = coupling.theta, coupling.zeta
-    if dual == 0.0 or (coupling is not None and coupling.early_converged):
+    x_new, g_new = res.x_next, res.grad_x_next
+    dual, l2 = res.grad_dual, res.grad_l2
+    first = state.t == 0
+    state.grad_calls += res.oracle_calls
+    converged = dual == 0.0 or res.early_converged
+    build_row = rows or _ends_run(cfg, state.t + 1, dual, converged)
+    f_new = gap = None
+    if build_row:
+        f_new = obj.value(x_new) if res.f_x_next is None else res.f_x_next
+        gap = _gap(f_new, obj.reference_optimum)
+    if converged:
         state.x = np.asarray(x_new, dtype=float)
-        A, B = (None, None) if coupling is None else (state.A, state.B)
+        A, B = (None, None) if first else (state.A, state.B)
         return IterationTrace(iter=state.t + 1, f=f_new, gap=gap, grad_l2=l2,
-                              grad_dual=dual, theta=theta, zeta=zeta,
-                              search_calls=calls, A=A, B=B, converged=True)
-    if coupling is None:
+                              grad_dual=dual, theta=res.theta, zeta=res.zeta,
+                              search_calls=res.oracle_calls, A=A, B=B,
+                              converged=True)
+    if first:
         rho = (l2 * l2) / (dual * dual)
         a = a_from_rho(0.0, L, rho)
     else:
-        rho, a = coupling.rho, coupling.a_next
+        rho, a = res.rho, res.a_next
     A_before = state.A
-    state.accumulate(a, x_new, f_new, g_new, dual, l2, L)
+    state.accumulate(a, x_new, f_new if rows else None, g_new, dual, l2, L)
+    if not build_row:
+        return None
+    tr = IterationTrace(
+        iter=state.t, f=f_new, gap=gap, grad_l2=l2, grad_dual=dual,
+        rho=rho, theta=res.theta, zeta=res.zeta, search_calls=res.oracle_calls,
+        A=state.A, B=state.B, G_running=state.G_sum / state.t)
+    if not rows:
+        return tr
     r = l2 ** 2 / dual ** 2
     a = state.A - A_before  # the weight as folded into A
+    y = res.y
     inner = float(np.asarray(g_new) @ (y - x_new))
     model = L * lp_norm(x_new - y, cfg.geom.p) ** 2
     dual_q = dual * dual / (9.0 * L)
     psi_min = state.psi_min()
-    return IterationTrace(
-        iter=state.t, f=f_new, gap=gap, grad_l2=l2, grad_dual=dual,
-        rho=rho, theta=theta, zeta=zeta, search_calls=calls,
-        A=state.A, B=state.B, G_running=state.G_sum / state.t,
-        violations={
-            "window": max(0.5 - rho / r, rho / r - 2.0, 0.0),
-            "recurrence": abs(18.0 * L * rho * a * a - state.A) / state.A,
-            "progress": (max(model - inner, dual_q - model, 0.0)
-                         / max(abs(inner), model, dual_q, 1e-30)),
-            "potential": ((state.A * f_new + state.B - psi_min)
-                          / max(abs(psi_min), 1e-12)),
-            "growth": state.G_sum / (18.0 * math.sqrt(L)) - math.sqrt(state.A),
-        })
+    tr.violations = {
+        "window": max(0.5 - rho / r, rho / r - 2.0, 0.0),
+        "recurrence": abs(18.0 * L * rho * a * a - state.A) / state.A,
+        "progress": (max(model - inner, dual_q - model, 0.0)
+                     / max(abs(inner), model, dual_q, 1e-30)),
+        "potential": ((state.A * f_new + state.B - psi_min)
+                      / max(abs(psi_min), 1e-12)),
+        "growth": state.G_sum / (18.0 * math.sqrt(L)) - math.sqrt(state.A),
+    }
+    return tr
 
 
-def step(state: HasdState, obj, cfg: HasdConfig):
-    """One accelerated iteration (t >= 1): search, step, fold into state."""
+def step(state: HasdState, obj, cfg: HasdConfig, rows: bool = True):
+    """One accelerated iteration (t >= 1): search, step, fold into state.
+
+    Returns (state, row); with rows off the row is None unless the step
+    ends the run (see _fold).
+    """
     if state.t < 1:
         raise ValueError("step requires t >= 1 (after the first step)")
-    res = find_coupling(state, obj, cfg)
-    return state, _fold(state, obj, cfg, res.y, res.x_next, res.grad_x_next,
-                        res.oracle_calls, res)
+    return state, _fold(state, obj, cfg, find_coupling(state, obj, cfg), rows)
 
 
-def iterate(obj, x0, cfg: HasdConfig):
+def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     """The HASD iteration loop: yields (state, trace) for the start x0 and
     after every step.
 
@@ -482,45 +534,64 @@ def iterate(obj, x0, cfg: HasdConfig):
     state.t reaches cfg.max_iters.  Only row 0 is yielded when
     cfg.max_iters is 0 or the gradient at x0 is exactly zero.  The same
     state object is yielded each time, updated in place.
+
+    With rows off only the final row is built and yielded, from the
+    gradient and norms in hand at the last point, and without violations;
+    the iterates, state.t and state.grad_calls are those of a run with
+    rows, and psi is left undefined.
     """
     state = HasdState(x0)
     g0 = obj.gradient(state.x)
-    yield state, _row_head(obj, 0, state.x, g0, cfg.geom)
-    if cfg.max_iters == 0 or not np.count_nonzero(g0):
+    state.grad_calls = 1
+    stop = cfg.max_iters == 0 or not np.count_nonzero(g0)
+    if rows or stop:
+        yield state, _row_head(obj, 0, state.x, g0, cfg.geom)
+    if stop:
         return
     x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
-    tr = _fold(state, obj, cfg, state.x, x1, obj.gradient(x1), 1)
+    g1 = obj.gradient(x1)
+    tr = _fold(state, obj, cfg, CouplingResult(
+        theta=None, rho=None, a_next=None, y=state.x, x_next=x1, zeta=None,
+        oracle_calls=1, grad_x_next=g1,
+        grad_dual=lp_norm(g1, cfg.geom.p_dual), grad_l2=math.sqrt(g1 @ g1)),
+        rows)
     while True:
-        yield state, tr
-        if (tr.converged or tr.grad_dual <= cfg.grad_tol
-                or state.t >= cfg.max_iters):
-            return
-        state, tr = step(state, obj, cfg)
+        if tr is not None:
+            yield state, tr
+            if _ends_run(cfg, state.t, tr.grad_dual, tr.converged):
+                return
+        state, tr = step(state, obj, cfg, rows)
 
 
-def run(obj, x0, cfg: HasdConfig) -> RunReport:
-    """Run HASD for cfg.max_iters iterations (or to early convergence)."""
+def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
+    """run, or with rows off the same report from iterate's final row only:
+    traces holds that row and invariants is None."""
     x0 = np.asarray(x0, dtype=float)
     ref = obj.reference_optimum
     traces = []
     fails = dict.fromkeys(INVARIANTS, 0)
-    for state, tr in iterate(obj, x0, cfg):
+    for state, tr in iterate(obj, x0, cfg, rows):
         traces.append(tr)
         for name, v in (tr.violations or {}).items():
             fails[name] += int(v > INVARIANT_TOL)
     last = traces[-1]
     # with no step taken, the run converged iff x0 is stationary
     converged = ((last.converged or last.grad_dual <= cfg.grad_tol)
-                 if len(traces) > 1 else cfg.max_iters > 0)
+                 if last.iter > 0 else cfg.max_iters > 0)
     G_mean = state.G_sum / state.t if state.t > 0 else None
     R = None if ref is None else float(np.linalg.norm(x0 - ref[0]))
     cert = (rate_bounds(cfg.L, R, G_mean, state.t)[0]
             if ref is not None and G_mean else None)
     return RunReport(method="hasd", final_x=state.x, final_f=last.f,
                      gap=_gap(last.f, ref), iters=state.t,
-                     grad_calls=1 + sum(tr.search_calls for tr in traces[1:]),
-                     G_mean=G_mean, R=R, certificate=cert, invariants=fails,
+                     grad_calls=state.grad_calls, G_mean=G_mean, R=R,
+                     certificate=cert, invariants=fails if rows else None,
                      converged_early=converged, traces=traces)
+
+
+def run(obj, x0, cfg: HasdConfig) -> RunReport:
+    """Run HASD for cfg.max_iters iterations (or to early convergence)."""
+    return _run(obj, x0, cfg, rows=True)
 
 
 def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,

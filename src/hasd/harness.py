@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
-from .core import (INVARIANT_TOL, CouplingSearchError, HasdConfig, iterate,
-                   rate_bounds, run, search_call_bound)
+from .core import (INVARIANT_TOL, CouplingSearchError, HasdConfig, _run,
+                   iterate, rate_bounds, run, search_call_bound)
 from .geometry import (LpGeometry, lp_norm, lp_sq_hessian, lp_sq_hessian_split,
                        steepest_step, subproblem_value)
 from .objectives import (LogSumExpAffine, Quadratic, SmoothnessUnavailable,
@@ -127,12 +127,15 @@ def run_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
     alpha = 1/(2L) that drives both of its sequences).  sd_p takes alpha
     literally like gd.
 
-    With all_rows off a baseline traces only its final iterate (iters and
-    grad_calls stay exact); hasd always traces every row.
+    With all_rows off a run traces only its final iterate (final_x,
+    final_f, iters and grad_calls stay exact): a baseline evaluates no
+    gradient that only an unbuilt row would use, and hasd takes no f value,
+    violation or row before its last point (its invariants are None), and
+    does not go through core.run.
     """
     if method == "hasd":
         cfg = HasdConfig(L=L, geom=geom, max_iters=iters, step_scale=stepsize)
-        return run(obj, x0, cfg)
+        return run(obj, x0, cfg) if all_rows else _run(obj, x0, cfg, rows=False)
     alpha = stepsize / (2.0 * L) if method == "lc" else stepsize
     bcfg = BaselineConfig(method, alpha, iters, geom=geom, all_rows=all_rows)
     runner = {"gd": gd_run, "agd": agd_run, "lc": lc_run, "sd_p": sdp_run}
@@ -146,8 +149,8 @@ def tune_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
     Returns (best, all_divergent, final_values).  Divergent runs (non-finite
     final value, or a failed coupling search) rank as +inf; ties break
     toward the smaller stepsize.  If every point diverges the smallest grid
-    point is returned with a warning.  Baseline grid runs trace only their
-    final row, the one value ranked.
+    point is returned with a warning.  Grid runs, hasd's included, trace
+    only their final row, the one value ranked.
     """
     finals = {}
     for s in grid:

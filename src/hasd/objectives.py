@@ -12,9 +12,9 @@ dimension factor d^{2/q - 2/p}.
 
 import json
 import math
+import operator
 
 import numpy as np
-from scipy import optimize
 
 from .geometry import LpGeometry, lp_norm
 
@@ -349,6 +349,8 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
     and returns the pair.  Raises RuntimeError if the gradient norm target
     is not reached, and as soon as an iterate certifies that a
     LogSumExpAffine objective is unbounded below (see certifies_unbounded).
+    scipy.optimize is imported on the first solve that needs it, not with
+    the package: it is most of the package's import time.
     """
     if isinstance(obj, Quadratic):
         obj.reference_optimum = (obj.center.copy(), obj.offset)
@@ -358,6 +360,8 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
         return obj.reference_optimum
     if not hasattr(obj, "hessian"):
         raise SmoothnessUnavailable("reference solve needs a Hessian oracle")
+    from scipy import optimize
+
     x0 = np.zeros(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     start_gn = []  # ||grad f(x0)||_2, read off L-BFGS-B's first evaluation
     certify = isinstance(obj, LogSumExpAffine)
@@ -455,60 +459,84 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, what: str):
-    """doc[key], or a ValueError naming the key the document lacks."""
+def _field(doc: dict, key: str, what: str, convert, default=None):
+    """convert(doc[key]), or default when the key is absent and a default
+    is given; a ValueError naming the key when the document lacks it or its
+    value does not convert (a list where a number belongs, say)."""
+    if key not in doc:
+        if default is None:
+            raise ValueError("%s has no %r key" % (what, key))
+        return default
     try:
-        return doc[key]
-    except KeyError:
-        raise ValueError("%s has no %r key" % (what, key)) from None
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError("%s key %r: %s" % (what, key, exc)) from None
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _seed(value):
+    """value, when numpy seeds a generator from it reproducibly: an integer
+    >= 0 or a list of them (None would draw fresh entropy)."""
+    if value is None:
+        raise TypeError("a generated instance needs a seed, not null")
+    np.random.SeedSequence(value)
+    return value
 
 
 def attach_reference(obj: SmoothObjective, source):
     """Attach a stored (x_star, f_star) pair: an {"x", "f"} document, one
     under "ref_optimum" in an instance document, or a JSON file holding
     either.  Raises ValueError when x_star does not match obj's dimension,
-    a key is missing, or the document is not a JSON object."""
+    a key is missing or holds a value of the wrong type, or the document is
+    not a JSON object."""
     doc = _read_doc(source, "reference document")
-    doc = _object(doc.get("ref_optimum", doc), "reference optimum")
-    x = np.asarray(_require(doc, "x", "reference optimum"), dtype=float)
+    what = "reference optimum"
+    doc = _object(doc.get("ref_optimum", doc), what)
+    x = _field(doc, "x", what, _floats)
     if x.shape != (obj.dim,):
         raise ValueError("reference optimum has dimension %d, expected %d"
                          % (x.size, obj.dim))
-    obj.reference_optimum = (x, float(_require(doc, "f", "reference optimum")))
+    obj.reference_optimum = (x, _field(doc, "f", what, float))
 
 
 def load_instance(source) -> SmoothObjective:
     """Rebuild an objective from a JSON document, dict, or file path.
 
-    Raises ValueError on an unknown kind, a missing key, or a part that
-    should be a JSON object and is not."""
+    Raises ValueError on an unknown kind, a missing key, a value of the
+    wrong type (a list where a number belongs, a non-integer n or d, a
+    seed numpy cannot seed from reproducibly), or a part that should be a
+    JSON object and is not."""
     doc = _read_doc(source, "instance")
     kind = doc.get("kind")
     what = "%s instance" % (kind,)
     if kind == "logsumexp":
+        mu = _field(doc, "mu", what, float, 0.0)
         if "A" in doc and "b" in doc:
-            obj = LogSumExpAffine(np.asarray(doc["A"], dtype=float),
-                                  np.asarray(doc["b"], dtype=float),
-                                  mu=doc.get("mu", 0.0), seed=doc.get("seed"))
+            obj = LogSumExpAffine(_field(doc, "A", what, _floats),
+                                  _field(doc, "b", what, _floats),
+                                  mu=mu, seed=doc.get("seed"))
         else:
-            obj = make_logsumexp_instance(_require(doc, "n", what),
-                                          _require(doc, "d", what),
-                                          doc.get("mu", 0.0),
-                                          _require(doc, "seed", what))
+            obj = make_logsumexp_instance(_field(doc, "n", what, operator.index),
+                                          _field(doc, "d", what, operator.index),
+                                          mu, _field(doc, "seed", what, _seed))
     elif kind == "softmax":
-        obj = SymmetricSoftmax(_require(doc, "d", what), alpha=doc.get("alpha", 1.0))
+        obj = SymmetricSoftmax(_field(doc, "d", what, operator.index),
+                               alpha=_field(doc, "alpha", what, float, 1.0))
     elif kind == "quadratic":
-        obj = Quadratic(np.asarray(_require(doc, "h", what), dtype=float),
-                        center=np.asarray(_require(doc, "center", what),
-                                          dtype=float),
-                        offset=doc.get("offset", 0.0))
+        obj = Quadratic(_field(doc, "h", what, _floats),
+                        center=_field(doc, "center", what, _floats),
+                        offset=_field(doc, "offset", what, float, 0.0))
     else:
         raise ValueError("unknown instance kind %r" % (kind,))
     if "smoothness" in doc:
-        s = _object(doc["smoothness"], "smoothness entry")
-        p = _require(s, "p", "smoothness entry")
-        pp = math.inf if p == "inf" else float(p)
-        obj.smoothness = (float(_require(s, "L", "smoothness entry")), LpGeometry(pp))
+        what = "smoothness entry"
+        s = _object(doc["smoothness"], what)
+        # float() reads the "inf" that save_instance writes for p = inf
+        obj.smoothness = (_field(s, "L", what, float),
+                          LpGeometry(_field(s, "p", what, float)))
     if "ref_optimum" in doc:
         attach_reference(obj, doc)
     return obj

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, CouplingSearchError,
-                       ExactOptimum, HasdConfig, HasdState,
+                       ExactOptimum, HasdConfig, HasdState, _run,
                        NonFiniteProbeError, a_from_rho, find_coupling,
                        iterate, rate_bounds, run, run_restarting,
                        search_call_bound, step, zeta_eval)
@@ -362,9 +362,9 @@ def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
 
     def jump(theta, state, obj, cfg):
         x = state.x.copy()
-        return (3.0 if theta < 0.3 else 0.1), x, x, np.ones_like(x)
+        return (3.0 if theta < 0.3 else 0.1), x, x, np.ones_like(x), 1.0, 1.0
 
-    monkeypatch.setattr("hasd.core.zeta_eval", jump)
+    monkeypatch.setattr("hasd.core._probe", jump)
     with pytest.raises(CouplingSearchError) as exc:
         find_coupling(state, obj, cfg)
     lo, hi = exc.value.bracket
@@ -599,6 +599,158 @@ def test_softmax_gain_is_sqrt_dim():
         for tr in report.traces:
             if tr.G_running is not None:
                 assert tr.G_running == pytest.approx(math.sqrt(d), abs=1e-10)
+
+
+# ----------------------------------------------------------- rows off
+
+class DeadZone(Quadratic):
+    """0.5 ||x - clip(x, -1, 1)||^2: the gradient is exactly zero on the
+    unit box, so a probe landing inside it is an exact optimum."""
+
+    def __init__(self, d):
+        super().__init__(np.ones(d))
+
+    def value(self, x):
+        x = self._check(x)
+        r = x - np.clip(x, -1.0, 1.0)
+        return 0.5 * float(r @ r)
+
+    def gradient(self, x):
+        x = self._check(x)
+        return x - np.clip(x, -1.0, 1.0)
+
+
+class NanFarOut(Quadratic):
+    """Gradient NaN beyond |x|_inf = 6, on the way to the center at 10."""
+
+    def gradient(self, x):
+        g = super().gradient(x)
+        return g if np.abs(x).max() <= 6.0 else g * math.nan
+
+
+def _counting_value(obj):
+    """Count obj's value calls in obj.values (an instance-level wrapper)."""
+    value = obj.value
+    obj.values = 0
+
+    def counted(x):
+        obj.values += 1
+        return value(x)
+
+    obj.value = counted
+
+
+def _outcome(obj, x0, cfg, rows):
+    try:
+        with np.errstate(all="ignore"):
+            return _run(obj, x0, cfg, rows)
+    except CouplingSearchError as exc:
+        return exc
+
+
+def _rows_off_cases():
+    """(label, objective factory, x0, cfg) over p, objectives, references."""
+    lse_ref = solve_reference(make_logsumexp_instance(30, 8, 1e-3, seed=2))
+    objectives = (
+        ("lse", lambda: make_logsumexp_instance(30, 8, 1e-3, seed=2),
+         np.linspace(-1.0, 1.0, 8), lse_ref),
+        ("softmax", lambda: SymmetricSoftmax(7, alpha=0.5),
+         np.linspace(-1.0, 2.0, 7), None),
+        ("quadratic", lambda: Quadratic(
+            np.array([0.5, 1.0, 2.0, 4.0, 1.5]),
+            center=np.array([1.0, 0.0, -1.0, 2.0, 0.5])),
+         np.array([2.0, -1.0, 0.5, 1.0, -2.0]), None),
+    )
+    for p in (2.0, 3.0, 4.0, INF):
+        geom = LpGeometry(p)
+        for name, make, x0, ref in objectives:
+            for mode in ("no reference", "reference", "eps = 1"):
+                def build(make=make, ref=ref, mode=mode):
+                    obj = make()
+                    if mode == "no reference":
+                        obj.reference_optimum = None
+                    elif ref is not None:
+                        obj.reference_optimum = ref
+                    return obj
+                L = smoothness_bound(build(), geom)
+                for scale in (1.0, 0.05):
+                    cfg = HasdConfig(L=L, geom=geom, max_iters=25,
+                                     step_scale=scale,
+                                     eps=1.0 if mode == "eps = 1" else 1e-8)
+                    yield ("%s p=%g %s scale=%g" % (name, p, mode, scale),
+                           build, x0, cfg)
+    quad = lambda: Quadratic(np.array([1.0, 2.0]), center=np.array([1.0, -1.0]))
+    cfg2 = HasdConfig(L=2.0, geom=LpGeometry(2.0), max_iters=25)
+    yield "max_iters = 0", quad, np.zeros(2), replace(cfg2, max_iters=0)
+    yield "stationary start", quad, np.array([1.0, -1.0]), cfg2
+    ones = lambda: Quadratic(np.ones(2), center=np.array([1.0, -1.0]))
+    yield "zero gradient at x_1", ones, np.zeros(2), replace(cfg2, L=0.5)
+    for p in (2.0, INF):
+        zone = HasdConfig(L=1.0, geom=LpGeometry(p), max_iters=25,
+                          step_scale=0.5)
+        yield "dead zone p=%g" % p, lambda: DeadZone(3), \
+            np.array([3.0, -2.0, 2.5]), zone
+    for mode in ("no reference", "reference"):
+        def build(mode=mode):
+            obj = NanFarOut(np.ones(2), center=np.array([10.0, 0.0]))
+            if mode == "no reference":
+                obj.reference_optimum = None
+            return obj
+        yield "NaN probe, %s" % mode, build, np.zeros(2), replace(
+            cfg2, L=1.0, max_iters=5)
+
+
+def test_rows_off_runs_equal_core_run():
+    # a final-row-only run (the tuning sweep's grid runs) makes the same
+    # iterates and calls as core.run, or raises the same error, and its one
+    # row is core.run's last row without the violations
+    kinds = set()
+    for label, build, x0, cfg in _rows_off_cases():
+        full = _outcome(build(), x0, cfg, rows=True)
+        obj = build()
+        _counting_value(obj)
+        fast = _outcome(obj, x0, cfg, rows=False)
+        assert type(fast) is type(full), label
+        if isinstance(full, CouplingSearchError):
+            assert str(fast) == str(full), label
+            kinds.add(type(full).__name__)
+            continue
+        assert fast.final_x.tobytes() == full.final_x.tobytes(), label
+        for key in ("final_f", "gap", "iters", "grad_calls", "G_mean", "R",
+                    "certificate", "converged_early"):
+            assert getattr(fast, key) == getattr(full, key), (label, key)
+        assert fast.invariants is None and full.invariants is not None
+        assert fast.traces == [replace(full.traces[-1], violations=None)], label
+        if obj.reference_optimum is None:
+            assert obj.values == 1, label  # the final row's f alone
+        last = full.traces[-1]
+        kinds.add("stopped at iters" if fast.iters == cfg.max_iters
+                  else "zero gradient at x_1" if last.iter == 1 > fast.iters
+                  else "exact optimum" if last.converged and last.zeta is None
+                  else "gap early exit" if last.converged
+                  else "row 0 only" if last.iter == 0 else "grad_tol")
+    assert kinds >= {"stopped at iters", "zero gradient at x_1",
+                     "exact optimum", "gap early exit", "row 0 only",
+                     "NonFiniteProbeError"}, kinds
+
+
+def test_rows_off_state_refuses_psi():
+    # a state folded without f values has no lower-model constant: psi and
+    # psi_min raise rather than return a finite wrong value
+    obj, cfg = quad_cfg([1.0, 2.0, 4.0], p=INF, max_iters=6)
+    (state, row), = iterate(obj, np.array([2.0, -1.0, 0.5]), cfg, rows=False)
+    assert row.iter == state.t == 6 and row.violations is None
+    with pytest.raises(ValueError, match="without its f value"):
+        state.psi(state.x)
+    with pytest.raises(ValueError, match="without its f value"):
+        state.psi_min()
+    fresh = HasdState(np.zeros(2))
+    fresh.accumulate(1.0, np.ones(2), 3.0, np.ones(2), dual=1.0, l2=1.0, L=1.0)
+    assert math.isfinite(fresh.psi_min())
+    fresh.accumulate(1.0, np.ones(2), None, np.ones(2), dual=1.0, l2=1.0, L=1.0)
+    fresh.accumulate(1.0, np.ones(2), 3.0, np.ones(2), dual=1.0, l2=1.0, L=1.0)
+    with pytest.raises(ValueError):
+        fresh.psi_min()  # one missing f voids every later psi
 
 
 # --------------------------------------------------------------- restarts

@@ -185,8 +185,10 @@ def test_tune_method_baseline_grid_run_values_only_its_final_point():
             self.values += 1
             return super().value(x)
 
-    for method in ("gd", "agd", "lc", "sd_p"):
+    for method in ("gd", "agd", "lc", "sd_p", "hasd"):
         obj = CountingValue([1.0, 2.0, 3.0])
+        if method == "hasd":
+            obj.reference_optimum = None  # no gap checks inside the search
         tune_method(method, obj, np.ones(3), LpGeometry(2.0), 3.0, 12, (0.1,))
         assert obj.values == 1, method  # a full-row run values all 13 rows
 
@@ -513,6 +515,39 @@ def test_cli_rejects_json_that_is_not_an_object(tmp_path, capsys, instance,
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: %s must be a JSON object, not list\n" % named)
+
+
+_QUAD4 = save_instance(Quadratic(np.ones(4)))
+
+
+@pytest.mark.parametrize("instance,key", [
+    ({**_QUAD4, "ref_optimum": {"x": [0, 0, 0, 0], "f": [1, 2]}}, "f"),
+    ({**_QUAD4, "ref_optimum": {"x": {"a": 0}, "f": 0.0}}, "x"),
+    ({**_QUAD4, "smoothness": {"L": [1], "p": 2}}, "L"),
+    ({**_QUAD4, "smoothness": {"L": 1.0, "p": [2]}}, "p"),
+    ({**_QUAD4, "offset": [0.5]}, "offset"),
+    ({**_QUAD4, "h": {"a": 1}}, "h"),
+    ({"kind": "logsumexp", "n": 5, "d": 3, "seed": 0, "mu": [0.1]}, "mu"),
+    ({"kind": "logsumexp", "n": 5.0, "d": 3, "seed": 0}, "n"),
+    ({"kind": "logsumexp", "n": 5, "d": [3], "seed": 0}, "d"),
+    ({"kind": "logsumexp", "n": 5, "d": 3, "seed": 1.5}, "seed"),
+    ({"kind": "logsumexp", "n": 5, "d": 3, "seed": None}, "seed"),
+    ({"kind": "softmax", "d": "4"}, "d"),
+    ({"kind": "softmax", "d": 4, "alpha": None}, "alpha"),
+], ids=["ref_f", "ref_x", "L", "p", "offset", "h", "mu", "n", "lse_d",
+        "seed", "null_seed", "softmax_d", "alpha"])
+def test_cli_rejects_a_value_of_the_wrong_type(tmp_path, capsys, instance,
+                                               key):
+    # a wrong-typed value is a configuration error (exit 2, one line naming
+    # the key), not an invariant failure with a TypeError traceback
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    rc = main(["run", "--instance", str(inst), "--p", "2", "--iters", "4",
+               "--methods", "hasd", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "key %r" % key in err
 
 
 def test_cli_tune_writes_json(tmp_path, capsys):

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +243,19 @@ def test_solve_reference_reaches_tolerance():
     assert float(np.linalg.norm(obj.gradient(xs))) <= 1e-10
     assert fs <= obj.value(np.zeros(6))
     assert obj.reference_optimum[1] == fs
+
+
+def test_import_hasd_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the import time; only solve_reference needs
+    # it, and imports it on its first call
+    import hasd
+    src = str(Path(hasd.__file__).resolve().parent.parent)
+    code = ("import sys, hasd, hasd.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_solve_reference_rejects_unbounded_objective():
