@@ -13,6 +13,7 @@ iters + 1 gradient calls instead of 2 iters.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,9 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError("method must be one of %r" % (_METHODS,))
-        if self.stepsize <= 0:
-            raise ValueError("stepsize must be positive")
+        if not 0 < self.stepsize < math.inf:  # NaN fails too
+            raise ValueError("stepsize must be positive and finite, got %r"
+                             % (self.stepsize,))
         if self.iters < 0:
             raise ValueError("iters must be nonnegative")
         if self.method in ("lc", "sd_p") and self.geom is None:

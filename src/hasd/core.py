@@ -105,18 +105,21 @@ class HasdConfig:
     step_scale: float = 1.0
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        # written so that NaN fails every test
+        if not 0 < self.L < math.inf:
+            raise ValueError("L must be positive and finite, got %r" % (self.L,))
+        if not self.eps > 0:
+            raise ValueError("eps must be positive, got %r" % (self.eps,))
         if self.max_search_calls < 2:
             raise ValueError("max_search_calls must be at least 2")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be nonnegative")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
+        if not self.grad_tol >= 0:
+            raise ValueError("grad_tol must be nonnegative, got %r"
+                             % (self.grad_tol,))
+        if not 0 < self.step_scale < math.inf:
+            raise ValueError("step_scale must be positive and finite, got %r"
+                             % (self.step_scale,))
 
     @property
     def step_L(self) -> float:

@@ -66,8 +66,9 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in _ALL_METHODS]
         if bad or not self.methods:
             raise ValueError("unknown methods %r (choose from %r)" % (bad, _ALL_METHODS))
-        if not self.grid or any(g <= 0 for g in self.grid):
-            raise ValueError("stepsize grid must be nonempty and positive")
+        # NaN fails the range test too
+        if not self.grid or not all(0 < g < math.inf for g in self.grid):
+            raise ValueError("stepsize grid must be nonempty, positive and finite")
         if self.iters < 1:
             raise ValueError("iteration budget must be at least 1")
         if not (self.p >= 2.0):

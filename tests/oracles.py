@@ -2,7 +2,8 @@
 
 These deliberately avoid the closed forms under test: the step oracle is
 a general-purpose constrained/quasi-Newton minimizer applied to the raw
-subproblem, and derivatives are checked by central finite differences.
+subproblem, the reference-optimum oracle is scipy's L-BFGS-B, and
+derivatives are checked by central finite differences.
 """
 
 import math
@@ -77,6 +78,43 @@ def numeric_steepest_step(y, g, L, p, seed=0):
         if v < best_val:
             best, best_val = r.x, v
     return y + best
+
+
+def lbfgsb_reference(obj, grad_tol=1e-10, max_iter=500):
+    """(x_star, f_star) of a bounded objective with a Hessian oracle, from 0:
+    scipy's L-BFGS-B, then dense Newton steps backtracked on the gradient
+    norm, accepted at ||grad||_2 <= grad_tol or below the oracle's rounding
+    floor at x_star (up to a millionth of the start's gradient norm).
+    Raises RuntimeError otherwise.  Leaves obj.reference_optimum alone.
+    """
+    x = np.zeros(obj.dim)
+    start_gn = float(np.linalg.norm(obj.gradient(x)))
+    res = optimize.minimize(obj.value, x, jac=obj.gradient, method="L-BFGS-B",
+                            options={"maxfun": 200000, "ftol": 0.0,
+                                     "gtol": 1e-12})
+    x = np.asarray(res.x, dtype=float)
+    gn = float(np.linalg.norm(obj.gradient(x)))
+    for _ in range(max_iter):
+        if gn <= grad_tol * 1e-2:
+            break
+        direction = np.linalg.solve(obj.hessian(x), obj.gradient(x))
+        step, improved = 1.0, False
+        for _ in range(40):
+            x_new = x - step * direction
+            gn_new = float(np.linalg.norm(obj.gradient(x_new)))
+            if gn_new < gn:
+                x, gn, improved = x_new, gn_new, True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    eps_mach = float(np.finfo(float).eps)
+    f_x = float(obj.value(x))
+    floor = 32.0 * eps_mach * (1.0 + abs(f_x) + float(np.linalg.norm(obj.hessian(x), 2))
+                               * float(np.linalg.norm(x)))
+    if gn > max(grad_tol, min(floor, 1e-6 * max(1.0, start_gn))):
+        raise RuntimeError("L-BFGS-B reference stalled at ||grad||_2 = %.3e" % gn)
+    return x, f_x
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -18,6 +18,9 @@ def test_config_validation():
         BaselineConfig("newton", 0.1, 5)
     with pytest.raises(ValueError):
         BaselineConfig("gd", 0.0, 5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BaselineConfig("gd", bad, 5)
     with pytest.raises(ValueError):
         BaselineConfig("gd", 0.1, -1)
     with pytest.raises(ValueError):

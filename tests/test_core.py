@@ -103,6 +103,11 @@ def test_config_validation():
         HasdConfig(L=1.0, geom=geom, max_search_calls=1)
     with pytest.raises(ValueError):
         HasdConfig(L=1.0, geom=geom, step_scale=0.0)
+    nan, inf = math.nan, math.inf
+    for bad in ({"L": nan}, {"L": inf}, {"eps": nan}, {"grad_tol": nan},
+                {"step_scale": nan}, {"step_scale": inf}):
+        with pytest.raises(ValueError):
+            HasdConfig(**{"L": 1.0, "geom": geom, **bad})
     assert HasdConfig(L=4.0, geom=geom, step_scale=2.0).step_L == 2.0
 
 

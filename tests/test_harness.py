@@ -45,6 +45,9 @@ def test_config_validation():
         ExperimentConfig(iters=0)
     with pytest.raises(ValueError):
         ExperimentConfig(p=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ExperimentConfig(grid=(0.1, bad))
 
 
 def test_config_hash_ignores_output_location():
@@ -518,6 +521,8 @@ def test_cli_rejects_json_that_is_not_an_object(tmp_path, capsys, instance,
 
 
 _QUAD4 = save_instance(Quadratic(np.ones(4)))
+_LSE = {"kind": "logsumexp", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 1.0]}
+_NAN, _INF = float("nan"), float("inf")  # json writes NaN and Infinity
 
 
 @pytest.mark.parametrize("instance,key", [
@@ -534,12 +539,27 @@ _QUAD4 = save_instance(Quadratic(np.ones(4)))
     ({"kind": "logsumexp", "n": 5, "d": 3, "seed": None}, "seed"),
     ({"kind": "softmax", "d": "4"}, "d"),
     ({"kind": "softmax", "d": 4, "alpha": None}, "alpha"),
+    ({**_QUAD4, "ref_optimum": {"x": [0, 0, 0, 0], "f": "nan"}}, "f"),
+    ({**_QUAD4, "ref_optimum": {"x": [0, 0, 0, 0], "f": _INF}}, "f"),
+    ({**_QUAD4, "ref_optimum": {"x": [0, _NAN, 0, 0], "f": 0.0}}, "x"),
+    ({**_QUAD4, "smoothness": {"L": _INF, "p": 2}}, "L"),
+    ({**_QUAD4, "smoothness": {"L": 1.0, "p": "nan"}}, "p"),
+    ({**_QUAD4, "offset": _NAN}, "offset"),
+    ({**_QUAD4, "h": [1, 1, _INF, 1]}, "h"),
+    ({**_QUAD4, "center": [0, 0, 0, -_INF]}, "center"),
+    ({"kind": "logsumexp", "n": 5, "d": 3, "seed": 0, "mu": _NAN}, "mu"),
+    ({**_LSE, "A": [[1.0, _NAN], [0.0, 1.0]]}, "A"),
+    ({**_LSE, "b": [0.0, _INF]}, "b"),
+    ({"kind": "softmax", "d": 4, "alpha": _INF}, "alpha"),
 ], ids=["ref_f", "ref_x", "L", "p", "offset", "h", "mu", "n", "lse_d",
-        "seed", "null_seed", "softmax_d", "alpha"])
+        "seed", "null_seed", "softmax_d", "alpha", "nan_ref_f", "inf_ref_f",
+        "nan_ref_x", "inf_L", "nan_p", "nan_offset", "inf_h", "inf_center",
+        "nan_mu", "nan_A", "inf_b", "inf_alpha"])
 def test_cli_rejects_a_value_of_the_wrong_type(tmp_path, capsys, instance,
                                                key):
-    # a wrong-typed value is a configuration error (exit 2, one line naming
-    # the key), not an invariant failure with a TypeError traceback
+    # a wrong-typed or non-finite value is a configuration error (exit 2,
+    # one line naming the key), not an invariant failure with a TypeError
+    # traceback, nor a run whose every gap is NaN
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(instance))
     rc = main(["run", "--instance", str(inst), "--p", "2", "--iters", "4",
@@ -548,6 +568,30 @@ def test_cli_rejects_a_value_of_the_wrong_type(tmp_path, capsys, instance,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "key %r" % key in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-invariants", "--p", "2", "--seeds", "0", "--iters", "2",
+     "--l-scale", "nan"],
+    ["check-invariants", "--p", "2", "--seeds", "0", "--iters", "2",
+     "--l-scale", "inf"],
+    ["run", "--objective", "quadratic", "--d", "3", "--stepsize", "nan"],
+    ["run", "--objective", "softmax", "--d", "3", "--alpha", "nan"],
+    ["run", "--n", "6", "--d", "3", "--mu", "nan"],
+    ["run", "--n", "6", "--d", "3", "--mu", "inf"],
+    ["run", "--objective", "quadratic", "--d", "3", "--tune",
+     "--grid", "0.5,nan"],
+], ids=["l_scale_nan", "l_scale_inf", "stepsize_nan", "alpha_nan", "mu_nan",
+        "mu_inf", "grid_nan"])
+def test_cli_refuses_a_non_finite_setting(tmp_path, capsys, argv):
+    # NaN passes an `x <= 0` guard; every setting refuses it (and an
+    # infinite L, step, mu or alpha) as a configuration error: exit 2 and
+    # one line, not a NonFiniteProbeError traceback
+    if argv[0] == "run":
+        argv = argv + ["--iters", "4", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_tune_writes_json(tmp_path, capsys):

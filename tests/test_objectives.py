@@ -16,11 +16,12 @@ from scipy.special import softmax as scipy_softmax
 from hasd.geometry import LpGeometry, lp_norm
 from hasd.objectives import (LogSumExpAffine, Quadratic, SmoothObjective,
                              SmoothnessUnavailable, SymmetricSoftmax,
-                             _logsumexp, _softmax, convert_smoothness,
+                             _logsumexp, _softmax, _two_loop,
+                             convert_smoothness,
                              empirical_smoothness, load_instance,
                              make_logsumexp_instance, save_instance,
                              smoothness_bound, solve_reference)
-from oracles import fd_gradient, fd_hessian
+from oracles import fd_gradient, fd_hessian, lbfgsb_reference
 
 
 # ------------------------------------------------------------- quadratic
@@ -245,17 +246,67 @@ def test_solve_reference_reaches_tolerance():
     assert obj.reference_optimum[1] == fs
 
 
-def test_import_hasd_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the import time; only solve_reference needs
-    # it, and imports it on its first call
+def test_two_loop_equals_dense_bfgs_updates():
+    # H g from the Gram-matrix two-loop against the textbook recursion
+    # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T from s.y / y.y I
+    rng = np.random.default_rng(7)
+    d = 6
+    M = rng.standard_normal((d, d))
+    B = M @ M.T + 0.1 * np.eye(d)  # curvature the pairs sample
+    for k in (1, 2, 5, 10):
+        S = rng.standard_normal((k, d))
+        Y = S @ B
+        rho = [1.0 / float(s @ y) for s, y in zip(S, Y)]
+        H = np.eye(d) / (rho[-1] * float(Y[-1] @ Y[-1]))
+        for s, y, r in zip(S, Y, rho):
+            V = np.eye(d) - r * np.outer(y, s)
+            H = V.T @ H @ V + r * np.outer(s, s)
+        for _ in range(3):
+            g = rng.standard_normal(d)
+            np.testing.assert_allclose(_two_loop(S, Y, rho, g), H @ g,
+                                       rtol=1e-10, atol=1e-12 * np.abs(H @ g).max())
+        # the secant equation of the newest pair
+        np.testing.assert_allclose(_two_loop(S, Y, rho, Y[-1]), S[-1], rtol=1e-10)
+
+
+# the bench's exact references (n = 200, d = 50) and the checker's
+# LogSumExp cells (n = 24, d = 8)
+@pytest.mark.parametrize("n,d,mu,seed",
+                         [(200, 50, mu, seed) for mu in (1e-6, 1e-4, 1e-2)
+                          for seed in (0, 1, 2)]
+                         + [(24, 8, 1e-2, seed) for seed in range(8)])
+def test_solve_reference_matches_lbfgsb_oracle(n, d, mu, seed):
+    want_x, want_f = lbfgsb_reference(make_logsumexp_instance(n, d, mu, seed))
+    x, f = solve_reference(make_logsumexp_instance(n, d, mu, seed))
+    assert abs(f - want_f) <= 1e-12 * abs(want_f)
+    assert np.linalg.norm(x - want_x) <= 1e-8 * np.linalg.norm(want_x)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable the
+    # package imports, the checker runs, the bench's farthest reference
+    # (||x*|| ~ 4.9e6 at mu = 1e-6) solves, and mu = 0 is still refused
     import hasd
-    src = str(Path(hasd.__file__).resolve().parent.parent)
-    code = ("import sys, hasd, hasd.cli; "
-            "print('scipy.optimize' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(hasd.__file__).resolve().parent.parent)}
+    code = ("import sys; sys.modules['scipy'] = None; import hasd.cli; "
+            "sys.exit(hasd.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)")
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    assert cli().returncode == 0
+    assert cli("check-invariants", "--p", "2,inf", "--seeds", "0",
+               "--iters", "10").returncode == 0
+    gen = ["gen-instance", "--n", "200", "--d", "50", "--seed", "0",
+           "--solve-reference", "--out"]
+    assert cli(*gen, str(tmp_path / "ref.json"), "--mu", "1e-6").returncode == 0
+    assert "ref_optimum" in json.loads((tmp_path / "ref.json").read_text())
+    refused = cli(*gen, str(tmp_path / "none.json"), "--mu", "0")
+    assert refused.returncode == 2, refused.stderr
+    assert refused.stderr.startswith("error: no reference optimum")
+    assert not (tmp_path / "none.json").exists()
 
 
 def test_solve_reference_rejects_unbounded_objective():
@@ -286,6 +337,11 @@ def test_dimension_checks():
         obj.gradient(np.zeros(3))
     with pytest.raises(ValueError):  # no rows: log of an empty sum
         LogSumExpAffine(np.zeros((0, 3)), np.zeros(0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LogSumExpAffine(np.ones((2, 3)), np.zeros(2), mu=bad)
+        with pytest.raises(ValueError):
+            SymmetricSoftmax(4, alpha=bad)
 
 
 # ----------------------------------------------------------- persistence
