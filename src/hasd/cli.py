@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration error.
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -16,7 +17,8 @@ from .geometry import LpGeometry
 from .harness import (BENCH_METHODS, BENCH_MU_VALUES, STEPSIZE_GRID,
                       ExperimentConfig, check_invariants, default_x0,
                       make_objective, run_bench, run_experiment, tune_method)
-from .objectives import save_instance, smoothness_bound, solve_reference
+from .objectives import (_field, _finite, save_instance, smoothness_bound,
+                         solve_reference)
 
 
 def _parse_p(text: str) -> float:
@@ -33,6 +35,30 @@ def _parse_name_list(text: str):
 
 # flag destinations that map straight onto ExperimentConfig fields
 _CFG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+
+
+def _typed(kind, optional=False):
+    """Converter passing a value of the given type (or None, if optional)."""
+    def convert(value):
+        if not (isinstance(value, kind) or (optional and value is None)):
+            raise TypeError("expected %s, got %r" % (kind.__name__, value))
+        return value
+    return convert
+
+
+# converters for --config file values, the instance loader's where it has
+# one: a value that does not convert is a ValueError naming its key (an
+# integer path would otherwise be opened as a file descriptor)
+_CFG_CONVERTERS = {
+    "n": operator.index, "d": operator.index, "iters": operator.index,
+    "seed": operator.index, "mu": _finite, "alpha": _finite,
+    "stepsize": lambda v: None if v is None else _finite(v),
+    "p": lambda v: LpGeometry(v).p,  # reads "inf", refuses NaN
+    "methods": tuple, "grid": lambda v: tuple(map(_finite, v)),
+    "objective": _typed(str), "out_dir": _typed(str),
+    "ref_path": _typed(str, True), "instance_path": _typed(str, True),
+    "check_invariants": _typed(bool),
+}
 
 
 def _instance_flags(sp, with_config=True):
@@ -130,13 +156,12 @@ def _config_from_args(args) -> ExperimentConfig:
         unknown = set(loaded) - set(_CFG_FIELDS)
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-        doc.update(loaded)
+        for key in loaded:
+            doc[key] = _field(loaded, key, "config file", _CFG_CONVERTERS[key])
     for name in _CFG_FIELDS:
         val = getattr(args, name, None)
         if val is not None and val is not False:
             doc[name] = val
-    if "p" in doc:
-        doc["p"] = _parse_p(doc["p"])
     return ExperimentConfig(**doc)
 
 

@@ -224,15 +224,15 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     """Run each configured method on each mu, writing one CSV per (method,
     mu), a plot-data file of log10(gap) vs iteration, and summary.json.
 
-    Without tuning, hasd runs at scale 1 and baselines at 1/L.  Returns the
-    summary dict (also written to disk).
+    Without tuning, hasd runs at scale 1 and baselines at 1/L.  Nothing is
+    written, and no directory made, until every objective, method config and
+    run has been built, so a configuration error leaves no output behind.
+    Returns the summary dict (also written to disk).
     """
     if mu_values is None:
         mu_values = [cfg.mu]
     if len(mu_values) > 1 and cfg.objective != "logsumexp":
         raise ValueError("a mu sweep needs the logsumexp objective")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     doc = cfg.to_dict()
     doc["mu_values"] = [float(m) for m in mu_values]
     doc["tuned"] = bool(tune_first)
@@ -240,6 +240,7 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     geom = LpGeometry(cfg.p)
     summary = {"config": doc, "config_hash": h, "mus": {}}
     plot_lines = ["# config_hash=%s" % h, "mu,method,iter,log10_gap"]
+    csvs = []  # (file name, rows, gaps) of each recorded run
     invariant_failures = 0
 
     for mu in mu_values:
@@ -269,7 +270,7 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
             rep = reports[m]
             gaps = [tr.f - f_ref for tr in rep.traces]
             name = "%s_mu%g.csv" % (m, mu)
-            write_trace_csv(out / name, rep.traces, h, gaps=gaps)
+            csvs.append((name, rep.traces, gaps))
             for tr, gap in zip(rep.traces, gaps):
                 plot_lines.append("%g,%s,%d,%s"
                                   % (mu, m, tr.iter,
@@ -287,6 +288,10 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
 
     if cfg.check_invariants:
         summary["invariant_failures_total"] = invariant_failures
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, traces, gaps in csvs:
+        write_trace_csv(out / name, traces, h, gaps=gaps)
     try:
         (out / "plot_data.csv").write_text("\n".join(plot_lines) + "\n")
         (out / "summary.json").write_text(

@@ -341,104 +341,19 @@ def smoothness_bound(obj: SmoothObjective, geom: LpGeometry) -> float:
     raise SmoothnessUnavailable("no smoothness information for %r" % (type(obj).__name__,))
 
 
-# limited-memory BFGS phase of solve_reference: correction pairs kept,
-# sufficient-decrease constant of the backtracking, gradient-call budget,
-# value trials before a line search gives up, and the sup-norm gradient target
-_LBFGS_MEMORY = 10
-_ARMIJO = 1e-4
-_LBFGS_MAX_GRADS = 200_000
-_LBFGS_MAX_TRIALS = 20
-_LBFGS_GTOL = 1e-12
-
-
-def _two_loop(S, Y, rho, g):
-    """H g for the limited-memory BFGS inverse-Hessian model of the pairs
-    (s_i, y_i) in the rows of S and Y, oldest first, with rho_i = 1 / s_i.y_i.
-
-    The two-loop recursion (Nocedal 1980), starting from s.y / y.y of the
-    newest pair times the identity.  It takes the inner products it needs,
-    s_i.q and y_i.r, from S g, Y q and the products s_i.y_j instead of one
-    vector pass per pair: at d = 50 and 10 pairs about 35 us against 90 us
-    (2-vCPU x86-64 VM, one BLAS thread), the same arithmetic up to the
-    order of the sums.
-    """
-    k = len(rho)
-    sy = (S @ Y.T).tolist()  # sy[i][j] = s_i . y_j
-    Sg = S.dot(g).tolist()
-    a = [0.0] * k
-    for i in reversed(range(k)):  # newest first: q -= a_i y_i
-        a[i] = rho[i] * (Sg[i] - sum(a[j] * sy[i][j] for j in range(i + 1, k)))
-    q = g - np.dot(a, Y)
-    q *= 1.0 / (rho[-1] * float(Y[-1] @ Y[-1]))
-    Yq = Y.dot(q).tolist()
-    c = [0.0] * k  # a_i - b_i
-    for i in range(k):  # oldest first: r += (a_i - b_i) s_i
-        c[i] = a[i] - rho[i] * (Yq[i] + sum(c[j] * sy[j][i] for j in range(i)))
-    return q + np.dot(c, S)
-
-
-def _lbfgs(value, gradient, x):
-    """Approximate minimizer of value from x by limited-memory BFGS.
-
-    Each step runs along -H g, where H is the inverse-Hessian model of the
-    last _LBFGS_MEMORY correction pairs (see _two_loop); the first step,
-    and any step after a model that gives no descent, runs along -g with
-    unit length.  It backtracks from the full step, to the minimizer of the
-    quadratic through f, the slope and the rejected value (kept within a
-    tenth to a half of the step), until f meets the Armijo condition and
-    falls strictly.  Stops at a sup-norm gradient of _LBFGS_GTOL, at a
-    line search that finds no such point in _LBFGS_MAX_TRIALS trials (f
-    stagnates in its rounding), or after _LBFGS_MAX_GRADS gradient calls.
-    A pair with s.y <= eps y.y (no measurable curvature) is not stored.
-    """
-    eps = float(np.finfo(float).eps)
-    f = float(value(x))
-    g = gradient(x)
-    S = Y = np.empty((0, x.size))
-    rho = []
-    for _ in range(_LBFGS_MAX_GRADS - 1):
-        if not np.maximum.reduce(np.abs(g)) > _LBFGS_GTOL:
-            break
-        q = _two_loop(S, Y, rho, g) if rho else g
-        slope = -float(g @ q)
-        if not (rho and slope < 0.0):  # first step, or a model without descent
-            S = Y = S[:0]
-            rho = []
-            gn = math.sqrt(float(g @ g))
-            q, slope = g / gn, -gn
-        t = 1.0
-        for _ in range(_LBFGS_MAX_TRIALS):
-            x_new = x - t * q
-            f_new = float(value(x_new))
-            if f_new < f and f_new <= f + _ARMIJO * t * slope:
-                break
-            t_q = -0.5 * slope * t * t / (f_new - f - slope * t)
-            t = min(max(t_q, 0.1 * t), 0.5 * t) if math.isfinite(t_q) else 0.5 * t
-        else:
-            break
-        g_new = gradient(x_new)
-        s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        if sy > eps * float(y @ y):
-            S = np.vstack((S, s))[-_LBFGS_MEMORY:]
-            Y = np.vstack((Y, y))[-_LBFGS_MEMORY:]
-            rho = (rho + [1.0 / sy])[-_LBFGS_MEMORY:]
-        x, f, g = x_new, f_new, g_new
-    return x
-
-
 def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
                     max_iter: int = 500):
-    """High-accuracy reference optimum: limited-memory BFGS, then Newton.
+    """High-accuracy reference optimum by damped Newton from x0.
 
-    Requires a Hessian oracle.  A limited-memory BFGS phase (see _lbfgs)
-    carries x from x0 (default 0) towards the optimum, however far away,
-    and dense Newton steps, each backtracked on the gradient norm, polish
-    it to a gradient norm of grad_tol / 100.  The result is accepted at a
-    gradient norm of grad_tol, or of the oracle's own rounding floor at x
-    when that is larger, up to a millionth of the gradient norm at x0.
-    Stores (x_star, f_star) on the objective and returns the pair.  Raises
-    RuntimeError when neither bound is met, and as soon as an iterate
+    Requires a Hessian oracle.  Dense Newton steps from x0 (default 0),
+    each halved until the gradient norm falls, carry x to a gradient norm
+    of grad_tol / 100, however far away the optimum sits; the loop stops
+    early when a full backtracking finds no such point or after max_iter
+    steps.  The result is accepted at a gradient norm of grad_tol, or of
+    the oracle's own rounding floor at x when that is larger, up to a
+    millionth of the gradient norm at x0.  Stores (x_star, f_star) on the
+    objective and returns the pair.  Raises RuntimeError when neither
+    bound is met, and as soon as a point the solve differentiates
     certifies that a LogSumExpAffine objective is unbounded below (see
     certifies_unbounded).
     """
@@ -451,39 +366,37 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
     if not hasattr(obj, "hessian"):
         raise SmoothnessUnavailable("reference solve needs a Hessian oracle")
 
-    x0 = np.zeros(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
-    start_gn = []  # ||grad f(x0)||_2, read off the first evaluation
+    x = np.zeros(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     certify = isinstance(obj, LogSumExpAffine)
 
     def jac(x):
         g = obj.gradient(x)
-        if not start_gn:
-            start_gn.append(float(np.linalg.norm(g)))
         if certify and obj.certifies_unbounded(x):
             raise RuntimeError("reference solve stopped: f is unbounded "
                                "below along the current iterate")
         return g
 
-    # quasi-Newton first: a weakly regularized optimum can sit very far from
-    # the start, beyond what trust-region radii cover in few iterations
-    x = _lbfgs(obj.value, jac, x0)
-    gn = float(np.linalg.norm(obj.gradient(x)))
-    # dense Newton polish; generic solvers stop on value stagnation long
-    # before the gradient target when |f| is large
+    # dense Newton steps, backtracked on the gradient norm; generic solvers
+    # stop on value stagnation long before the gradient target when |f| is
+    # large.  The gradient of an accepted trial point serves the next step
+    g = jac(x)
+    gn = start_gn = float(np.linalg.norm(g))
     for _ in range(max_iter):
         if gn <= grad_tol * 1e-2:
             break
-        g = obj.gradient(x)
         try:
             direction = np.linalg.solve(obj.hessian(x), g)
         except np.linalg.LinAlgError:
             break
-        step, improved = 1.0, False
+        step, improved, key = 1.0, False, x.tobytes()
         for _ in range(40):
             x_new = x - step * direction
-            gn_new = float(np.linalg.norm(obj.gradient(x_new)))
+            if x_new.tobytes() == key:  # every further halving gives x again
+                break
+            g_new = jac(x_new)
+            gn_new = float(np.linalg.norm(g_new))
             if gn_new < gn:
-                x, gn, improved = x_new, gn_new, True
+                x, g, gn, improved = x_new, g_new, gn_new, True
                 break
             step *= 0.5
         if not improved:
@@ -498,7 +411,7 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
     f_x = float(obj.value(x))
     floor = 32.0 * eps_mach * (1.0 + abs(f_x)
                                + h_norm * float(np.linalg.norm(x)))
-    cap = 1e-6 * max(1.0, start_gn[0])
+    cap = 1e-6 * max(1.0, start_gn)
     if gn > max(grad_tol, min(floor, cap)):
         raise RuntimeError("reference solve stalled at ||grad||_2 = %.3e" % gn)
     obj.reference_optimum = (x, f_x)

@@ -413,6 +413,39 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("iters", "5"), ("n", 2.5), ("d", None), ("seed", [1]), ("mu", [0.1]),
+    ("mu", "nan"), ("alpha", {}), ("stepsize", "x"), ("p", [2]),
+    ("p", "nan"), ("grid", 5), ("grid", [0.1, None]), ("methods", 3),
+    ("objective", None), ("out_dir", 5), ("ref_path", 5),
+    ("instance_path", [1]), ("check_invariants", "no")])
+def test_cli_config_value_of_the_wrong_type_is_exit_2(tmp_path, capsys, key,
+                                                      value):
+    # config file values go through the instance loader's converters: one
+    # line naming the key, not a TypeError traceback, and no output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"objective": "quadratic", "d": 3, "iters": 3,
+                               "methods": ["gd"], key: value}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file key %r" % key)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_config_values_convert_as_instance_values_do(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6, "d": 3, "mu": "0.1", "p": "inf",
+                               "iters": 3, "methods": ["gd"],
+                               "stepsize": None}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert (config["mu"], config["p"], config["stepsize"]) == (0.1, "inf", None)
+    capsys.readouterr()
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"objective": "quadratic", "d": 4, "seed": 2,
@@ -592,6 +625,7 @@ def test_cli_refuses_a_non_finite_setting(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # nothing written before the error
 
 
 def test_cli_tune_writes_json(tmp_path, capsys):

@@ -16,7 +16,7 @@ from scipy.special import softmax as scipy_softmax
 from hasd.geometry import LpGeometry, lp_norm
 from hasd.objectives import (LogSumExpAffine, Quadratic, SmoothObjective,
                              SmoothnessUnavailable, SymmetricSoftmax,
-                             _logsumexp, _softmax, _two_loop,
+                             _logsumexp, _softmax,
                              convert_smoothness,
                              empirical_smoothness, load_instance,
                              make_logsumexp_instance, save_instance,
@@ -246,29 +246,6 @@ def test_solve_reference_reaches_tolerance():
     assert obj.reference_optimum[1] == fs
 
 
-def test_two_loop_equals_dense_bfgs_updates():
-    # H g from the Gram-matrix two-loop against the textbook recursion
-    # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T from s.y / y.y I
-    rng = np.random.default_rng(7)
-    d = 6
-    M = rng.standard_normal((d, d))
-    B = M @ M.T + 0.1 * np.eye(d)  # curvature the pairs sample
-    for k in (1, 2, 5, 10):
-        S = rng.standard_normal((k, d))
-        Y = S @ B
-        rho = [1.0 / float(s @ y) for s, y in zip(S, Y)]
-        H = np.eye(d) / (rho[-1] * float(Y[-1] @ Y[-1]))
-        for s, y, r in zip(S, Y, rho):
-            V = np.eye(d) - r * np.outer(y, s)
-            H = V.T @ H @ V + r * np.outer(s, s)
-        for _ in range(3):
-            g = rng.standard_normal(d)
-            np.testing.assert_allclose(_two_loop(S, Y, rho, g), H @ g,
-                                       rtol=1e-10, atol=1e-12 * np.abs(H @ g).max())
-        # the secant equation of the newest pair
-        np.testing.assert_allclose(_two_loop(S, Y, rho, Y[-1]), S[-1], rtol=1e-10)
-
-
 # the bench's exact references (n = 200, d = 50) and the checker's
 # LogSumExp cells (n = 24, d = 8)
 @pytest.mark.parametrize("n,d,mu,seed",
@@ -280,6 +257,51 @@ def test_solve_reference_matches_lbfgsb_oracle(n, d, mu, seed):
     x, f = solve_reference(make_logsumexp_instance(n, d, mu, seed))
     assert abs(f - want_f) <= 1e-12 * abs(want_f)
     assert np.linalg.norm(x - want_x) <= 1e-8 * np.linalg.norm(want_x)
+
+
+# beyond the bench and the checker: n < d, a far optimum at mu = 1e-8, a
+# single affine piece, and a tall instance
+@pytest.mark.parametrize("n,d,mu,seed", [(50, 100, 1e-4, 0), (200, 50, 1e-8, 0),
+                                         (1, 4, 1e-3, 0), (500, 20, 1e-3, 3)])
+def test_newton_reference_matches_lbfgsb_oracle_on_other_shapes(n, d, mu, seed):
+    want_x, want_f = lbfgsb_reference(make_logsumexp_instance(n, d, mu, seed))
+    x, f = solve_reference(make_logsumexp_instance(n, d, mu, seed))
+    assert abs(f - want_f) <= 1e-12 * abs(want_f)
+    assert np.linalg.norm(x - want_x) <= 1e-8 * np.linalg.norm(want_x)
+
+
+def _count_gradient_points(obj):
+    """Make obj record the bytes of every point its gradient is called at."""
+    points = []
+
+    def counted(x, gradient=obj.gradient):
+        points.append(np.asarray(x).tobytes())
+        return gradient(x)
+
+    obj.gradient = counted
+    return points
+
+
+@pytest.mark.parametrize("mu", [1e-6, 1e-4, 1e-2])
+def test_solve_reference_differentiates_no_point_twice(mu):
+    # the gradient of an accepted trial point serves the next Newton step,
+    # and a backtracking stops once its trial point rounds back to x
+    obj = make_logsumexp_instance(200, 50, mu, seed=0)
+    points = _count_gradient_points(obj)
+    solve_reference(obj)
+    calls, distinct = len(points), len(set(points))
+    assert distinct == calls
+
+
+def test_solve_reference_refuses_unbounded_objective_at_once():
+    # every gradient call of the Newton loop goes through the certificate,
+    # so the first iterate on the ray refuses mu = 0
+    for seed in (0, 1, 2):
+        obj = make_logsumexp_instance(200, 50, 0.0, seed=seed)
+        points = _count_gradient_points(obj)
+        with pytest.raises(RuntimeError, match="unbounded below"):
+            solve_reference(obj)
+        assert len(points) <= 10
 
 
 def test_runtime_needs_no_scipy(tmp_path):
