@@ -7,8 +7,10 @@ gradient-norm ratio measured at the resulting point.  The pair is found by
 a binary search over the interpolation parameter theta = A_t / A_{t+1}.
 Only part of zeta needs the oracle: the factor 18 L (1-theta)^2 A_t /
 theta is known up front and the norm ratio lies in [d^-(1-2/p), 1], so
-without a reference optimum the search settles the probes those bounds
-already decide and evaluates only the rest.
+the search settles the probes those bounds already decide without
+measuring their zeta.  Such a probe costs no oracle call, or with a
+reference optimum attached one, for the gap check at its point; every
+other probe costs two.
 
 Per accepted iteration the following hold (up to floating point):
 
@@ -40,7 +42,8 @@ class CouplingSearchError(RuntimeError):
     """Coupling search failed: bracket collapsed or oracle budget spent.
 
     calls counts gradient evaluations, and last_zeta is the zeta of the
-    last evaluated probe (None when every probe was settled unevaluated).
+    last probe that measured one (None when every probe was settled from
+    its norm bounds).
     """
 
     def __init__(self, bracket, calls, last_zeta=None):
@@ -53,25 +56,31 @@ class CouplingSearchError(RuntimeError):
 
 
 class NonFiniteProbeError(CouplingSearchError):
-    """A coupling probe measured a NaN zeta.
+    """A coupling probe measured a NaN zeta, or a NaN f at a probe whose
+    zeta its norm bounds decide.
 
     A non-finite entry in the probe's gradient makes both norms in zeta
     infinite or NaN, so this covers every non-finite gradient (and a finite
     one whose squared norms overflow).  The search stops at that probe
     instead of bisecting on a NaN comparison until its budget is spent.
-    Only an evaluated probe can raise it: one that find_coupling settles
-    from its norm bounds computes no gradient.
+    Only a probe that takes grad f(x_theta) measures zeta: one that
+    find_coupling settles from its norm bounds computes no such gradient,
+    and with a reference attached it raises on a NaN f(x_theta) instead,
+    the one value whose comparison it still makes (quantity is "f").
     """
 
-    def __init__(self, theta, bracket, calls):
+    def __init__(self, theta, bracket, calls, quantity="zeta"):
         self.theta = theta
         self.bracket = bracket
         self.calls = calls
+        self.quantity = quantity
         self.last_zeta = math.nan
         RuntimeError.__init__(
-            self, "zeta is NaN at theta=%.6e after %d oracle calls "
-            "(non-finite gradient), bracket=(%.6e, %.6e)"
-            % (theta, calls, bracket[0], bracket[1]))
+            self, "%s is NaN at theta=%.6e after %d oracle calls "
+            "(non-finite %s), bracket=(%.6e, %.6e)"
+            % (quantity, theta, calls,
+               "gradient" if quantity == "zeta" else "value",
+               bracket[0], bracket[1]))
 
 
 class ExactOptimum(Exception):
@@ -266,10 +275,10 @@ def search_call_bound(p: float, d: int, L: float, eps: float, R: float) -> float
     """Worst-case number of theta probes for one coupling search.
 
     9 + (5(p-2)/2p) log2(d) + log2(L D_R / eps),  D_R = (R + 1458 R^2)
-    (20 R + 4374 R^2).  Each evaluated probe costs two gradient
-    evaluations; find_coupling settles some probes without evaluating
-    them, so this also bounds its evaluated probes.  Valid for
-    eps <= L D_R / 6.
+    (20 R + 4374 R^2).  find_coupling makes at most these probes, each
+    costing at most two gradient evaluations: a probe its norm bounds
+    decide costs none, or one with a reference optimum attached.  Valid
+    for eps <= L D_R / 6.
     """
     if d <= 0 or L <= 0 or eps <= 0 or R <= 0:
         raise ValueError("need positive d, L, eps, R")
@@ -302,13 +311,24 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
 def _probe(theta: float, state: HasdState, obj, cfg: HasdConfig):
     """zeta_eval's probe, also returning the two gradient norms in zeta:
     (zeta, y, x, grad f(x), ||grad f(x)||_{p*}, ||grad f(x)||_2)."""
+    y, x = _step_to(theta, state, obj, cfg)
+    return _measure(theta, state, obj, cfg, y, x)
+
+
+def _step_to(theta: float, state: HasdState, obj, cfg: HasdConfig):
+    """The first half of a probe, one gradient evaluation: (y_theta,
+    x_theta), x_theta being the steepest step from y_theta."""
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
     if state.A <= 0.0:
         raise ValueError("coupling search requires A_t > 0 (after the first step)")
     y = theta * state.x + (1.0 - theta) * state.v
-    gy = obj.gradient(y)
-    x = steepest_step(y, gy, cfg.step_L, cfg.geom)
+    return y, steepest_step(y, obj.gradient(y), cfg.step_L, cfg.geom)
+
+
+def _measure(theta: float, state: HasdState, obj, cfg: HasdConfig, y, x):
+    """The second half of a probe, one gradient evaluation: _probe's tuple
+    from grad f(x_theta)."""
     gx = obj.gradient(x)
     dual = lp_norm(gx, cfg.geom.p_dual)
     if dual == 0.0:
@@ -345,26 +365,30 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     lower end up and one below moves the upper end down.  Accepts as soon
     as zeta lands in [1/2, 2], which is all the downstream guarantees use.
     Raises CouplingSearchError when the bracket collapses (width at most
-    4e-12; zeta need not be globally monotone) or the next probe would
+    4e-12; zeta need not be globally monotone) or the next probe could
     exceed cfg.max_search_calls gradient evaluations, and
     NonFiniteProbeError at the probe that measured a NaN zeta (a
-    non-finite gradient).
+    non-finite gradient) or a NaN gap.
 
     When the objective carries a reference optimum and a probed point
     already has gap <= cfg.eps, or a probe hits a zero gradient, returns
     early_converged=True with that point.
 
     zeta(theta) = c(theta) r, where c(theta) = 18 L (1-theta)^2 A_t / theta
-    needs no oracle call and r lies in [d^-(1-2/p), 1].  Without a
-    reference optimum, a probe whose c alone puts zeta above 2 or below
-    1/2 (beyond _SETTLE_MARGIN) is settled without evaluating it: it
-    moves the bracket as its measured zeta would have, so every evaluated
+    needs no oracle call and r lies in [d^-(1-2/p), 1].  A probe whose c
+    alone puts zeta above 2 or below 1/2 (beyond _SETTLE_MARGIN) is
+    decided: it moves the bracket as its measured zeta would have, so every
     probe, and the accepted one, is the probe a search evaluating every
-    theta evaluates.  Only the evaluated probes cost oracle calls, count
-    against cfg.max_search_calls, can raise NonFiniteProbeError or hit
-    an exact optimum, and set last_zeta; settled probes are bounded by
-    the bracket collapsing.  With a reference every probe is evaluated,
-    so that each rejected point gets its gap checked.
+    theta makes.  Without a reference optimum a decided probe costs no
+    oracle call.  With one it costs one, at y_theta: the steepest step to
+    x_theta, then f(x_theta) for the gap check; only a decided probe with
+    gap <= cfg.eps also takes grad f(x_theta), which its early-exit result
+    carries.  Every other probe costs two.  Only gradient evaluations
+    count against cfg.max_search_calls; a probe that takes grad f(x_theta)
+    sets last_zeta and can raise NonFiniteProbeError on zeta or hit an
+    exact optimum (at a decided probe, only within cfg.eps of the
+    reference value, where a convex f's minimizers lie).  Decided probes
+    without a reference are bounded by the bracket collapsing.
     """
     if state.A <= 0.0:
         raise ValueError("coupling search requires A_t > 0 (after the first step)")
@@ -378,16 +402,27 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     try:
         while calls + 2 <= cfg.max_search_calls and hi - lo > 4.0 * _THETA_MIN:
             th = 0.5 * (lo + hi)
-            if ref is None:
-                c = _coupling_factor(th, state.A, cfg.L)
-                if c > above:
-                    lo = th
+            c = _coupling_factor(th, state.A, cfg.L)
+            fx = None
+            if c > above or c < below:
+                if ref is not None:
+                    # zeta misses the window; only the gap is left to check
+                    calls += 1
+                    y, x = _step_to(th, state, obj, cfg)
+                    fx = obj.value(x)
+                    if math.isnan(fx):
+                        raise NonFiniteProbeError(th, (lo, hi), calls, "f")
+                if ref is None or fx - ref[1] > cfg.eps:
+                    if c > above:
+                        lo = th
+                    else:
+                        hi = th
                     continue
-                if c < below:
-                    hi = th
-                    continue
-            calls += 2
-            zeta, y, x, gx, dual, l2 = _probe(th, state, obj, cfg)
+                calls += 1
+                zeta, y, x, gx, dual, l2 = _measure(th, state, obj, cfg, y, x)
+            else:
+                calls += 2
+                zeta, y, x, gx, dual, l2 = _probe(th, state, obj, cfg)
             if math.isnan(zeta):
                 raise NonFiniteProbeError(th, (lo, hi), calls)
             last_zeta = zeta
@@ -399,7 +434,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
                                       grad_x_next=gx, grad_dual=dual,
                                       grad_l2=l2)
             if ref is not None:
-                fx = obj.value(x)
+                if fx is None:
+                    fx = obj.value(x)
                 if fx - ref[1] <= cfg.eps:
                     return CouplingResult(theta=th, rho=None, a_next=None,
                                           y=y, x_next=x, zeta=zeta,

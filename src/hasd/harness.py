@@ -351,15 +351,15 @@ class InvariantReport:
     cells: int = 0
     median_search_calls: float | None = None
 
+    def __post_init__(self):
+        self._by_name = {r.name: r for r in self.rows}
+
     @property
     def ok(self) -> bool:
         return all(r.failures == 0 for r in self.rows)
 
     def row(self, name: str) -> CheckRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self._by_name[name]
 
     def render(self) -> str:
         head = "%-22s %8s %8s %8s %12s %10s  %s" % (

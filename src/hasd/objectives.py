@@ -381,6 +381,7 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
     # large.  The gradient of an accepted trial point serves the next step
     g = jac(x)
     gn = start_gn = float(np.linalg.norm(g))
+    seen = {x.tobytes()}  # every point differentiated so far
     for _ in range(max_iter):
         if gn <= grad_tol * 1e-2:
             break
@@ -391,13 +392,19 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
         step, improved, key = 1.0, False, x.tobytes()
         for _ in range(40):
             x_new = x - step * direction
-            if x_new.tobytes() == key:  # every further halving gives x again
+            new_key = x_new.tobytes()
+            if new_key == key:  # every further halving gives x again
                 break
-            g_new = jac(x_new)
-            gn_new = float(np.linalg.norm(g_new))
-            if gn_new < gn:
-                x, g, gn, improved = x_new, g_new, gn_new, True
-                break
+            # a trial can land on a point differentiated earlier in the
+            # solve, whose gradient norm was no smaller than gn (gn only
+            # falls): it is rejected again without a second gradient call
+            if new_key not in seen:
+                seen.add(new_key)
+                g_new = jac(x_new)
+                gn_new = float(np.linalg.norm(g_new))
+                if gn_new < gn:
+                    x, g, gn, improved = x_new, g_new, gn_new, True
+                    break
             step *= 0.5
         if not improved:
             break

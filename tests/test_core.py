@@ -379,9 +379,12 @@ def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
 
 
 def search_every_probe(state, obj, cfg):
-    """The coupling search that evaluates every probe it bisects on."""
+    """The coupling search that evaluates every probe it bisects on; its
+    last entry counts the rejected probes whose c(theta) decides zeta."""
     ref = obj.reference_optimum
-    calls = 0
+    above = 2.0 * (1.0 + _SETTLE_MARGIN) * state.x.size ** (1.0 - 2.0 / cfg.geom.p)
+    below = 0.5 * (1.0 - _SETTLE_MARGIN)
+    calls = decided = 0
     lo, hi = 1e-12, 1.0 - 1e-12
     while calls + 2 <= cfg.max_search_calls and hi - lo > 4e-12:
         th = 0.5 * (lo + hi)
@@ -390,14 +393,16 @@ def search_every_probe(state, obj, cfg):
         if 0.5 <= zeta <= 2.0:
             rho = th / (18.0 * cfg.L * (1.0 - th) ** 2 * state.A)
             a = state.A * (1.0 - th) / th
-            return th, rho, a, zeta, y, x, gx, calls, False
+            return th, rho, a, zeta, y, x, gx, calls, False, decided
         if ref is not None:
             if obj.value(x) - ref[1] <= cfg.eps:
-                return th, None, None, zeta, y, x, gx, calls, True
+                return th, None, None, zeta, y, x, gx, calls, True, decided
         if zeta > 1.25:
             lo = th
         else:
             hi = th
+        c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
+        decided += c > above or c < below
     raise AssertionError("reference search failed")
 
 
@@ -419,7 +424,7 @@ def coupling_states(p):
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, INF])
 def test_find_coupling_matches_a_search_evaluating_every_probe(p):
-    settled = early = 0
+    settled = early = decided = 0
     for obj, state, cfg in coupling_states(p):
         ref = obj.reference_optimum
         # eps = 1 lets the gap check stop some searches early
@@ -435,11 +440,13 @@ def test_find_coupling_matches_a_search_evaluating_every_probe(p):
             assert res.early_converged == want[8]
             early += res.early_converged
             if attach:
-                assert res.oracle_calls == want[7]
+                # a decided rejected probe costs one call, at y_theta
+                assert res.oracle_calls == want[7] - want[9]
+                decided += want[9]
             else:
                 assert res.oracle_calls <= want[7]
                 settled += want[7] - res.oracle_calls
-    assert settled > 0 and early > 0
+    assert settled > 0 and early > 0 and decided > 0
 
 
 def test_find_coupling_settles_every_rejected_probe_at_p2():
@@ -452,6 +459,66 @@ def test_find_coupling_settles_every_rejected_probe_at_p2():
     searches = [tr.search_calls for tr in report.traces[2:]]
     assert len(searches) == 29 and set(searches) == {2}
     assert report.grad_calls == len(obj.grad_points) == 2 + 2 * 29
+
+
+def decided_reference_state():
+    """A p = 2 quadratic with its reference, at t = 12 of a run: c(1/2) is
+    about 23, so the first probe is decided, and its gap is below 1."""
+    obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
+    cfg = HasdConfig(L=4.0, geom=LpGeometry(2), max_iters=12, grad_tol=0.0)
+    state, _ = list(iterate(obj, np.array([2.0, -1.0, 0.5, 1.0, -2.0]), cfg))[-1]
+    assert state.t == 12
+    assert 18.0 * cfg.L * 0.25 * state.A / 0.5 > 2.0 * (1.0 + _SETTLE_MARGIN)
+    obj.grad_points.clear()
+    return obj, state, cfg
+
+
+def test_early_exit_at_a_decided_probe_makes_two_gradient_calls():
+    obj, state, cfg = decided_reference_state()
+    res = find_coupling(state, obj, replace(cfg, eps=1.0))
+    assert res.early_converged and res.theta == 0.5
+    # grad f at y_theta for the step, then at x_theta for the exit's row
+    assert res.oracle_calls == len(obj.grad_points) == 2
+    assert obj.grad_points[0].tobytes() == res.y.tobytes()
+    assert obj.grad_points[1].tobytes() == res.x_next.tobytes()
+    assert res.grad_x_next.tobytes() == obj.gradient(res.x_next).tobytes()
+    assert res.f_x_next == obj.value(res.x_next) <= 1.0
+
+
+def test_a_decided_rejected_probe_makes_one_gradient_call():
+    obj, state, cfg = decided_reference_state()
+    # at eps = 1e-8 the decided probes theta = 1/2 and 3/4 are rejected,
+    # one call each, and c leaves theta = 7/8 open: two calls, accepted
+    res = find_coupling(state, obj, cfg)
+    assert res.theta == pytest.approx(0.875) and not res.early_converged
+    assert res.oracle_calls == len(obj.grad_points) == 4
+
+
+def test_nan_value_at_a_decided_reference_probe_raises(monkeypatch):
+    obj, state, cfg = decided_reference_state()
+    monkeypatch.setattr(obj, "value", lambda x: math.nan)
+    with pytest.raises(NonFiniteProbeError) as exc:
+        find_coupling(state, obj, cfg)
+    # the gap check reads f(x_theta) after the one gradient, at y_theta
+    assert exc.value.calls == len(obj.grad_points) == 1
+    assert exc.value.theta == 0.5 and exc.value.quantity == "f"
+
+
+@pytest.mark.parametrize("p", [2.0, INF])
+def test_run_with_reference_matches_a_run_evaluating_every_probe(p, monkeypatch):
+    # eps = 0.1 ends the run at an early exit within 30 iterations
+    x0 = np.array([2.0, -1.0, 0.5, 1.0, -2.0])
+    cfg = HasdConfig(L=4.0, geom=LpGeometry(p), max_iters=30, eps=0.1)
+    obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
+    report = run(obj, x0, cfg)
+    assert report.grad_calls == len(obj.grad_points)
+    monkeypatch.setattr("hasd.core._SETTLE_MARGIN", math.inf)
+    every = run(CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5]), x0, cfg)
+    assert report.grad_calls < every.grad_calls
+    assert report.traces[-1].converged
+    assert ([replace(tr, search_calls=None) for tr in report.traces]
+            == [replace(tr, search_calls=None) for tr in every.traces])
+    assert report.final_x.tobytes() == every.final_x.tobytes()
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, INF])

@@ -293,6 +293,17 @@ def test_solve_reference_differentiates_no_point_twice(mu):
     assert distinct == calls
 
 
+@pytest.mark.parametrize("mu", [1e-8, 1e-6])
+def test_solve_reference_differentiates_no_point_twice_at_seed_1(mu):
+    # here backtracking trials land on points an earlier Newton step
+    # already tried (1,336 calls at 1,327 points at mu = 1e-8 when such a
+    # trial was differentiated again)
+    obj = make_logsumexp_instance(200, 50, mu, seed=1)
+    points = _count_gradient_points(obj)
+    solve_reference(obj)
+    assert len(set(points)) == len(points)
+
+
 def test_solve_reference_refuses_unbounded_objective_at_once():
     # every gradient call of the Newton loop goes through the certificate,
     # so the first iterate on the ray refuses mu = 0
