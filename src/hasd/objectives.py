@@ -53,6 +53,12 @@ def _softmax(z):
     return e
 
 
+# Bytes of the one buffer LogSumExpAffine.smoothness_upper takes its row
+# norms through (it holds two rows at least): small beside a large A, large
+# enough that the per-block calls cost nothing beside the sums.
+_BOUND_BLOCK_BYTES = 1 << 20
+
+
 class SmoothnessUnavailable(Exception):
     """No analytic or declared smoothness constant applies."""
 
@@ -254,11 +260,31 @@ class LogSumExpAffine(SmoothObjective):
         Two valid routes, take the smaller: the sup-norm bound
         max_k ||a_k||_1^2 + mu*d (inherited downward to any p), and the
         l2 bound max_k ||a_k||_2^2 + mu scaled up by d^{1 - 2/p}.
+
+        The row norms are taken over blocks of rows of about
+        _BOUND_BLOCK_BYTES, through one buffer laid out as A is, so the
+        bound needs no temporary of A's size.  A block holds at least two
+        rows (numpy sums a lone row of a Fortran-ordered array in another
+        order than it sums that row within the array), and the last block
+        ends at row n, overlapping the one before it.  So each row is summed
+        as the one-shot formula sums it, and combining the block maxima by
+        np.maximum gives its bits: a NaN entry gives NaN, an inf entry inf.
         """
-        d = self.dim
+        A = self.A
+        n, d = A.shape
+        rows = min(n, max(2, _BOUND_BLOCK_BYTES // (A.itemsize * d)))
+        buf = np.empty_like(A[:rows])
+        l1_max, l2_max = [], []
+        for lo in range(0, n, rows):
+            lo = min(lo, n - rows)
+            block = A[lo:lo + rows]
+            np.abs(block, out=buf)
+            l1_max.append(np.maximum.reduce(np.add.reduce(buf, axis=1)))
+            np.multiply(block, block, out=buf)
+            l2_max.append(np.maximum.reduce(np.add.reduce(buf, axis=1)))
         p = geom.p
-        via_inf = float(np.abs(self.A).sum(axis=1).max() ** 2) + self.mu * d
-        l2 = float((self.A * self.A).sum(axis=1).max()) + self.mu
+        via_inf = float(np.maximum.reduce(l1_max) ** 2) + self.mu * d
+        l2 = float(np.maximum.reduce(l2_max)) + self.mu
         scale = d if math.isinf(p) else d ** (1.0 - 2.0 / p)
         return min(via_inf, l2 * scale)
 
@@ -271,10 +297,22 @@ def make_logsumexp_instance(n: int, d: int, mu: float, seed: int,
     """Random instance: A_ij ~ Bernoulli(0.8) in {0,1}, b_k ~ N(0,1).
 
     Draws A first, then b, from numpy's default PCG64 stream so the
-    instance is reproducible from (n, d, mu, seed) alone.
+    instance is reproducible from (n, d, mu, seed) alone.  A is drawn
+    into its own buffer and thresholded there, the same doubles in the
+    same order as (rng.random((n, d)) < 0.8).astype(float), so building
+    the instance holds A and, with declare_smoothness, one block of
+    smoothness_upper's rows, and nothing else of A's size.  An A too
+    large to allocate is a ValueError naming n, d and the bytes asked for.
     """
     rng = np.random.default_rng(seed)
-    A = (rng.random((n, d)) < 0.8).astype(float)
+    try:
+        A = np.empty((n, d))
+    except MemoryError as exc:
+        raise ValueError("a %d x %d LogSumExp instance needs %d bytes for A, "
+                         "more than can be allocated"
+                         % (n, d, 8 * n * d)) from exc
+    rng.random(out=A)
+    np.less(A, 0.8, out=A)
     b = rng.standard_normal(n)
     obj = LogSumExpAffine(A, b, mu=mu, seed=seed)
     if declare_smoothness:

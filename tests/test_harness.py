@@ -495,6 +495,21 @@ def test_cli_gen_instance_without_reference_optimum_is_exit_2(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("verb", ["gen-instance", "run"])
+def test_cli_instance_too_large_to_allocate_is_exit_2(verb, tmp_path, capsys):
+    # 10^9 x 10^9 doubles lie beyond any address space, so the request fails
+    # before a page is touched
+    out = tmp_path / "out"
+    rc = main([verb, "--objective", "logsumexp", "--n", "1000000000",
+               "--d", "1000000000", "--mu", "0.01", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "1000000000 x 1000000000" in err
+    assert not out.exists()
+
+
 def test_cli_rejects_instance_with_misshapen_reference(tmp_path, capsys):
     doc = save_instance(Quadratic(np.ones(4)))
     doc["ref_optimum"] = {"x": [0.5], "f": 0.0}

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from scipy.special import softmax as scipy_softmax
 from hasd.geometry import LpGeometry, lp_norm
 from hasd.objectives import (LogSumExpAffine, Quadratic, SmoothObjective,
                              SmoothnessUnavailable, SymmetricSoftmax,
-                             _logsumexp, _softmax,
+                             _BOUND_BLOCK_BYTES, _logsumexp, _softmax,
                              convert_smoothness,
                              empirical_smoothness, load_instance,
                              make_logsumexp_instance, save_instance,
@@ -210,6 +211,112 @@ def test_logsumexp_convexity_probe():
         lam = rng.uniform()
         mid = obj.value(lam * u + (1 - lam) * v)
         assert mid <= lam * obj.value(u) + (1 - lam) * obj.value(v) + 1e-10
+
+
+# The one-shot formulas that built an instance and its analytic bound before
+# both were made to hold nothing of A's size but A.  The in-place draw and
+# the blocked bound must give their bytes.
+
+def _one_shot_instance(n, d, seed):
+    rng = np.random.default_rng(seed)
+    A = (rng.random((n, d)) < 0.8).astype(float)
+    return A, rng.standard_normal(n)
+
+
+def _one_shot_bound(obj, geom):
+    d, p = obj.dim, geom.p
+    via_inf = float(np.abs(obj.A).sum(axis=1).max() ** 2) + obj.mu * d
+    l2 = float((obj.A * obj.A).sum(axis=1).max()) + obj.mu
+    scale = d if math.isinf(p) else d ** (1.0 - 2.0 / p)
+    return min(via_inf, l2 * scale)
+
+
+def _block_rows(d):
+    # rows of d doubles in a 1 MiB block; the shapes below are fixed by it,
+    # so another block size fails test_bound_block_is_one_mib instead of
+    # growing them (or leaving them within one block)
+    return (1 << 20) // (8 * d)
+
+
+def test_bound_block_is_one_mib():
+    assert _BOUND_BLOCK_BYTES == 1 << 20
+
+
+def _assert_bound_bits(obj):
+    for p in [2.0, 3.0, 4.0, math.inf]:
+        geom = LpGeometry(p)
+        got, want = obj.smoothness_upper(geom), _one_shot_bound(obj, geom)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, got, want)
+
+
+@pytest.mark.parametrize("n,d", [
+    (1, 1), (24, 8), (200, 50), (257, 3),
+    (2 * _block_rows(50) + 7, 50),    # three blocks, the last one short
+    (3 * _block_rows(1000), 1000),    # exactly three blocks
+    (_block_rows(1000) + 1, 1000),    # one row past a block
+])
+@pytest.mark.parametrize("seed", [0, 1, 9])
+def test_logsumexp_instance_and_bound_match_one_shot_formulas(n, d, seed):
+    A, b = _one_shot_instance(n, d, seed)
+    obj = make_logsumexp_instance(n, d, 1e-2, seed, declare_smoothness=True)
+    assert obj.A.tobytes() == A.tobytes()
+    assert obj.b.tobytes() == b.tobytes()
+    _assert_bound_bits(obj)
+    L, geom = obj.smoothness
+    assert math.isinf(geom.p)
+    assert np.float64(L).tobytes() == np.float64(
+        _one_shot_bound(obj, geom)).tobytes()
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 300), (40, 9),
+                                 (2 * _block_rows(200) + 1, 200),
+                                 (3, 200_000)])  # a row wider than a block
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_logsumexp_bound_matches_one_shot_formula_on_signed_entries(n, d, order):
+    # negative entries, a wide spread of magnitudes, and both layouts the
+    # constructor keeps without a copy (numpy sums a row of a Fortran-ordered
+    # array in another order than a row of a C-ordered one)
+    rng = np.random.default_rng(n + d)
+    A = rng.standard_normal((n, d)) * np.exp(rng.uniform(-5, 5, (n, d)))
+    obj = LogSumExpAffine(np.asarray(A, order=order), rng.standard_normal(n),
+                          mu=0.3)
+    assert obj.A.flags[order + "_CONTIGUOUS"]
+    _assert_bound_bits(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, _block_rows(7) + 3, 2 * _block_rows(7) + 4])
+def test_logsumexp_bound_of_non_finite_entry_is_one_shot_value(bad, row):
+    A = np.random.default_rng(2).standard_normal((2 * _block_rows(7) + 5, 7))
+    A[row, 3] = bad
+    obj = LogSumExpAffine(A, np.zeros(A.shape[0]), mu=1e-2)
+    for p in [2.0, 4.0, math.inf]:
+        got = obj.smoothness_upper(LpGeometry(p))
+        if math.isnan(bad):
+            assert math.isnan(got)
+        else:
+            assert got == math.inf
+    _assert_bound_bits(obj)
+
+
+def test_logsumexp_instance_holds_nothing_else_of_the_size_of_A():
+    # tracemalloc sees numpy's data buffers: the one-shot formulas peaked
+    # at 2.1 A.nbytes (the draw, its mask and the cast, then |A| and A*A)
+    tracemalloc.start()
+    try:
+        obj = make_logsumexp_instance(2000, 500, 1e-2, 3,
+                                      declare_smoothness=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * obj.A.nbytes
+
+
+def test_logsumexp_instance_too_large_to_allocate_is_a_value_error():
+    # 8e18 bytes lie beyond any address space: refused before a page is touched
+    with pytest.raises(ValueError, match=r"1000000000 x 1000000000 .*"
+                       r"8000000000000000000 bytes"):
+        make_logsumexp_instance(10**9, 10**9, 1e-2, 0)
 
 
 # --------------------------------------------------- smoothness utilities
