@@ -6,23 +6,17 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration error.
 import argparse
 import json
 import math
-import operator
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .geometry import LpGeometry
-from .harness import (BENCH_METHODS, BENCH_MU_VALUES, STEPSIZE_GRID,
-                      ExperimentConfig, check_invariants, default_x0,
-                      make_objective, run_bench, run_experiment, tune_method)
-from .objectives import (_field, _finite, save_instance, smoothness_bound,
+from .harness import (_OBJECTIVES, BENCH_METHODS, BENCH_MU_VALUES,
+                      STEPSIZE_GRID, ExperimentConfig, check_invariants,
+                      default_x0, make_objective, run_bench, run_experiment,
+                      tune_method)
+from .objectives import (_object, save_instance, smoothness_bound,
                          solve_reference)
-
-
-def _parse_p(text: str) -> float:
-    return math.inf if str(text).strip().lower() == "inf" else float(text)
 
 
 def _parse_float_list(text: str):
@@ -37,36 +31,12 @@ def _parse_name_list(text: str):
 _CFG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
-def _typed(kind, optional=False):
-    """Converter passing a value of the given type (or None, if optional)."""
-    def convert(value):
-        if not (isinstance(value, kind) or (optional and value is None)):
-            raise TypeError("expected %s, got %r" % (kind.__name__, value))
-        return value
-    return convert
-
-
-# converters for --config file values, the instance loader's where it has
-# one: a value that does not convert is a ValueError naming its key (an
-# integer path would otherwise be opened as a file descriptor)
-_CFG_CONVERTERS = {
-    "n": operator.index, "d": operator.index, "iters": operator.index,
-    "seed": operator.index, "mu": _finite, "alpha": _finite,
-    "stepsize": lambda v: None if v is None else _finite(v),
-    "p": lambda v: LpGeometry(v).p,  # reads "inf", refuses NaN
-    "methods": tuple, "grid": lambda v: tuple(map(_finite, v)),
-    "objective": _typed(str), "out_dir": _typed(str),
-    "ref_path": _typed(str, True), "instance_path": _typed(str, True),
-    "check_invariants": _typed(bool),
-}
-
-
 def _instance_flags(sp, with_config=True):
     if with_config:
         sp.add_argument("--config", metavar="FILE",
                         help="JSON file mirroring ExperimentConfig; "
                              "explicit flags override its entries")
-    sp.add_argument("--objective", choices=["logsumexp", "softmax", "quadratic"])
+    sp.add_argument("--objective", help=", ".join(_OBJECTIVES))
     sp.add_argument("--n", type=int, help="number of affine pieces (logsumexp)")
     sp.add_argument("--d", type=int, help="dimension")
     sp.add_argument("--mu", type=float, help="l2 regularization weight")
@@ -88,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run the configured methods once each")
     _instance_flags(run_p)
-    run_p.add_argument("--p", type=_parse_p, help='geometry exponent ("inf" ok)')
+    run_p.add_argument("--p", type=float, help='geometry exponent ("inf" ok)')
     run_p.add_argument("--iters", type=int)
     run_p.add_argument("--methods", type=_parse_name_list,
                        help="comma separated: hasd,gd,agd,lc,sd_p")
@@ -104,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune_p = sub.add_parser("tune", help="report the best grid stepsize per method")
     _instance_flags(tune_p)
-    tune_p.add_argument("--p", type=_parse_p)
+    tune_p.add_argument("--p", type=float)
     tune_p.add_argument("--iters", type=int)
     tune_p.add_argument("--methods", type=_parse_name_list)
     tune_p.add_argument("--grid", type=_parse_float_list)
@@ -117,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--d", type=int, default=50)
     bench_p.add_argument("--iters", type=int, default=130)
     bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--p", type=_parse_p, default=math.inf)
+    bench_p.add_argument("--p", type=float, default=math.inf)
     bench_p.add_argument("--mus", type=_parse_float_list,
                          default=BENCH_MU_VALUES)
     bench_p.add_argument("--methods", type=_parse_name_list,
@@ -128,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-invariants",
                          help="run every invariant over the default matrix")
-    chk.add_argument("--p", type=lambda s: tuple(_parse_p(t) for t in s.split(",")),
+    chk.add_argument("--p", type=lambda s: tuple(float(t) for t in s.split(",")),
                      default=(2.0, 3.0, 4.0, math.inf), dest="p_values",
                      help='comma separated exponents, e.g. "2,4,inf"')
     chk.add_argument("--seeds", type=lambda s: tuple(int(t) for t in s.split(",")),
@@ -150,19 +120,14 @@ def _config_from_args(args) -> ExperimentConfig:
     doc = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(_CFG_FIELDS)
+            doc = _object(json.load(fh), "config file")
+        unknown = set(doc) - set(_CFG_FIELDS)
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-        for key in loaded:
-            doc[key] = _field(loaded, key, "config file", _CFG_CONVERTERS[key])
-    for name in _CFG_FIELDS:
-        val = getattr(args, name, None)
-        if val is not None and val is not False:
-            doc[name] = val
-    return ExperimentConfig(**doc)
+    flags = {name: val for name, val in vars(args).items()
+             if name in _CFG_FIELDS and val is not None and val is not False}
+    # the file's values convert on their own first, those a flag overrides too
+    return replace(ExperimentConfig(**doc), **flags)
 
 
 def cmd_run(args) -> int:
@@ -205,8 +170,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    summary = run_bench(n=args.n, d=args.d, iters=args.iters, seed=args.seed,
-                        out_dir=args.out_dir, p=args.p, mu_values=args.mus,
+    summary = run_bench(out_dir=args.out_dir, mu_values=args.mus, n=args.n,
+                        d=args.d, iters=args.iters, seed=args.seed, p=args.p,
                         methods=args.methods, grid=args.grid)
     for mu, block in sorted(summary["mus"].items(), key=lambda kv: float(kv[0])):
         parts = ["mu=%-8s" % mu]

@@ -9,6 +9,7 @@ sha256 hash of the canonical config JSON for provenance.
 import hashlib
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -20,10 +21,10 @@ from .core import (INVARIANT_TOL, CouplingSearchError, HasdConfig, _run,
                    iterate, rate_bounds, run, search_call_bound)
 from .geometry import (LpGeometry, lp_norm, lp_sq_hessian, lp_sq_hessian_split,
                        steepest_step, subproblem_value)
-from .objectives import (LogSumExpAffine, Quadratic, SmoothnessUnavailable,
-                         SymmetricSoftmax, attach_reference, load_instance,
-                         make_logsumexp_instance, smoothness_bound,
-                         solve_reference)
+from .objectives import (Quadratic, SmoothnessUnavailable, SymmetricSoftmax,
+                         _field, _finite, _seed, attach_reference,
+                         load_instance, make_logsumexp_instance,
+                         smoothness_bound, solve_reference)
 
 # the 31-point tuning ladder {1, 2, 5} x 10^{-10..-1} plus 1.0
 STEPSIZE_GRID = tuple(c * 10.0 ** e for e in range(-10, 0)
@@ -38,9 +39,39 @@ TRACE_COLUMNS = ("iter", "f", "gap", "grad_l2", "grad_dual", "rho", "theta",
                  "zeta", "search_calls", "A", "B", "G_running")
 
 
+def _typed(kind, optional=False):
+    """Converter passing a value of the given type (or None, if optional)."""
+    def convert(value):
+        if not (isinstance(value, kind) or (optional and value is None)):
+            raise TypeError("expected %s, got %r" % (kind.__name__, value))
+        return value
+    return convert
+
+
+# the one converter of each ExperimentConfig field, the instance loader's
+# where it has one: a value that does not convert is a ValueError naming
+# its key (an integer path would otherwise be opened as a file descriptor)
+_CONVERTERS = {
+    "objective": _typed(str), "n": operator.index, "d": operator.index,
+    "mu": _finite, "alpha": _finite,
+    "seed": lambda v: _seed(operator.index(v)), "methods": tuple,
+    "p": lambda v: LpGeometry(v).p,  # reads "inf", refuses NaN and p < 2
+    "iters": operator.index, "grid": lambda v: tuple(map(_finite, v)),
+    "stepsize": lambda v: None if v is None else _finite(v),
+    "out_dir": _typed(str), "check_invariants": _typed(bool),
+    "ref_path": _typed(str, True), "instance_path": _typed(str, True),
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment needs; hashable to a provenance id."""
+    """Everything one experiment needs; hashable to a provenance id.
+
+    Every setting, whether it comes from a flag, a --config file or a
+    library call, is converted here and only here, by its entry in
+    _CONVERTERS, then range-checked; a value that does not convert is a
+    ValueError beginning "config key <name>:".
+    """
 
     objective: str = "logsumexp"
     n: int = 200
@@ -59,20 +90,17 @@ class ExperimentConfig:
     instance_path: str | None = None
 
     def __post_init__(self):
-        self.methods = tuple(self.methods)
-        self.grid = tuple(float(g) for g in self.grid)
+        for key, convert in _CONVERTERS.items():
+            setattr(self, key, _field(vars(self), key, "config", convert))
         if self.objective not in _OBJECTIVES:
             raise ValueError("objective must be one of %r" % (_OBJECTIVES,))
         bad = [m for m in self.methods if m not in _ALL_METHODS]
         if bad or not self.methods:
             raise ValueError("unknown methods %r (choose from %r)" % (bad, _ALL_METHODS))
-        # NaN fails the range test too
-        if not self.grid or not all(0 < g < math.inf for g in self.grid):
-            raise ValueError("stepsize grid must be nonempty, positive and finite")
+        if not self.grid or min(self.grid) <= 0:
+            raise ValueError("stepsize grid must be nonempty and positive")
         if self.iters < 1:
             raise ValueError("iteration budget must be at least 1")
-        if not (self.p >= 2.0):
-            raise ValueError("p must be at least 2")
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
 
@@ -226,11 +254,14 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
 
     Without tuning, hasd runs at scale 1 and baselines at 1/L.  Nothing is
     written, and no directory made, until every objective, method config and
-    run has been built, so a configuration error leaves no output behind.
-    Returns the summary dict (also written to disk).
+    run has been built, so a configuration error, an empty mu_values among
+    them, leaves no output behind.  Returns the summary dict (also written
+    to disk).
     """
     if mu_values is None:
         mu_values = [cfg.mu]
+    if len(mu_values) == 0:
+        raise ValueError("mu_values is empty: there is no mu to run")
     if len(mu_values) > 1 and cfg.objective != "logsumexp":
         raise ValueError("a mu sweep needs the logsumexp objective")
     doc = cfg.to_dict()
@@ -302,21 +333,18 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     return summary
 
 
-def run_bench(n: int = 200, d: int = 50, iters: int = 130, seed: int = 0,
-              out_dir: str = "bench", p: float = math.inf,
-              mu_values=BENCH_MU_VALUES, methods=BENCH_METHODS,
-              grid=STEPSIZE_GRID) -> dict:
+def run_bench(out_dir: str = "bench", mu_values=BENCH_MU_VALUES,
+              **settings) -> dict:
     """The full comparison matrix: tuned stepsizes, all mu values.
 
+    settings are ExperimentConfig fields, whose defaults are the bench's.
     The default budget of 130 iterations keeps every method in the regime
     the comparison is about (all four marching toward a distant or
-    unbounded optimum on an equal footing); far larger budgets let
-    momentum methods enter a local fast phase on the strongly regularized
+    unbounded optimum on an equal footing); far larger budgets let momentum
+    methods enter a local fast phase on the strongly regularized
     instances, which measures something else.
     """
-    cfg = ExperimentConfig(objective="logsumexp", n=n, d=d, seed=seed,
-                           methods=tuple(methods), p=p, iters=iters,
-                           grid=tuple(grid), out_dir=out_dir)
+    cfg = ExperimentConfig(out_dir=out_dir, **settings)
     return run_experiment(cfg, mu_values=list(mu_values), tune_first=True)
 
 

@@ -302,12 +302,16 @@ def make_logsumexp_instance(n: int, d: int, mu: float, seed: int,
     same order as (rng.random((n, d)) < 0.8).astype(float), so building
     the instance holds A and, with declare_smoothness, one block of
     smoothness_upper's rows, and nothing else of A's size.  An A too
-    large to allocate is a ValueError naming n, d and the bytes asked for.
+    large to allocate is a ValueError naming n, d and the bytes asked for,
+    and an n or d below 1 is one naming it.
     """
+    for name, size in (("n", n), ("d", d)):
+        if size < 1:
+            raise ValueError("%s must be at least 1, got %r" % (name, size))
     rng = np.random.default_rng(seed)
     try:
         A = np.empty((n, d))
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
         raise ValueError("a %d x %d LogSumExp instance needs %d bytes for A, "
                          "more than can be allocated"
                          % (n, d, 8 * n * d)) from exc

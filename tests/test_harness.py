@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import warnings
 from dataclasses import asdict
 
@@ -421,15 +422,15 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     ("instance_path", [1]), ("check_invariants", "no")])
 def test_cli_config_value_of_the_wrong_type_is_exit_2(tmp_path, capsys, key,
                                                       value):
-    # config file values go through the instance loader's converters: one
-    # line naming the key, not a TypeError traceback, and no output
+    # config file values go through ExperimentConfig's converters: one line
+    # naming the key, not a TypeError traceback, and no output
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"objective": "quadratic", "d": 3, "iters": 3,
                                "methods": ["gd"], key: value}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config file key %r" % key)
+    assert err.startswith("error: config key %r" % key)
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -498,15 +499,26 @@ def test_cli_gen_instance_without_reference_optimum_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["gen-instance", "run"])
 def test_cli_instance_too_large_to_allocate_is_exit_2(verb, tmp_path, capsys):
     # 10^9 x 10^9 doubles lie beyond any address space, so the request fails
-    # before a page is touched
+    # before a page is touched; numpy refuses 10^10 x 10^10 before asking
+    for size in ("1000000000", "10000000000"):
+        out = tmp_path / "out"
+        rc = main([verb, "--objective", "logsumexp", "--n", size, "--d", size,
+                   "--mu", "0.01", "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "%s x %s" % (size, size) in err
+        assert not out.exists()
+
+
+def test_cli_rejects_instance_with_negative_n(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "logsumexp", "n": -1, "d": 3,
+                                "seed": 0}))
     out = tmp_path / "out"
-    rc = main([verb, "--objective", "logsumexp", "--n", "1000000000",
-               "--d", "1000000000", "--mu", "0.01", "--seed", "0",
-               "--out", str(out)])
+    rc = main(["run", "--instance", str(inst), "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert "1000000000 x 1000000000" in err
+    assert capsys.readouterr().err == "error: n must be at least 1, got -1\n"
     assert not out.exists()
 
 
@@ -652,3 +664,138 @@ def test_cli_tune_writes_json(tmp_path, capsys):
     doc = json.loads((tmp_path / "tuned" / "tune.json").read_text())
     assert doc["gd"]["stepsize"] in (0.1, 0.5)
     capsys.readouterr()
+
+
+def test_cli_bench_with_no_mu_values_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "nomu"
+    assert main(["bench", "--mus", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+    with pytest.raises(ValueError, match="mu_values is empty"):
+        run_experiment(ExperimentConfig(out_dir=str(out)), mu_values=[])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,settings,key", [
+    ("run", {"objective": "quadratic", "mu": math.nan}, "mu"),
+    ("run", {"objective": "logsumexp", "n": 6, "alpha": math.inf}, "alpha"),
+    ("run", {"objective": "quadratic", "seed": -1}, "seed"),
+    ("run", {"objective": "bogus"}, "objective"),
+    ("run", {"objective": "quadratic", "p": 1}, "p"),
+    ("tune", {"objective": "quadratic", "mu": math.nan}, "mu"),
+    ("tune", {"objective": "softmax", "seed": -1}, "seed"),
+    ("gen-instance", {"objective": "quadratic", "alpha": math.inf}, "alpha"),
+    ("gen-instance", {"objective": "softmax", "seed": -1}, "seed"),
+], ids=["run_mu_nan", "run_alpha_inf", "run_seed", "run_objective", "run_p",
+        "tune_mu_nan", "tune_seed", "gen_alpha_inf", "gen_seed"])
+def test_cli_flag_and_config_file_refuse_a_bad_setting_alike(
+        tmp_path, capsys, verb, settings, key):
+    # a setting converts in one place whatever its source: the same value as
+    # a flag or in a --config file (gen-instance takes no file) is exit 2,
+    # one line naming the key, and no output
+    out = tmp_path / "out"
+    base = [verb, "--d", "3", "--out", str(out)]
+    if verb != "gen-instance":
+        base += ["--iters", "3", "--methods", "gd"]
+    flags = [tok for k, v in settings.items() for tok in ("--" + k, str(v))]
+    errs = []
+    argvs = [base + flags]
+    if verb != "gen-instance":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        argvs.append(base + ["--config", str(cfg)])
+    for argv in argvs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert not out.exists()
+        errs.append(err)
+    assert len(set(errs)) == 1
+
+
+# every JSON value a malformed document may hold in place of a valid one
+_MUTANTS = ("null", '"x"', '"nan"', "[]", "{}", "1.5", "-1", "1e400", "true")
+_FUZZ_DOCS = {
+    "lse_seeded": {"kind": "logsumexp", "n": 6, "d": 3, "seed": 1,
+                   "mu": 0.01},
+    "lse_affine": {"kind": "logsumexp", "A": [[1.0, 0.0], [0.0, 1.0],
+                                              [1.0, 1.0]],
+                   "b": [0.0, 1.0, 0.5], "mu": 0.01},
+    "softmax": {"kind": "softmax", "d": 3, "alpha": 0.5},
+    "quadratic": {"kind": "quadratic", "h": [1.0, 2.0, 3.0],
+                  "center": [0.0, 1.0, 0.0], "offset": 0.5,
+                  "smoothness": {"L": 3.0, "p": 2.0},
+                  "ref_optimum": {"x": [0.0, 1.0, 0.0], "f": 0.5}},
+    "reference": {"x": [0.0, 1.0, 0.0], "f": 0.5},
+    "config": {"objective": "logsumexp", "n": 6, "d": 3, "mu": 0.01,
+               "alpha": 1.0, "seed": 1, "methods": ["hasd", "gd"],
+               "p": "inf", "iters": 3, "grid": [0.1, 0.5],
+               "stepsize": None, "check_invariants": False,
+               "ref_path": None, "instance_path": None},
+}
+
+
+def _refuse_constant(token):
+    raise AssertionError("summary.json holds %s" % token)
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every value in doc, nested objects' values included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _fuzz_cases():
+    """(document name, JSON text) for every single-value mutation of every
+    document, and every single-key deletion."""
+    marker = "\x00mutant"
+    for name, doc in _FUZZ_DOCS.items():
+        for path in _key_paths(doc):
+            mutated = json.loads(json.dumps(doc))
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = marker
+            text = json.dumps(mutated)
+            for mutant in _MUTANTS:
+                yield name, text.replace(json.dumps(marker), mutant)
+            del parent[path[-1]]
+            yield name, json.dumps(mutated)
+
+
+def test_cli_survives_every_single_value_mutation(tmp_path, monkeypatch,
+                                                  capsys):
+    # each malformed document is a clean exit 2 that writes nothing, or a
+    # run that exits 0 (1 only when it counts invariant failures), never a
+    # traceback; paths such as "x" resolve inside tmp_path
+    monkeypatch.chdir(tmp_path)
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps({k: v for k, v in _FUZZ_DOCS["quadratic"].items()
+                                if k != "ref_optimum"}))
+    cases = list(_fuzz_cases())
+    assert len(cases) > 300
+    doc_file, out = tmp_path / "doc.json", tmp_path / "out"
+    for k, (name, text) in enumerate(cases):
+        doc_file.write_text(text)
+        if name == "config":
+            argv = ["run", "--config", str(doc_file)]
+        elif name == "reference":
+            argv = ["run", "--instance", str(quad), "--ref-optimum",
+                    str(doc_file), "--p", "2"]
+        else:
+            argv = ["run", "--instance", str(doc_file), "--p", "2"]
+        if name != "config":
+            argv += ["--iters", "3", "--methods", "hasd,gd"]
+        rc = main(argv + ["--out", str(out)])
+        capsys.readouterr()
+        counts = name == "config" and '"check_invariants": true' in text
+        assert rc in ((0, 1, 2) if counts else (0, 2)), (name, text)
+        if rc == 2:
+            assert not out.exists(), (name, text)
+        else:  # strict JSON: no NaN or Infinity token
+            json.loads((out / "summary.json").read_text(),
+                       parse_constant=_refuse_constant)
+            shutil.rmtree(out)

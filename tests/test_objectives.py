@@ -317,6 +317,18 @@ def test_logsumexp_instance_too_large_to_allocate_is_a_value_error():
     with pytest.raises(ValueError, match=r"1000000000 x 1000000000 .*"
                        r"8000000000000000000 bytes"):
         make_logsumexp_instance(10**9, 10**9, 1e-2, 0)
+    # 8e20 bytes overflow numpy's index type: numpy refuses them with its
+    # own ValueError, which names neither n nor d
+    with pytest.raises(ValueError, match=r"10000000000 x 10000000000 .*"
+                       r"800000000000000000000 bytes"):
+        make_logsumexp_instance(10**10, 10**10, 1e-2, 0)
+
+
+@pytest.mark.parametrize("n,d,name", [(0, 3, "n"), (-1, 3, "n"), (4, 0, "d"),
+                                      (4, -2, "d")])
+def test_logsumexp_instance_needs_n_and_d_of_at_least_one(n, d, name):
+    with pytest.raises(ValueError, match="^%s must be at least 1" % name):
+        make_logsumexp_instance(n, d, 1e-2, 0)
 
 
 # --------------------------------------------------- smoothness utilities
