@@ -8,9 +8,8 @@ a binary search over the interpolation parameter theta = A_t / A_{t+1}.
 Only part of zeta needs the oracle: the factor 18 L (1-theta)^2 A_t /
 theta is known up front and the norm ratio lies in [d^-(1-2/p), 1], so
 the search settles the probes those bounds already decide without
-measuring their zeta.  Such a probe costs no oracle call, or with a
-reference optimum attached one, for the gap check at its point; every
-other probe costs two.
+measuring their zeta.  Such a probe costs no oracle call; every other
+probe costs two.
 
 Per accepted iteration the following hold (up to floating point):
 
@@ -25,9 +24,12 @@ which combine into the rate  f(x_T) - f* <= 324 L ||x_0 - x*||_2^2 / (G^2 T^2).
 
 iterate yields a run's rows, x_0 first; a row that folds a step into the
 state carries these five as violation magnitudes in its `violations`.
-The iterates depend only on the coupling search and the steepest step, so
-with rows off (the tuning sweep's grid runs) the loop takes no f value, no
-violation and no row until the final one.
+With a reference optimum attached, the run stops at the first iterate
+within eps of the reference value (or at a rejected coupling probe
+that is).  The iterates depend only on the coupling search, the steepest
+step and that stop, so with rows off (the tuning sweep's grid runs) the
+loop takes no violation and no row until the final one, and an f value
+only where the stop needs it.
 """
 
 import math
@@ -56,31 +58,25 @@ class CouplingSearchError(RuntimeError):
 
 
 class NonFiniteProbeError(CouplingSearchError):
-    """A coupling probe measured a NaN zeta, or a NaN f at a probe whose
-    zeta its norm bounds decide.
+    """A coupling probe measured a NaN zeta.
 
     A non-finite entry in the probe's gradient makes both norms in zeta
     infinite or NaN, so this covers every non-finite gradient (and a finite
     one whose squared norms overflow).  The search stops at that probe
     instead of bisecting on a NaN comparison until its budget is spent.
-    Only a probe that takes grad f(x_theta) measures zeta: one that
-    find_coupling settles from its norm bounds computes no such gradient,
-    and with a reference attached it raises on a NaN f(x_theta) instead,
-    the one value whose comparison it still makes (quantity is "f").
+    Only a measured probe can raise it: one that find_coupling settles
+    from its norm bounds makes no oracle call.
     """
 
-    def __init__(self, theta, bracket, calls, quantity="zeta"):
+    def __init__(self, theta, bracket, calls):
         self.theta = theta
         self.bracket = bracket
         self.calls = calls
-        self.quantity = quantity
         self.last_zeta = math.nan
         RuntimeError.__init__(
-            self, "%s is NaN at theta=%.6e after %d oracle calls "
-            "(non-finite %s), bracket=(%.6e, %.6e)"
-            % (quantity, theta, calls,
-               "gradient" if quantity == "zeta" else "value",
-               bracket[0], bracket[1]))
+            self, "zeta is NaN at theta=%.6e after %d oracle calls "
+            "(non-finite gradient), bracket=(%.6e, %.6e)"
+            % (theta, calls, bracket[0], bracket[1]))
 
 
 class ExactOptimum(Exception):
@@ -97,8 +93,9 @@ class HasdConfig:
     """Run parameters.
 
     L is the smoothness constant for the chosen geometry; eps is the
-    search accuracy (early-exit gap threshold when a reference optimum is
-    attached to the objective); max_search_calls caps gradient evaluations
+    target accuracy: with a reference optimum attached to the objective, a
+    run stops at the first iterate, or rejected measured coupling probe,
+    whose gap is at most eps; max_search_calls caps gradient evaluations
     per coupling search; grad_tol declares convergence when the dual
     gradient norm falls below it; step_scale multiplies 1/L inside the
     steepest step only (a tuning knob; values other than 1 void the
@@ -277,8 +274,7 @@ def search_call_bound(p: float, d: int, L: float, eps: float, R: float) -> float
     9 + (5(p-2)/2p) log2(d) + log2(L D_R / eps),  D_R = (R + 1458 R^2)
     (20 R + 4374 R^2).  find_coupling makes at most these probes, each
     costing at most two gradient evaluations: a probe its norm bounds
-    decide costs none, or one with a reference optimum attached.  Valid
-    for eps <= L D_R / 6.
+    decide costs none.  Valid for eps <= L D_R / 6.
     """
     if d <= 0 or L <= 0 or eps <= 0 or R <= 0:
         raise ValueError("need positive d, L, eps, R")
@@ -311,24 +307,12 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
 def _probe(theta: float, state: HasdState, obj, cfg: HasdConfig):
     """zeta_eval's probe, also returning the two gradient norms in zeta:
     (zeta, y, x, grad f(x), ||grad f(x)||_{p*}, ||grad f(x)||_2)."""
-    y, x = _step_to(theta, state, obj, cfg)
-    return _measure(theta, state, obj, cfg, y, x)
-
-
-def _step_to(theta: float, state: HasdState, obj, cfg: HasdConfig):
-    """The first half of a probe, one gradient evaluation: (y_theta,
-    x_theta), x_theta being the steepest step from y_theta."""
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
     if state.A <= 0.0:
         raise ValueError("coupling search requires A_t > 0 (after the first step)")
     y = theta * state.x + (1.0 - theta) * state.v
-    return y, steepest_step(y, obj.gradient(y), cfg.step_L, cfg.geom)
-
-
-def _measure(theta: float, state: HasdState, obj, cfg: HasdConfig, y, x):
-    """The second half of a probe, one gradient evaluation: _probe's tuple
-    from grad f(x_theta)."""
+    x = steepest_step(y, obj.gradient(y), cfg.step_L, cfg.geom)
     gx = obj.gradient(x)
     dual = lp_norm(gx, cfg.geom.p_dual)
     if dual == 0.0:
@@ -368,27 +352,23 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     4e-12; zeta need not be globally monotone) or the next probe could
     exceed cfg.max_search_calls gradient evaluations, and
     NonFiniteProbeError at the probe that measured a NaN zeta (a
-    non-finite gradient) or a NaN gap.
+    non-finite gradient).
 
-    When the objective carries a reference optimum and a probed point
-    already has gap <= cfg.eps, or a probe hits a zero gradient, returns
-    early_converged=True with that point.
+    When the objective carries a reference optimum and a rejected probe's
+    point already has gap <= cfg.eps, or a probe hits a zero gradient,
+    returns early_converged=True with that point.
 
     zeta(theta) = c(theta) r, where c(theta) = 18 L (1-theta)^2 A_t / theta
     needs no oracle call and r lies in [d^-(1-2/p), 1].  A probe whose c
     alone puts zeta above 2 or below 1/2 (beyond _SETTLE_MARGIN) is
-    decided: it moves the bracket as its measured zeta would have, so every
-    probe, and the accepted one, is the probe a search evaluating every
-    theta makes.  Without a reference optimum a decided probe costs no
-    oracle call.  With one it costs one, at y_theta: the steepest step to
-    x_theta, then f(x_theta) for the gap check; only a decided probe with
-    gap <= cfg.eps also takes grad f(x_theta), which its early-exit result
-    carries.  Every other probe costs two.  Only gradient evaluations
-    count against cfg.max_search_calls; a probe that takes grad f(x_theta)
-    sets last_zeta and can raise NonFiniteProbeError on zeta or hit an
-    exact optimum (at a decided probe, only within cfg.eps of the
-    reference value, where a convex f's minimizers lie).  Decided probes
-    without a reference are bounded by the bracket collapsing.
+    decided: it moves the bracket as its measured zeta would have, with no
+    oracle call, so every measured probe, and the accepted one, is the
+    probe a search measuring every theta makes.  Only a measured probe
+    costs calls (two gradient evaluations, counted against
+    cfg.max_search_calls), sets last_zeta, can raise NonFiniteProbeError
+    or hit an exact optimum, and has its gap checked when rejected;
+    decided probes are bounded by the bracket collapsing.  An accepted
+    point within cfg.eps of the reference value stops the run in _fold.
     """
     if state.A <= 0.0:
         raise ValueError("coupling search requires A_t > 0 (after the first step)")
@@ -403,26 +383,14 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
         while calls + 2 <= cfg.max_search_calls and hi - lo > 4.0 * _THETA_MIN:
             th = 0.5 * (lo + hi)
             c = _coupling_factor(th, state.A, cfg.L)
-            fx = None
-            if c > above or c < below:
-                if ref is not None:
-                    # zeta misses the window; only the gap is left to check
-                    calls += 1
-                    y, x = _step_to(th, state, obj, cfg)
-                    fx = obj.value(x)
-                    if math.isnan(fx):
-                        raise NonFiniteProbeError(th, (lo, hi), calls, "f")
-                if ref is None or fx - ref[1] > cfg.eps:
-                    if c > above:
-                        lo = th
-                    else:
-                        hi = th
-                    continue
-                calls += 1
-                zeta, y, x, gx, dual, l2 = _measure(th, state, obj, cfg, y, x)
-            else:
-                calls += 2
-                zeta, y, x, gx, dual, l2 = _probe(th, state, obj, cfg)
+            if c > above:
+                lo = th
+                continue
+            if c < below:
+                hi = th
+                continue
+            calls += 2
+            zeta, y, x, gx, dual, l2 = _probe(th, state, obj, cfg)
             if math.isnan(zeta):
                 raise NonFiniteProbeError(th, (lo, hi), calls)
             last_zeta = zeta
@@ -434,8 +402,7 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
                                       grad_x_next=gx, grad_dual=dual,
                                       grad_l2=l2)
             if ref is not None:
-                if fx is None:
-                    fx = obj.value(x)
+                fx = obj.value(x)
                 if fx - ref[1] <= cfg.eps:
                     return CouplingResult(theta=th, rho=None, a_next=None,
                                           y=y, x_next=x, zeta=zeta,
@@ -491,24 +458,27 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     carries the violation magnitudes of the five per-step guarantees, keyed
     by INVARIANTS; one above INVARIANT_TOL is a violation.  Growth is an
     absolute shortfall, the other four are relative to the quantities
-    compared.
+    compared.  With a reference optimum attached, a folded point whose gap
+    is at most cfg.eps ends the run: its row is built as any other and
+    marked converged.
 
-    With rows off only what the iterates read is folded in: no f value is
-    taken (psi is left undefined) and no row is built, except for the step
-    that ends the run, whose row has no violations.  Otherwise None is
-    returned.
+    With rows off only what the iterates and the stop read is folded in:
+    f is taken only when a reference is attached (psi is left undefined)
+    and no row is built, except for the step that ends the run, whose row
+    has no violations.  Otherwise None is returned.
     """
     L = cfg.L
     x_new, g_new = res.x_next, res.grad_x_next
     dual, l2 = res.grad_dual, res.grad_l2
     first = state.t == 0
     state.grad_calls += res.oracle_calls
+    ref = obj.reference_optimum
     converged = dual == 0.0 or res.early_converged
-    build_row = rows or _ends_run(cfg, state.t + 1, dual, converged)
+    ends = _ends_run(cfg, state.t + 1, dual, converged)
     f_new = gap = None
-    if build_row:
+    if rows or ends or ref is not None:
         f_new = obj.value(x_new) if res.f_x_next is None else res.f_x_next
-        gap = _gap(f_new, obj.reference_optimum)
+        gap = _gap(f_new, ref)
     if converged:
         state.x = np.asarray(x_new, dtype=float)
         A, B = (None, None) if first else (state.A, state.B)
@@ -523,12 +493,14 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         rho, a = res.rho, res.a_next
     A_before = state.A
     state.accumulate(a, x_new, f_new if rows else None, g_new, dual, l2, L)
-    if not build_row:
+    reached = ref is not None and gap <= cfg.eps
+    if not (rows or ends or reached):
         return None
     tr = IterationTrace(
         iter=state.t, f=f_new, gap=gap, grad_l2=l2, grad_dual=dual,
         rho=rho, theta=res.theta, zeta=res.zeta, search_calls=res.oracle_calls,
-        A=state.A, B=state.B, G_running=state.G_sum / state.t)
+        A=state.A, B=state.B, G_running=state.G_sum / state.t,
+        converged=reached)
     if not rows:
         return tr
     r = l2 ** 2 / dual ** 2
@@ -569,7 +541,9 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     steepest step from y_0 = v_0 = x0 with the gradient row 0 already
     holds; rho_0 is the gradient-norm ratio at x_1 (so the window holds
     with equality) and a_1 = A_1 = 1/(18 L rho_0).  Then step runs until a
-    trace is converged, its dual gradient norm is at most cfg.grad_tol, or
+    trace is converged (a zero gradient, or with a reference optimum
+    attached a gap at most cfg.eps, at the iterate or at a rejected
+    coupling probe), its dual gradient norm is at most cfg.grad_tol, or
     state.t reaches cfg.max_iters.  Only row 0 is yielded when
     cfg.max_iters is 0 or the gradient at x0 is exactly zero.  The same
     state object is yielded each time, updated in place.
@@ -577,7 +551,8 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     With rows off only the final row is built and yielded, from the
     gradient and norms in hand at the last point, and without violations;
     the iterates, state.t and state.grad_calls are those of a run with
-    rows, and psi is left undefined.
+    rows, and psi is left undefined.  f is then taken at each step only
+    when a reference is attached, for the stop.
     """
     state = HasdState(x0)
     g0 = obj.gradient(state.x)

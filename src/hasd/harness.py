@@ -69,8 +69,9 @@ class ExperimentConfig:
 
     Every setting, whether it comes from a flag, a --config file or a
     library call, is converted here and only here, by its entry in
-    _CONVERTERS, then range-checked; a value that does not convert is a
-    ValueError beginning "config key <name>:".
+    _CONVERTERS, then range-checked, whichever objective reads it; a value
+    that does not convert, an alpha <= 0 or a mu < 0 is a ValueError
+    beginning "config key <name>:".
     """
 
     objective: str = "logsumexp"
@@ -92,6 +93,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, convert in _CONVERTERS.items():
             setattr(self, key, _field(vars(self), key, "config", convert))
+        # every setting enters config_hash, read or not
+        if self.alpha <= 0:
+            raise ValueError("config key 'alpha': must be positive, got %r"
+                             % (self.alpha,))
+        if self.mu < 0:
+            raise ValueError("config key 'mu': must be nonnegative, got %r"
+                             % (self.mu,))
         if self.objective not in _OBJECTIVES:
             raise ValueError("objective must be one of %r" % (_OBJECTIVES,))
         bad = [m for m in self.methods if m not in _ALL_METHODS]

@@ -549,8 +549,9 @@ def attach_reference(obj: SmoothObjective, source):
     """Attach a stored (x_star, f_star) pair: an {"x", "f"} document, one
     under "ref_optimum" in an instance document, or a JSON file holding
     either.  Raises ValueError when x_star does not match obj's dimension,
-    a key is missing or holds a value of the wrong type or a non-finite
-    number, or the document is not a JSON object."""
+    f_star is not obj's value at x_star (to a relative 1e-9), a key is
+    missing or holds a value of the wrong type or a non-finite number, or
+    the document is not a JSON object."""
     doc = _read_doc(source, "reference document")
     what = "reference optimum"
     doc = _object(doc.get("ref_optimum", doc), what)
@@ -558,7 +559,13 @@ def attach_reference(obj: SmoothObjective, source):
     if x.shape != (obj.dim,):
         raise ValueError("reference optimum has dimension %d, expected %d"
                          % (x.size, obj.dim))
-    obj.reference_optimum = (x, _field(doc, "f", what, _finite))
+    f = _field(doc, "f", what, _finite)
+    fx = float(obj.value(x))
+    # written so that a NaN value fails
+    if not abs(fx - f) <= 1e-9 * max(1.0, abs(f)):
+        raise ValueError("%s key 'f': %r is not the objective's value at x, "
+                         "%r" % (what, f, fx))
+    obj.reference_optimum = (x, f)
 
 
 def load_instance(source) -> SmoothObjective:

@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, CouplingSearchError,
-                       ExactOptimum, HasdConfig, HasdState, _run,
-                       NonFiniteProbeError, a_from_rho, find_coupling,
-                       iterate, rate_bounds, run, run_restarting,
-                       search_call_bound, step, zeta_eval)
+from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, CouplingResult,
+                       CouplingSearchError, ExactOptimum, HasdConfig,
+                       HasdState, _run, NonFiniteProbeError, a_from_rho,
+                       find_coupling, iterate, rate_bounds, run,
+                       run_restarting, search_call_bound, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound,
@@ -346,14 +346,18 @@ def test_find_coupling_raises_at_first_non_finite_probe(bad):
 
 
 def test_find_coupling_gap_early_exit():
-    obj, cfg = quad_cfg([1.0, 1.0])
+    # at p = inf the first probe of this search is measured and rejected
+    # (see test_find_coupling_budget_error); at eps = 1e6 its gap ends it
+    obj, cfg = quad_cfg([1.0, 1.0], p=INF)
     state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
-    for _ in range(4):
+    for _ in range(3):
         state, _ = step(state, obj, cfg)
     loose = replace(cfg, eps=1e6)
     t_before, A_before = state.t, state.A
     state, tr = step(state, obj, loose)
     assert tr.converged and tr.gap <= 1e6
+    assert tr.theta == 0.5 and tr.search_calls == 2 and tr.violations is None
+    assert not 0.5 <= tr.zeta <= 2.0
     assert state.t == t_before and state.A == A_before  # nothing folded in
 
 
@@ -379,8 +383,9 @@ def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
 
 
 def search_every_probe(state, obj, cfg):
-    """The coupling search that evaluates every probe it bisects on; its
-    last entry counts the rejected probes whose c(theta) decides zeta."""
+    """The coupling search that evaluates every probe it bisects on, and
+    checks the gap only at a rejected probe whose c(theta) leaves zeta
+    undecided; its last entry counts the rejected probes c(theta) decides."""
     ref = obj.reference_optimum
     above = 2.0 * (1.0 + _SETTLE_MARGIN) * state.x.size ** (1.0 - 2.0 / cfg.geom.p)
     below = 0.5 * (1.0 - _SETTLE_MARGIN)
@@ -394,15 +399,15 @@ def search_every_probe(state, obj, cfg):
             rho = th / (18.0 * cfg.L * (1.0 - th) ** 2 * state.A)
             a = state.A * (1.0 - th) / th
             return th, rho, a, zeta, y, x, gx, calls, False, decided
-        if ref is not None:
-            if obj.value(x) - ref[1] <= cfg.eps:
-                return th, None, None, zeta, y, x, gx, calls, True, decided
+        c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
+        if c > above or c < below:
+            decided += 1
+        elif ref is not None and obj.value(x) - ref[1] <= cfg.eps:
+            return th, None, None, zeta, y, x, gx, calls, True, decided
         if zeta > 1.25:
             lo = th
         else:
             hi = th
-        c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
-        decided += c > above or c < below
     raise AssertionError("reference search failed")
 
 
@@ -424,7 +429,7 @@ def coupling_states(p):
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, INF])
 def test_find_coupling_matches_a_search_evaluating_every_probe(p):
-    settled = early = decided = 0
+    early = decided = 0
     for obj, state, cfg in coupling_states(p):
         ref = obj.reference_optimum
         # eps = 1 lets the gap check stop some searches early
@@ -439,26 +444,29 @@ def test_find_coupling_matches_a_search_evaluating_every_probe(p):
             assert res.grad_x_next.tobytes() == want[6].tobytes()
             assert res.early_converged == want[8]
             early += res.early_converged
-            if attach:
-                # a decided rejected probe costs one call, at y_theta
-                assert res.oracle_calls == want[7] - want[9]
-                decided += want[9]
-            else:
-                assert res.oracle_calls <= want[7]
-                settled += want[7] - res.oracle_calls
-    assert settled > 0 and early > 0 and decided > 0
+            # a decided rejected probe costs no call, reference or not
+            assert res.oracle_calls == want[7] - 2 * want[9]
+            decided += want[9]
+    # at p = 2 c(theta) decides every rejected probe, so only at p > 2 can
+    # a search end at a probe's gap
+    assert decided > 0 and (early > 0) == (p > 2.0)
 
 
 def test_find_coupling_settles_every_rejected_probe_at_p2():
     # at p = 2 the norm ratio is 1, so c(theta) alone decides every probe
-    # outside the window and each search evaluates only the one it accepts
-    obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
-    obj.reference_optimum = None
+    # outside the window and each search evaluates only the one it accepts,
+    # with its reference attached or not: the searches take no f value
     cfg = HasdConfig(L=4.0, geom=LpGeometry(2), max_iters=30, grad_tol=0.0)
-    report = run(obj, np.array([2.0, -1.0, 0.5, 1.0, -2.0]), cfg)
-    searches = [tr.search_calls for tr in report.traces[2:]]
-    assert len(searches) == 29 and set(searches) == {2}
-    assert report.grad_calls == len(obj.grad_points) == 2 + 2 * 29
+    for attach in (False, True):
+        obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
+        if not attach:
+            obj.reference_optimum = None
+        _counting_value(obj)
+        report = run(obj, np.array([2.0, -1.0, 0.5, 1.0, -2.0]), cfg)
+        searches = [tr.search_calls for tr in report.traces[2:]]
+        assert len(searches) == 29 and set(searches) == {2}
+        assert report.grad_calls == len(obj.grad_points) == 2 + 2 * 29
+        assert obj.values == len(report.traces)  # each row's f alone
 
 
 def decided_reference_state():
@@ -470,52 +478,68 @@ def decided_reference_state():
     assert state.t == 12
     assert 18.0 * cfg.L * 0.25 * state.A / 0.5 > 2.0 * (1.0 + _SETTLE_MARGIN)
     obj.grad_points.clear()
+    _counting_value(obj)
     return obj, state, cfg
 
 
-def test_early_exit_at_a_decided_probe_makes_two_gradient_calls():
+def test_a_decided_rejected_probe_makes_no_oracle_call():
     obj, state, cfg = decided_reference_state()
-    res = find_coupling(state, obj, replace(cfg, eps=1.0))
-    assert res.early_converged and res.theta == 0.5
-    # grad f at y_theta for the step, then at x_theta for the exit's row
-    assert res.oracle_calls == len(obj.grad_points) == 2
-    assert obj.grad_points[0].tobytes() == res.y.tobytes()
-    assert obj.grad_points[1].tobytes() == res.x_next.tobytes()
-    assert res.grad_x_next.tobytes() == obj.gradient(res.x_next).tobytes()
-    assert res.f_x_next == obj.value(res.x_next) <= 1.0
+    # the decided probes theta = 1/2 and 3/4 are rejected with no call,
+    # even at eps = 1, where the point at theta = 1/2 has gap below eps;
+    # c leaves theta = 7/8 open: two calls, accepted
+    for eps in (cfg.eps, 1.0):
+        obj.grad_points.clear()
+        res = find_coupling(state, obj, replace(cfg, eps=eps))
+        assert res.theta == pytest.approx(0.875) and not res.early_converged
+        assert res.oracle_calls == len(obj.grad_points) == 2
+        assert obj.values == 0
 
 
-def test_a_decided_rejected_probe_makes_one_gradient_call():
+def test_a_run_stops_at_its_first_iterate_within_eps():
     obj, state, cfg = decided_reference_state()
-    # at eps = 1e-8 the decided probes theta = 1/2 and 3/4 are rejected,
-    # one call each, and c leaves theta = 7/8 open: two calls, accepted
-    res = find_coupling(state, obj, cfg)
-    assert res.theta == pytest.approx(0.875) and not res.early_converged
-    assert res.oracle_calls == len(obj.grad_points) == 4
+    t_before, A_before = state.t, state.A
+    # the gap is about 0.75 at t = 12 and 0.67 at t = 13
+    eps = 0.7
+    state, tr = step(state, obj, replace(cfg, eps=eps))
+    # the accepted point is folded in, its row built with its violations,
+    # and the run stops there: one search, one f value
+    assert tr.converged and tr.iter == state.t == t_before + 1
+    assert state.A > A_before and tr.gap <= eps
+    assert tr.theta == pytest.approx(0.875) and tr.rho is not None
+    assert all(v <= INVARIANT_TOL for v in tr.violations.values())
+    assert tr.search_calls == len(obj.grad_points) == 2
+    assert obj.values == 1 and tr.f == obj.value(state.x)
+    report = run(obj, state.x0, replace(cfg, max_iters=30, eps=eps))
+    assert report.iters == t_before + 1 and report.converged_early
+    assert report.traces[-1] == tr
 
 
-def test_nan_value_at_a_decided_reference_probe_raises(monkeypatch):
-    obj, state, cfg = decided_reference_state()
-    monkeypatch.setattr(obj, "value", lambda x: math.nan)
-    with pytest.raises(NonFiniteProbeError) as exc:
-        find_coupling(state, obj, cfg)
-    # the gap check reads f(x_theta) after the one gradient, at y_theta
-    assert exc.value.calls == len(obj.grad_points) == 1
-    assert exc.value.theta == 0.5 and exc.value.quantity == "f"
+def every_probe_coupling(state, obj, cfg):
+    """find_coupling's result from search_every_probe."""
+    th, rho, a, zeta, y, x, gx, calls, early, _ = search_every_probe(
+        state, obj, cfg)
+    return CouplingResult(theta=th, rho=rho, a_next=a, y=y, x_next=x,
+                          zeta=zeta, oracle_calls=calls, early_converged=early,
+                          grad_x_next=gx,
+                          f_x_next=obj.value(x) if early else None,
+                          grad_dual=lp_norm(gx, cfg.geom.p_dual),
+                          grad_l2=math.sqrt(gx @ gx))
 
 
 @pytest.mark.parametrize("p", [2.0, INF])
 def test_run_with_reference_matches_a_run_evaluating_every_probe(p, monkeypatch):
-    # eps = 0.1 ends the run at an early exit within 30 iterations
+    # eps = 0.1 ends the run within 30 iterations: at p = 2 at an iterate,
+    # at p = inf at a measured probe
     x0 = np.array([2.0, -1.0, 0.5, 1.0, -2.0])
     cfg = HasdConfig(L=4.0, geom=LpGeometry(p), max_iters=30, eps=0.1)
     obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
     report = run(obj, x0, cfg)
     assert report.grad_calls == len(obj.grad_points)
-    monkeypatch.setattr("hasd.core._SETTLE_MARGIN", math.inf)
+    monkeypatch.setattr("hasd.core.find_coupling", every_probe_coupling)
     every = run(CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5]), x0, cfg)
     assert report.grad_calls < every.grad_calls
-    assert report.traces[-1].converged
+    last = report.traces[-1]
+    assert last.converged and (last.violations is not None) == (p == 2.0)
     assert ([replace(tr, search_calls=None) for tr in report.traces]
             == [replace(tr, search_calls=None) for tr in every.traces])
     assert report.final_x.tobytes() == every.final_x.tobytes()
@@ -757,11 +781,13 @@ def _rows_off_cases():
     yield "stationary start", quad, np.array([1.0, -1.0]), cfg2
     ones = lambda: Quadratic(np.ones(2), center=np.array([1.0, -1.0]))
     yield "zero gradient at x_1", ones, np.zeros(2), replace(cfg2, L=0.5)
+    # at scale 0.25 a measured probe lands in the dead zone
     for p in (2.0, INF):
-        zone = HasdConfig(L=1.0, geom=LpGeometry(p), max_iters=25,
-                          step_scale=0.5)
-        yield "dead zone p=%g" % p, lambda: DeadZone(3), \
-            np.array([3.0, -2.0, 2.5]), zone
+        for scale in (0.5, 0.25):
+            zone = HasdConfig(L=1.0, geom=LpGeometry(p), max_iters=25,
+                              step_scale=scale)
+            yield ("dead zone p=%g scale=%g" % (p, scale),
+                   lambda: DeadZone(3), np.array([3.0, -2.0, 2.5]), zone)
     for mode in ("no reference", "reference"):
         def build(mode=mode):
             obj = NanFarOut(np.ones(2), center=np.array([10.0, 0.0]))
@@ -798,11 +824,14 @@ def test_rows_off_runs_equal_core_run():
         last = full.traces[-1]
         kinds.add("stopped at iters" if fast.iters == cfg.max_iters
                   else "zero gradient at x_1" if last.iter == 1 > fast.iters
+                  else "gap stop at an iterate" if (
+                      last.converged and last.violations is not None)
                   else "exact optimum" if last.converged and last.zeta is None
                   else "gap early exit" if last.converged
                   else "row 0 only" if last.iter == 0 else "grad_tol")
     assert kinds >= {"stopped at iters", "zero gradient at x_1",
-                     "exact optimum", "gap early exit", "row 0 only",
+                     "gap stop at an iterate", "exact optimum",
+                     "gap early exit", "row 0 only",
                      "NonFiniteProbeError"}, kinds
 
 

@@ -19,7 +19,7 @@ from hasd.harness import (STEPSIZE_GRID, ExperimentConfig, attach_reference,
                           default_invariant_matrix, default_x0,
                           make_objective, run_bench, run_experiment,
                           run_method, tune_method, write_trace_csv)
-from hasd.objectives import (Quadratic, SymmetricSoftmax,
+from hasd.objectives import (Quadratic, SymmetricSoftmax, load_instance,
                              make_logsumexp_instance, save_instance,
                              smoothness_bound, solve_reference)
 
@@ -96,13 +96,13 @@ def test_make_objective_kinds_and_instance_path(tmp_path):
 
 def test_attach_reference_checks_dimension(tmp_path):
     path = tmp_path / "ref.json"
-    path.write_text(json.dumps({"x": [0.0, 0.0], "f": 1.0}))
+    path.write_text(json.dumps({"x": [0.0, 0.0], "f": math.log(4.0)}))
     obj = SymmetricSoftmax(3)
     with pytest.raises(ValueError):
         attach_reference(obj, path)
     obj2 = SymmetricSoftmax(2)
     attach_reference(obj2, path)
-    assert obj2.reference_optimum[1] == 1.0
+    assert obj2.reference_optimum[1] == math.log(4.0)
 
 
 def test_tune_gd_on_quadratic_selects_near_inverse_l():
@@ -522,6 +522,39 @@ def test_cli_rejects_instance_with_negative_n(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_a_reference_whose_f_is_not_the_value_at_x(tmp_path,
+                                                              capsys):
+    # f(center) is the offset, -1: a stored f of 0.5 would make every gap
+    # -1.5 and stop a HASD run at its first iterate
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "quadratic", "h": [1, 1, 1],
+                                "center": [0, 0, 0], "offset": -1,
+                                "ref_optimum": {"x": [0, 0, 0], "f": 0.5}}))
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(inst), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: reference optimum key 'f': 0.5 is not the objective's value "
+        "at x, -1.0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["logsumexp", "softmax", "quadratic"])
+def test_gen_instance_reference_loads_back(tmp_path, capsys, kind):
+    # a solved reference's f is the objective's value at its x, so the
+    # stored file passes the check that refuses any other f
+    path = tmp_path / "inst.json"
+    assert main(["gen-instance", "--objective", kind, "--n", "20", "--d", "5",
+                 "--mu", "0.01", "--seed", "3", "--solve-reference",
+                 "--out", str(path)]) == 0
+    obj = load_instance(str(path))
+    x, f = obj.reference_optimum
+    assert f == obj.value(x)
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(path), "--p", "2", "--iters", "5",
+                 "--methods", "hasd", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_rejects_instance_with_misshapen_reference(tmp_path, capsys):
     doc = save_instance(Quadratic(np.ones(4)))
     doc["ref_optimum"] = {"x": [0.5], "f": 0.0}
@@ -686,8 +719,13 @@ def test_cli_bench_with_no_mu_values_is_exit_2(tmp_path, capsys):
     ("tune", {"objective": "softmax", "seed": -1}, "seed"),
     ("gen-instance", {"objective": "quadratic", "alpha": math.inf}, "alpha"),
     ("gen-instance", {"objective": "softmax", "seed": -1}, "seed"),
+    ("run", {"objective": "logsumexp", "n": 6, "alpha": -1}, "alpha"),
+    ("run", {"objective": "quadratic", "mu": -1}, "mu"),
+    ("run", {"objective": "softmax", "mu": -1}, "mu"),
 ], ids=["run_mu_nan", "run_alpha_inf", "run_seed", "run_objective", "run_p",
-        "tune_mu_nan", "tune_seed", "gen_alpha_inf", "gen_seed"])
+        "tune_mu_nan", "tune_seed", "gen_alpha_inf", "gen_seed",
+        "run_lse_alpha_negative", "run_quadratic_mu_negative",
+        "run_softmax_mu_negative"])
 def test_cli_flag_and_config_file_refuse_a_bad_setting_alike(
         tmp_path, capsys, verb, settings, key):
     # a setting converts in one place whatever its source: the same value as
