@@ -169,27 +169,28 @@ class HasdState:
     def psi(self, x) -> float:
         x = np.asarray(x, dtype=float)
         d = x - self.x0
-        return 0.5 * float(d @ d) + float(self.grad_accum @ x) + self._psi_const()
+        return 0.5 * float(d.dot(d)) + float(self.grad_accum.dot(x)) + self._psi_const()
 
     def psi_min(self) -> float:
         """psi_t at its minimizer v_t, in closed form."""
         u = self.grad_accum
-        return float(u @ self.x0) - 0.5 * float(u @ u) + self._psi_const()
+        return float(u.dot(self.x0)) - 0.5 * float(u.dot(u)) + self._psi_const()
 
     def accumulate(self, a: float, x_new, f_new: float | None, g_new,
                    dual: float, l2: float, L: float):
         """Fold an accepted iterate into A, B, psi, and the gain average;
-        f_new None leaves psi undefined from here on."""
+        f_new None leaves psi undefined from here on.  x_new and g_new are
+        float arrays of the state's shape; x_new becomes state.x."""
         self.A += a
         self.B += (self.A / (18.0 * L)) * dual * dual
-        self.grad_accum = self.grad_accum + a * np.asarray(g_new, dtype=float)
+        self.grad_accum = self.grad_accum + a * g_new
         self.v = self.x0 - self.grad_accum
         if f_new is None or self.psi_const is None:
             self.psi_const = None
         else:
-            self.psi_const += a * (f_new - float(np.asarray(g_new) @ np.asarray(x_new)))
+            self.psi_const += a * (f_new - float(g_new.dot(x_new)))
         self.G_sum += dual / l2
-        self.x = np.asarray(x_new, dtype=float)
+        self.x = x_new
         self.t += 1
 
 
@@ -318,7 +319,7 @@ def _probe(theta: float, state: HasdState, obj, cfg: HasdConfig):
     if dual == 0.0:
         raise ExactOptimum(x, y)
     # np.linalg.norm's own formula for a 1-D float64 vector, minus its dispatch
-    l2 = math.sqrt(gx @ gx)
+    l2 = math.sqrt(gx.dot(gx))
     zeta = _coupling_factor(theta, state.A, cfg.L) * (l2 * l2) / (dual * dual)
     return zeta, y, x, gx, dual, l2
 
@@ -329,7 +330,7 @@ _THETA_MIN = 1e-12
 # c(theta) alone.  By Hoelder, r = ||g||_2^2 / ||g||_{p*}^2 lies in
 # [d^-(1-2/p), 1], but the computed r can leave that interval by an ulp
 # where r sits at an end (1/d for a uniform g at p = inf, 1 for a
-# one-hot g).  The computed r (sqrt(g @ g) squared over lp_norm squared)
+# one-hot g).  The computed r (sqrt(g.dot(g)) squared over lp_norm squared)
 # carries the rounding of two sums of d nonnegative terms, at most d ulps
 # each, plus a few ulps from the powers, the square root and the
 # squares: under 3d + 20 ulps in all.  d ** (1-2/p) is off by under
@@ -433,7 +434,7 @@ def _row_head(obj, t: int, x, g, geom: LpGeometry | None) -> IterationTrace:
     f = obj.value(x)
     dual = None if geom is None else lp_norm(g, geom.p_dual)
     return IterationTrace(iter=t, f=f, gap=_gap(f, obj.reference_optimum),
-                          grad_l2=math.sqrt(g @ g), grad_dual=dual)
+                          grad_l2=math.sqrt(g.dot(g)), grad_dual=dual)
 
 
 INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
@@ -480,7 +481,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         f_new = obj.value(x_new) if res.f_x_next is None else res.f_x_next
         gap = _gap(f_new, ref)
     if converged:
-        state.x = np.asarray(x_new, dtype=float)
+        state.x = x_new
         A, B = (None, None) if first else (state.A, state.B)
         return IterationTrace(iter=state.t + 1, f=f_new, gap=gap, grad_l2=l2,
                               grad_dual=dual, theta=res.theta, zeta=res.zeta,
@@ -505,9 +506,10 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         return tr
     r = l2 ** 2 / dual ** 2
     a = state.A - A_before  # the weight as folded into A
-    y = res.y
-    inner = float(np.asarray(g_new) @ (y - x_new))
-    model = L * lp_norm(x_new - y, cfg.geom.p) ** 2
+    dx = x_new - res.y
+    # <g, y - x> is exactly -<g, x - y>: negation commutes with rounding
+    inner = -float(g_new.dot(dx))
+    model = L * lp_norm(dx, cfg.geom.p) ** 2
     dual_q = dual * dual / (9.0 * L)
     psi_min = state.psi_min()
     tr.violations = {
@@ -567,7 +569,7 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     tr = _fold(state, obj, cfg, CouplingResult(
         theta=None, rho=None, a_next=None, y=state.x, x_next=x1, zeta=None,
         oracle_calls=1, grad_x_next=g1,
-        grad_dual=lp_norm(g1, cfg.geom.p_dual), grad_l2=math.sqrt(g1 @ g1)),
+        grad_dual=lp_norm(g1, cfg.geom.p_dual), grad_l2=math.sqrt(g1.dot(g1))),
         rows)
     while True:
         if tr is not None:
@@ -587,7 +589,7 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
     for state, tr in iterate(obj, x0, cfg, rows):
         traces.append(tr)
         for name, v in (tr.violations or {}).items():
-            fails[name] += int(v > INVARIANT_TOL)
+            fails[name] += int(not v <= INVARIANT_TOL)  # NaN is a violation
     last = traces[-1]
     # with no step taken, the run converged iff x0 is stationary
     converged = ((last.converged or last.grad_dual <= cfg.grad_tol)

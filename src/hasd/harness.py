@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
-from .core import (INVARIANT_TOL, CouplingSearchError, HasdConfig, _run,
-                   iterate, rate_bounds, run, search_call_bound)
+from .core import (INVARIANT_TOL, INVARIANTS, CouplingSearchError,
+                   HasdConfig, _run, iterate, rate_bounds, run,
+                   search_call_bound)
 from .geometry import (LpGeometry, lp_norm, lp_sq_hessian, lp_sq_hessian_split,
                        steepest_step, subproblem_value)
 from .objectives import (Quadratic, SmoothnessUnavailable, SymmetricSoftmax,
@@ -263,8 +264,9 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     Without tuning, hasd runs at scale 1 and baselines at 1/L.  Nothing is
     written, and no directory made, until every objective, method config and
     run has been built, so a configuration error, an empty mu_values among
-    them, leaves no output behind.  Returns the summary dict (also written
-    to disk).
+    them, leaves no output behind; so does a recorded run whose coupling
+    search fails, raised as a ValueError naming the method and mu.  Returns
+    the summary dict (also written to disk).
     """
     if mu_values is None:
         mu_values = [cfg.mu]
@@ -298,7 +300,12 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
                 all_div = False
             tuned[m] = best
             with np.errstate(all="ignore"):
-                reports[m] = run_method(m, obj, x0, geom, L, cfg.iters, best)
+                try:
+                    reports[m] = run_method(m, obj, x0, geom, L, cfg.iters,
+                                            best)
+                except CouplingSearchError as exc:
+                    raise ValueError("method %r at mu=%g: coupling search "
+                                     "failed: %s" % (m, mu, exc)) from exc
             if all_div:
                 block["methods"][m] = {"all_divergent": True}
         f_ref, ref_kind = _reference_value(obj, mu, x0, geom, L, cfg.iters,
@@ -372,9 +379,12 @@ class CheckRow:
     worst: float = 0.0
 
     def record(self, violation: float):
+        """Count one sample; a NaN fails and stays the worst."""
         self.samples += 1
-        self.worst = max(self.worst, violation)
-        if violation > self.tol:
+        # a larger value, or the first NaN (x == x is False only for NaN)
+        if not violation <= self.worst and self.worst == self.worst:
+            self.worst = violation
+        if not violation <= self.tol:
             self.failures += 1
 
     def skip(self):
@@ -383,9 +393,13 @@ class CheckRow:
 
 @dataclass
 class InvariantReport:
+    """The check rows, and one line per cell whose coupling search failed
+    (its p, objective and seed or cell index, and the search's message)."""
+
     rows: list = field(default_factory=list)
     cells: int = 0
     median_search_calls: float | None = None
+    failed_searches: list = field(default_factory=list)
 
     def __post_init__(self):
         self._by_name = {r.name: r for r in self.rows}
@@ -409,6 +423,8 @@ class InvariantReport:
                else "%g" % self.median_search_calls)
         out.append("cells: %d   median search calls: %s   overall: %s"
                    % (self.cells, med, "PASS" if self.ok else "FAIL"))
+        out.extend("coupling search failed: %s" % line
+                   for line in self.failed_searches)
         return "\n".join(out)
 
 
@@ -417,7 +433,7 @@ _REL = INVARIANT_TOL
 _CHECKS = (
     ("window", _REL), ("recurrence", _REL), ("progress", _REL),
     ("potential", _REL), ("growth", _REL), ("gain_range", 1e-10),
-    ("search_economy", 0.0), ("search_median", 20.0),
+    ("coupling_search", 0.0), ("search_economy", 0.0), ("search_median", 20.0),
     ("psi_at_opt", _REL), ("v_distance", _REL), ("gap_model_bound", _REL),
     ("grad_conversion", _REL), ("certificate", _REL), ("min_grad_cubic", _REL),
     ("holder", _REL), ("step_optimality", 1e-8), ("step_beats_probes", 1e-10),
@@ -429,31 +445,48 @@ _CHECKS = (
 def default_invariant_matrix(seeds=(0, 1)):
     """(objective, x0) cells: a quadratic, the symmetric smooth max, and a
     strongly regularized random instance per seed, all with references."""
-    cells = []
-    for seed in seeds:
-        rng = np.random.default_rng(1000 + seed)
-        quad = Quadratic(rng.uniform(0.5, 4.0, 6), center=rng.standard_normal(6))
-        soft = SymmetricSoftmax(8, alpha=0.5)
-        lse = make_logsumexp_instance(24, 8, 1e-2, seed=seed,
-                                      declare_smoothness=True)
-        solve_reference(lse)
-        cells.append((quad, quad.center + 1.5 * rng.standard_normal(6)))
-        cells.append((soft, rng.standard_normal(8)))
-        cells.append((lse, rng.standard_normal(8)))
-    return cells
+    return [cell for seed in seeds for cell in _seed_cells(seed)]
+
+
+def _seed_cells(seed: int):
+    """The default matrix's three cells for one seed."""
+    rng = np.random.default_rng(1000 + seed)
+    quad = Quadratic(rng.uniform(0.5, 4.0, 6), center=rng.standard_normal(6))
+    soft = SymmetricSoftmax(8, alpha=0.5)
+    lse = make_logsumexp_instance(24, 8, 1e-2, seed=seed,
+                                  declare_smoothness=True)
+    solve_reference(lse)
+    return [(quad, quad.center + 1.5 * rng.standard_normal(6)),
+            (soft, rng.standard_normal(8)), (lse, rng.standard_normal(8))]
 
 
 def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
                      report: InvariantReport, search_counts: list):
-    """Run one instrumented optimization, checking every invariant against
-    the live state after each accepted iteration."""
+    """Run one instrumented optimization from the float array x0, checking
+    every invariant against the live state after each accepted iteration.
+
+    A failed coupling search ends the cell: it is recorded as a failure of
+    the coupling_search row, the checks of the rows before it stand, and
+    its message is returned (None when the run completed).
+    """
     cfg = HasdConfig(L=L, geom=geom, max_iters=iters)
     ref = obj.reference_optimum
+    row = report.row
+    # bound once per cell: the loop below records up to 11 values a step
+    invariants = [(name, row(name).record) for name in INVARIANTS]
+    gain_range = row("gain_range").record
+    economy = row("search_economy")
+    ref_rows = [row(name) for name in ("psi_at_opt", "v_distance",
+                                       "gap_model_bound", "grad_conversion")]
+    psi_at_opt, v_distance, gap_model_bound, grad_conversion = (
+        r.record for r in ref_rows)
     x_star, f_star, R = None, None, None
     if ref is not None:
         x_star = np.asarray(ref[0], dtype=float)
         f_star = float(ref[1])
-        R = float(np.linalg.norm(np.asarray(x0, dtype=float) - x_star))
+        # np.linalg.norm's own formula for a 1-D float64 vector
+        u = x0 - x_star
+        R = math.sqrt(u.dot(u))
     d = obj.dim
     gain_cap = d ** (0.5 - (0.0 if math.isinf(geom.p) else 1.0 / geom.p))
     call_cap = None
@@ -461,52 +494,57 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
         call_cap = 2.0 * search_call_bound(geom.p, d, cfg.L, cfg.eps, R)
 
     min_dual_sq = math.inf
-    for state, tr in iterate(obj, x0, cfg):
-        if tr.iter == 0:  # the start point: no step taken yet
-            continue
-        min_dual_sq = min(min_dual_sq, tr.grad_dual ** 2)
-        if tr.violations is None:
-            continue
-        for name, v in tr.violations.items():
-            report.row(name).record(v)
-        report.row("gain_range").record(
-            max(1.0 - tr.G_running, tr.G_running - gain_cap, 0.0))
-        if tr.iter >= 2:  # rows produced by an actual coupling search
-            search_counts.append(tr.search_calls)
-            if call_cap is None:
-                report.row("search_economy").skip()
-            else:
-                report.row("search_economy").record(
-                    max(0.0, tr.search_calls - call_cap))
-        if ref is None:
-            for name in ("psi_at_opt", "v_distance", "gap_model_bound",
-                         "grad_conversion"):
-                report.row(name).skip()
-        else:
+    try:
+        for state, tr in iterate(obj, x0, cfg):
+            if tr.iter == 0:  # the start point: no step taken yet
+                continue
+            min_dual_sq = min(min_dual_sq, tr.grad_dual ** 2)
+            violations = tr.violations
+            if violations is None:
+                continue
+            for name, record in invariants:
+                record(violations[name])
+            gain_range(max(1.0 - tr.G_running, tr.G_running - gain_cap, 0.0))
+            if tr.iter >= 2:  # rows produced by an actual coupling search
+                search_counts.append(tr.search_calls)
+                if call_cap is None:
+                    economy.skip()
+                else:
+                    economy.record(max(0.0, tr.search_calls - call_cap))
+            if ref is None:
+                for r in ref_rows:
+                    r.skip()
+                continue
             gap = tr.f - f_star
             psi_bound = 0.5 * R * R + tr.A * f_star
-            report.row("psi_at_opt").record(
-                (state.psi(x_star) - psi_bound) / max(abs(psi_bound), 1.0))
-            report.row("v_distance").record(
-                (float(np.linalg.norm(state.v - x_star)) - R) / max(R, 1e-30))
+            psi_at_opt((state.psi(x_star) - psi_bound)
+                       / max(abs(psi_bound), 1.0))
+            u = state.v - x_star
+            v_distance((math.sqrt(u.dot(u)) - R) / max(R, 1e-30))
             model_bound = R * R / (2.0 * tr.A)
-            report.row("gap_model_bound").record(
-                (gap - model_bound) / max(model_bound, 1e-30))
+            gap_model_bound((gap - model_bound) / max(model_bound, 1e-30))
             conv = 2.0 * cfg.L * max(gap, 0.0)
-            report.row("grad_conversion").record(
-                (tr.grad_dual ** 2 - conv) / max(tr.grad_dual ** 2, conv, 1e-20))
+            grad_conversion((tr.grad_dual ** 2 - conv)
+                            / max(tr.grad_dual ** 2, conv, 1e-20))
+    except CouplingSearchError as exc:
+        row("coupling_search").record(1.0)
+        row("certificate").skip()
+        row("min_grad_cubic").skip()
+        return str(exc)
+    row("coupling_search").record(0.0)
     if tr.iter == 0:  # stationary start: no step was taken
-        return
+        return None
 
     T = state.t
     if ref is None or T == 0:
-        report.row("certificate").skip()
-        report.row("min_grad_cubic").skip()
-        return
+        row("certificate").skip()
+        row("min_grad_cubic").skip()
+        return None
     cert, cubic = rate_bounds(cfg.L, R, state.G_sum / T, T)
-    report.row("certificate").record((tr.f - f_star - cert) / cert)
+    row("certificate").record((tr.f - f_star - cert) / cert)
     if math.isfinite(min_dual_sq):
-        report.row("min_grad_cubic").record((min_dual_sq - cubic) / cubic)
+        row("min_grad_cubic").record((min_dual_sq - cubic) / cubic)
+    return None
 
 
 def _check_geometry(geom: LpGeometry, report: InvariantReport, seed: int):
@@ -527,10 +565,15 @@ def _check_geometry(geom: LpGeometry, report: InvariantReport, seed: int):
         delta = x - y
         base = subproblem_value(y, g, L, geom, x)
         if math.isinf(p):
-            worst = 0.0
-            for _ in range(40):
-                cand = delta * (1.0 + 1e-4 * rng.standard_normal(d))
-                worst = max(worst, base - subproblem_value(y, g, L, geom, y + cand))
+            # 40 probes as one block, with the stream, points and bits of 40
+            # draws of d and 40 subproblem_value calls: a stack of 1 x d
+            # products is 40 dot products, as g @ (x - y) is one, and
+            # float_power squares as a float's ** does
+            cand = delta * (1.0 + 1e-4 * rng.standard_normal((40, d)))
+            steps = (y + cand) - y
+            vals = ((steps[:, None, :] @ g)[:, 0]
+                    + L * np.float_power(lp_norm(steps, p, -1), 2.0))
+            worst = max(0.0, float(np.maximum.reduce(base - vals)))
             report.row("step_beats_probes").record(worst / max(abs(base), 1e-12))
         else:
             nd = lp_norm(delta, p)
@@ -555,18 +598,25 @@ def _check_geometry(geom: LpGeometry, report: InvariantReport, seed: int):
 
 
 def _fd_hessian_of_norm_sq(z, p, h=1e-4):
+    """Central second differences of ||.||_p^2 at z.
+
+    The 4 d^2 stencil points are one (4 d^2, d) block whose row norms are
+    taken in one lp_norm call and squared as a float's ** squares, so each
+    entry is the bits of a loop over (i, j) evaluating one point at a time.
+    Point (i, j) steps coordinate i and then coordinate j, so at i = j it
+    moves by two rounded steps of h.
+    """
     d = z.size
-    H = np.zeros((d, d))
-    f = lambda w: lp_norm(w, p) ** 2
-    for i in range(d):
-        for j in range(d):
-            zz = z.copy()
-            zz[i] += h; zz[j] += h; fpp = f(zz)
-            zz = z.copy(); zz[i] += h; zz[j] -= h; fpm = f(zz)
-            zz = z.copy(); zz[i] -= h; zz[j] += h; fmp = f(zz)
-            zz = z.copy(); zz[i] -= h; zz[j] -= h; fmm = f(zz)
-            H[i, j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return H
+    k = np.arange(d * d)
+    i, j = np.divmod(k, d)
+    stencil = np.empty((4, d * d, d))
+    for block, (hi, hj) in zip(stencil, ((h, h), (h, -h), (-h, h), (-h, -h))):
+        block[:] = z
+        block[k, i] += hi
+        block[k, j] += hj
+    f = np.float_power(lp_norm(stencil, p, -1), 2.0)
+    fpp, fpm, fmp, fmm = f.reshape(4, d, d)
+    return (fpp - fpm - fmp + fmm) / (4.0 * h * h)
 
 
 def check_invariants(cells=None, p_values=(2.0, 3.0, 4.0, math.inf),
@@ -576,22 +626,30 @@ def check_invariants(cells=None, p_values=(2.0, 3.0, 4.0, math.inf),
 
     l_scale multiplies the smoothness constant handed to the optimizer
     (values below 1 deliberately violate the declared smoothness, which the
-    progress check must catch).  Returns a report whose .ok drives the
+    progress check must catch).  A cell whose coupling search fails counts
+    as a failure of the coupling_search row and is named in the report;
+    the other cells still run.  Returns a report whose .ok drives the
     process exit code.  Raises ValueError when iters < 1.
     """
     if iters < 1:
         raise ValueError("iteration budget must be at least 1")
     report = InvariantReport(rows=[CheckRow(name, tol) for name, tol in _CHECKS])
     if cells is None:
-        cells = default_invariant_matrix(seeds)
+        labelled = [(cell, "seed %d" % seed)
+                    for seed in seeds for cell in _seed_cells(seed)]
+    else:
+        labelled = [(cell, "cell %d" % k) for k, cell in enumerate(cells)]
     search_counts = []
     for k, p in enumerate(p_values):
         geom = LpGeometry(p)
         _check_geometry(geom, report, seed=k)
-        for obj, x0 in cells:
+        for (obj, x0), label in labelled:
             L = smoothness_bound(obj, geom) * l_scale
-            _check_hasd_cell(obj, geom, L, np.asarray(x0, dtype=float),
-                             iters, report, search_counts)
+            failed = _check_hasd_cell(obj, geom, L, np.asarray(x0, dtype=float),
+                                      iters, report, search_counts)
+            if failed is not None:
+                report.failed_searches.append("p=%g, %s, %s: %s" % (
+                    p, type(obj).__name__, label, failed))
             report.cells += 1
     if search_counts:
         report.median_search_calls = float(np.median(search_counts))

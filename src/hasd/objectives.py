@@ -151,15 +151,30 @@ class SymmetricSoftmax(SmoothObjective):
         self.alpha = float(alpha)
         self.smoothness = (1.0 / self.alpha, LpGeometry(math.inf))
         self.reference_optimum = (np.zeros(self.dim), self.alpha * math.log(2 * self.dim))
+        self._last = None  # (x.tobytes(), [x, -x] / alpha) at the last point
+
+    def _scaled(self, x):
+        """u = [x, -x] / alpha at a checked x, shared by the three oracles.
+
+        As in LogSumExpAffine._logits, the last point's u is kept under the
+        bytes of x, so value and gradient at one point map it once; key and
+        u are stored in one assignment.  Callers must not mutate u, and
+        alpha must not change after construction.
+        """
+        key = x.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        u = np.concatenate([x, -x]) / self.alpha
+        self._last = (key, u)
+        return u
 
     def _weights(self, x):
-        u = np.concatenate([x, -x]) / self.alpha
-        return _softmax(u)
+        return _softmax(self._scaled(x))
 
     def value(self, x) -> float:
         x = self._check(x)
-        u = np.concatenate([x, -x]) / self.alpha
-        return self.alpha * float(_logsumexp(u))
+        return self.alpha * float(_logsumexp(self._scaled(x)))
 
     def gradient(self, x):
         x = self._check(x)

@@ -622,6 +622,30 @@ def test_run_invariants_logsumexp(p):
     assert_invariant_chain(run(obj, x0, cfg), cfg.L)
 
 
+def test_run_counts_a_nan_violation(monkeypatch):
+    # a NaN magnitude fails every comparison, so it must count as a
+    # violation rather than pass as "not above the tolerance"
+    import hasd.core as core
+    obj = Quadratic(np.array([0.5, 1.0, 2.0]))
+    geom = LpGeometry(2.0)
+    cfg = HasdConfig(L=obj.smoothness_for(geom), geom=geom, max_iters=6,
+                     grad_tol=0.0)
+    real_iterate = core.iterate
+
+    def nan_potential(*args, **kwargs):
+        for state, tr in real_iterate(*args, **kwargs):
+            if tr.violations is not None:
+                tr.violations["potential"] = math.nan
+            yield state, tr
+
+    monkeypatch.setattr(core, "iterate", nan_potential)
+    report = run(obj, np.array([2.0, -1.0, 0.5]), cfg)
+    folded = sum(tr.violations is not None for tr in report.traces)
+    assert folded > 0
+    assert report.invariants["potential"] == folded
+    assert report.invariants["window"] == 0
+
+
 def test_run_rate_certificate_and_call_accounting():
     obj = Quadratic(np.array([1.0, 2.0]))
     geom = LpGeometry(2)

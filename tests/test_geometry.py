@@ -117,6 +117,26 @@ def test_lp_norm_matches_wrapped_reduces_bit_for_bit():
             assert _same_bits(got, want), (x, p, got, want)
 
 
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+def test_lp_norm_along_the_last_axis_is_each_rows_norm_bit_for_bit(p):
+    # the stencil and probe blocks of the invariant checker take their row
+    # norms in one call; each must be the vector's own norm, zero rows too
+    rng = np.random.default_rng(53)
+    for d in (1, 2, 5, 10, 33):
+        X = rng.standard_normal((120, d)) * 10.0 ** rng.uniform(-3, 3, (120, 1))
+        X[0] = 0.0
+        X[1, ::2] = 0.0
+        norms = lp_norm(X, p, axis=-1)
+        assert norms.shape == (120,)
+        for row, got in zip(X, norms):
+            assert _same_bits(got, lp_norm(row, p)), (row, p)
+    assert lp_norm(np.zeros((3, 0)), p, axis=-1).tolist() == [0.0] * 3
+    assert lp_norm(np.zeros((0, 4)), p, axis=-1).shape == (0,)
+    stack = rng.standard_normal((2, 3, 4))
+    assert _same_bits(lp_norm(stack, p, axis=-1)[1, 2], lp_norm(stack[1, 2], p))
+    assert _same_bits(lp_norm(stack, p, axis=0)[2, 1], lp_norm(stack[:, 2, 1], p))
+
+
 def test_steepest_step_matches_wrapped_any_bit_for_bit():
     rng = np.random.default_rng(43)
     grads = [np.zeros(4), np.array([-0.0, 0.0, 0.0, -0.0]),
@@ -136,16 +156,21 @@ def test_steepest_step_matches_wrapped_any_bit_for_bit():
 
 def test_sqrt_of_self_dot_is_numpys_l2_norm():
     # core and baselines compute ||g||_2 of a 1-D float64 gradient as
-    # math.sqrt(g @ g), which is np.linalg.norm's own formula for such input
+    # math.sqrt(g @ g) or math.sqrt(g.dot(g)), which is np.linalg.norm's own
+    # formula for such input; ndarray.dot is the same BLAS dot as @
     rng = np.random.default_rng(47)
     for scale in 10.0 ** np.arange(-150, 151, 10):
         for n in (1, 3, 6, 50, 129, 1000):
             g = scale * rng.standard_normal(n)
+            h = rng.standard_normal(n)
             assert math.sqrt(g @ g) == float(np.linalg.norm(g))
+            assert math.sqrt(g.dot(g)) == float(np.linalg.norm(g))
+            assert _same_bits(g.dot(h), g @ h)
     for g in (np.zeros(3), np.array([5e-324, 1e-310]), np.array([1e200, 1e200]),
               np.array([math.inf, 1.0]), np.array([math.nan, 1.0])):
         with np.errstate(all="ignore"):
             assert _same_bits(math.sqrt(g @ g), float(np.linalg.norm(g)))
+            assert _same_bits(math.sqrt(g.dot(g)), float(np.linalg.norm(g)))
 
 
 def test_geometry_dual_exponents():

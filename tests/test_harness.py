@@ -14,8 +14,8 @@ from hasd.cli import main
 from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig, iterate,
                        run)
 from hasd.geometry import LpGeometry
-from hasd.harness import (STEPSIZE_GRID, ExperimentConfig, attach_reference,
-                          check_invariants, config_hash,
+from hasd.harness import (STEPSIZE_GRID, CheckRow, ExperimentConfig,
+                          attach_reference, check_invariants, config_hash,
                           default_invariant_matrix, default_x0,
                           make_objective, run_bench, run_experiment,
                           run_method, tune_method, write_trace_csv)
@@ -356,6 +356,71 @@ def test_check_invariants_catches_violated_smoothness():
                               l_scale=0.5)
     assert not report.ok
     assert report.row("progress").failures > 0
+
+
+def test_geometry_rows_keep_their_sample_counts():
+    # cells=[] runs the sampled norm checks alone, over the default p values
+    report = check_invariants(cells=[])
+    assert report.ok and report.cells == 0
+    counts = {"holder": 80, "step_optimality": 60, "step_beats_probes": 20,
+              "hessian_fd": 45, "hessian_psd_split": 45, "hessian_witness": 45}
+    for name, samples in counts.items():
+        assert report.row(name).samples == samples, name
+
+
+def test_hessian_fd_catches_a_hessian_one_percent_off(monkeypatch):
+    import hasd.harness as harness
+    exact = harness.lp_sq_hessian
+    monkeypatch.setattr(harness, "lp_sq_hessian",
+                        lambda z, p: 1.01 * exact(z, p))
+    report = check_invariants(cells=[], p_values=(3.0,))
+    assert report.row("hessian_fd").failures > 0
+    assert not report.ok
+
+
+def test_check_row_counts_a_nan_as_a_failure_and_keeps_it_worst():
+    row = CheckRow("window", 1e-8)
+    row.record(0.5)
+    row.record(math.nan)
+    row.record(2.0)
+    row.record(0.0)
+    assert row.samples == 4 and row.failures == 3
+    assert math.isnan(row.worst)
+    fresh = CheckRow("window", 1e-8)
+    fresh.record(1e-9)
+    assert fresh.failures == 0 and fresh.worst == 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_failed_coupling_search_is_a_failed_cell_not_an_exception(capsys):
+    # at a millionth of the certified L the quadratic's probes overflow;
+    # each such cell fails coupling_search, is named, and the rest still run
+    report = check_invariants(seeds=(0,), l_scale=1e-6)
+    assert not report.ok
+    assert report.cells == 12
+    row = report.row("coupling_search")
+    assert row.samples == 12 and row.tol == 0.0
+    assert row.failures == len(report.failed_searches) > 0
+    assert any(line.startswith("p=2, Quadratic, seed 0: zeta is NaN")
+               for line in report.failed_searches)
+    assert main(["check-invariants", "--l-scale", "1e-6", "--seeds", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "overall: FAIL" in out
+    assert "coupling search failed: p=2, Quadratic, seed 0:" in out
+    assert check_invariants(seeds=(0,), p_values=(2.0,)).row(
+        "coupling_search").failures == 0
+
+
+def test_cli_run_whose_search_fails_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "big_step"
+    rc = main(["run", "--objective", "quadratic", "--d", "5", "--stepsize",
+               "1e8", "--methods", "hasd", "--iters", "50", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: method 'hasd' at mu=0: coupling search "
+                          "failed: zeta is NaN")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_check_invariants_rejects_empty_budget(capsys):

@@ -752,6 +752,29 @@ def test_memoized_oracles_across_scales_and_non_finite_points():
                 assert_oracle(obj, which, x)
 
 
+def test_softmax_value_after_gradient_at_one_point_maps_it_once(monkeypatch):
+    # SymmetricSoftmax keeps [x, -x] / alpha of the last point, as
+    # LogSumExpAffine keeps its logits
+    obj = SymmetricSoftmax(6, alpha=0.5)
+    x = np.random.default_rng(36).standard_normal(6)
+    want_value = SymmetricSoftmax(6, alpha=0.5).value(x)
+    want_grad = SymmetricSoftmax(6, alpha=0.5).gradient(x)
+    maps = []
+    concatenate = np.concatenate
+    monkeypatch.setattr(np, "concatenate",
+                        lambda *a, **k: maps.append(1) or concatenate(*a, **k))
+    grad = obj.gradient(x)
+    assert len(maps) == 1
+    value = obj.value(x)
+    assert len(maps) == 1  # no second map
+    assert value == want_value and grad.tobytes() == want_grad.tobytes()
+    obj.hessian(x)
+    assert len(maps) == 1
+    x[0] += 1.0  # mutated in place: new bytes, a new point
+    assert obj.value(x) == SymmetricSoftmax(6, alpha=0.5).value(x)
+    assert len(maps) == 3  # this map and the fresh instance's
+
+
 def test_value_after_gradient_at_one_point_maps_it_once():
     class CountingMatrix(np.ndarray):
         """Counts the matrix-vector products taken with it or its transpose."""
