@@ -11,10 +11,9 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .geometry import LpGeometry
-from .harness import (_OBJECTIVES, BENCH_METHODS, BENCH_MU_VALUES,
-                      STEPSIZE_GRID, ExperimentConfig, check_invariants,
-                      default_x0, make_objective, run_bench, run_experiment,
-                      tune_method)
+from .harness import (_OBJECTIVES, BENCH_MU_VALUES, ExperimentConfig,
+                      check_invariants, default_x0, make_objective,
+                      run_experiment, tune_method, write_json)
 from .objectives import (_object, save_instance, smoothness_bound,
                          solve_reference)
 
@@ -27,8 +26,9 @@ def _parse_name_list(text: str):
     return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
 
 
-# flag destinations that map straight onto ExperimentConfig fields
-_CFG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+# ExperimentConfig's fields, which flag destinations map straight onto,
+# and their defaults, which are the bench's settings
+_CFG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _instance_flags(sp, with_config=True):
@@ -48,6 +48,21 @@ def _instance_flags(sp, with_config=True):
                     help="JSON file with a stored reference optimum (x, f)")
 
 
+def _method_flags(sp, out_help=None, **defaults):
+    """--p, --iters, --methods, --grid and --out, defaulting to defaults or
+    to None, which leaves a --config file's entry or the field's default."""
+    sp.add_argument("--p", type=float, default=defaults.get("p"),
+                    help='geometry exponent ("inf" ok)')
+    sp.add_argument("--iters", type=int, default=defaults.get("iters"))
+    sp.add_argument("--methods", type=_parse_name_list,
+                    default=defaults.get("methods"),
+                    help="comma separated: hasd,gd,agd,lc,sd_p")
+    sp.add_argument("--grid", type=_parse_float_list,
+                    default=defaults.get("grid"))
+    sp.add_argument("--out", dest="out_dir", default=defaults.get("out_dir"),
+                    help=out_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hasd",
@@ -58,10 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run the configured methods once each")
     _instance_flags(run_p)
-    run_p.add_argument("--p", type=float, help='geometry exponent ("inf" ok)')
-    run_p.add_argument("--iters", type=int)
-    run_p.add_argument("--methods", type=_parse_name_list,
-                       help="comma separated: hasd,gd,agd,lc,sd_p")
+    _method_flags(run_p)
     run_p.add_argument("--stepsize", type=float,
                        help="fixed stepsize for every method (default: theory)")
     run_p.add_argument("--tune", action="store_true",
@@ -69,32 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--check-invariants", dest="check_invariants",
                        action="store_true",
                        help="count invariant violations during the runs")
-    run_p.add_argument("--grid", type=_parse_float_list)
-    run_p.add_argument("--out", dest="out_dir")
 
     tune_p = sub.add_parser("tune", help="report the best grid stepsize per method")
     _instance_flags(tune_p)
-    tune_p.add_argument("--p", type=float)
-    tune_p.add_argument("--iters", type=int)
-    tune_p.add_argument("--methods", type=_parse_name_list)
-    tune_p.add_argument("--grid", type=_parse_float_list)
-    tune_p.add_argument("--out", dest="out_dir",
-                        help="also write tune.json under this directory")
+    _method_flags(tune_p, out_help="also write tune.json under this directory")
 
     bench_p = sub.add_parser("bench", help="full tuned comparison matrix "
                                            "(4 methods x 4 mu values)")
-    bench_p.add_argument("--n", type=int, default=200)
-    bench_p.add_argument("--d", type=int, default=50)
-    bench_p.add_argument("--iters", type=int, default=130)
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--p", type=float, default=math.inf)
+    for name in ("n", "d", "seed"):
+        bench_p.add_argument("--" + name, type=int, default=_CFG_DEFAULTS[name])
     bench_p.add_argument("--mus", type=_parse_float_list,
                          default=BENCH_MU_VALUES)
-    bench_p.add_argument("--methods", type=_parse_name_list,
-                         default=BENCH_METHODS)
-    bench_p.add_argument("--grid", type=_parse_float_list,
-                         default=STEPSIZE_GRID)
-    bench_p.add_argument("--out", dest="out_dir", default="bench")
+    _method_flags(bench_p, **dict(_CFG_DEFAULTS, out_dir="bench"))
 
     chk = sub.add_parser("check-invariants",
                          help="run every invariant over the default matrix")
@@ -121,11 +119,11 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = _object(json.load(fh), "config file")
-        unknown = set(doc) - set(_CFG_FIELDS)
+        unknown = set(doc) - set(_CFG_DEFAULTS)
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
     flags = {name: val for name, val in vars(args).items()
-             if name in _CFG_FIELDS and val is not None and val is not False}
+             if name in _CFG_DEFAULTS and val is not None and val is not False}
     # the file's values convert on their own first, those a flag overrides too
     return replace(ExperimentConfig(**doc), **flags)
 
@@ -164,21 +162,19 @@ def cmd_tune(args) -> int:
     if getattr(args, "out_dir", None):
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "tune.json").write_text(
-            json.dumps(result, indent=1, sort_keys=True) + "\n")
+        write_json(out / "tune.json", result)
     return 0
 
 
 def cmd_bench(args) -> int:
-    summary = run_bench(out_dir=args.out_dir, mu_values=args.mus, n=args.n,
-                        d=args.d, iters=args.iters, seed=args.seed, p=args.p,
-                        methods=args.methods, grid=args.grid)
+    cfg = _config_from_args(args)
+    summary = run_experiment(cfg, mu_values=list(args.mus), tune_first=True)
     for mu, block in sorted(summary["mus"].items(), key=lambda kv: float(kv[0])):
         parts = ["mu=%-8s" % mu]
-        for m in args.methods:
+        for m in cfg.methods:
             parts.append("%s=%.3e" % (m, block["methods"][m]["final_gap"]))
         print("  ".join(parts))
-    print("bench written to %s" % args.out_dir)
+    print("bench written to %s" % cfg.out_dir)
     return 0
 
 

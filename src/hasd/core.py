@@ -196,15 +196,13 @@ class HasdState:
 
 @dataclass
 class CouplingResult:
-    """Outcome of one coupling search.
+    """Outcome of one coupling search (_fold derives rho and a from theta).
 
     grad_dual and grad_l2 are ||grad f(x_next)||_{p*} and ||.||_2, as the
     probe computed them.
     """
 
     theta: float | None
-    rho: float | None
-    a_next: float | None
     y: np.ndarray | None
     x_next: np.ndarray | None
     zeta: float | None
@@ -294,20 +292,14 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     """Probe the coupling diagnostic at interpolation parameter theta.
 
     Forms y_theta = theta x_t + (1-theta) v_t, takes the steepest step to
-    x_theta, and returns (zeta, y_theta, x_theta, grad_x_theta) with
+    x_theta, and returns (zeta, y_theta, x_theta, g, ||g||_{p*}, ||g||_2),
+    g = grad f(x_theta), with
 
-        zeta = 18 L (1-theta)^2 A_t / theta
-               * ||grad f(x_theta)||_2^2 / ||grad f(x_theta)||_{p*}^2.
+        zeta = 18 L (1-theta)^2 A_t / theta * ||g||_2^2 / ||g||_{p*}^2.
 
     Costs exactly two gradient evaluations.  Raises ExactOptimum if the
     gradient at x_theta vanishes identically.
     """
-    return _probe(theta, state, obj, cfg)[:4]
-
-
-def _probe(theta: float, state: HasdState, obj, cfg: HasdConfig):
-    """zeta_eval's probe, also returning the two gradient norms in zeta:
-    (zeta, y, x, grad f(x), ||grad f(x)||_{p*}, ||grad f(x)||_2)."""
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
     if state.A <= 0.0:
@@ -343,7 +335,7 @@ _SETTLE_MARGIN = 1e-6
 
 
 def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
-    """Binary search for a (rho, x_next) pair inside the acceptance window.
+    """Binary search for a (theta, x_next) pair inside the acceptance window.
 
     Maintains a bracket on theta in (0, 1); zeta blows up as theta -> 0
     and vanishes as theta -> 1, so a probe above the 5/4 target moves the
@@ -391,22 +383,18 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
                 hi = th
                 continue
             calls += 2
-            zeta, y, x, gx, dual, l2 = _probe(th, state, obj, cfg)
+            zeta, y, x, gx, dual, l2 = zeta_eval(th, state, obj, cfg)
             if math.isnan(zeta):
                 raise NonFiniteProbeError(th, (lo, hi), calls)
             last_zeta = zeta
             if 0.5 <= zeta <= 2.0:
-                rho = th / (18.0 * cfg.L * (1.0 - th) ** 2 * state.A)
-                a = state.A * (1.0 - th) / th
-                return CouplingResult(theta=th, rho=rho, a_next=a, y=y,
-                                      x_next=x, zeta=zeta, oracle_calls=calls,
-                                      grad_x_next=gx, grad_dual=dual,
-                                      grad_l2=l2)
+                return CouplingResult(theta=th, y=y, x_next=x, zeta=zeta,
+                                      oracle_calls=calls, grad_x_next=gx,
+                                      grad_dual=dual, grad_l2=l2)
             if ref is not None:
                 fx = obj.value(x)
                 if fx - ref[1] <= cfg.eps:
-                    return CouplingResult(theta=th, rho=None, a_next=None,
-                                          y=y, x_next=x, zeta=zeta,
+                    return CouplingResult(theta=th, y=y, x_next=x, zeta=zeta,
                                           oracle_calls=calls,
                                           early_converged=True,
                                           grad_x_next=gx, f_x_next=fx,
@@ -416,8 +404,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
             else:
                 hi = th
     except ExactOptimum as opt:
-        return CouplingResult(theta=None, rho=None, a_next=None, y=opt.y,
-                              x_next=opt.x, zeta=None, oracle_calls=calls,
+        return CouplingResult(theta=None, y=opt.y, x_next=opt.x, zeta=None,
+                              oracle_calls=calls,
                               early_converged=True,
                               grad_x_next=np.zeros_like(opt.x),
                               grad_dual=0.0, grad_l2=0.0)
@@ -452,16 +440,16 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     """Fold the point a step reached into the state and return its trace row.
 
     res is the step's search result.  The first step has no search: it
-    passes its steepest step from x0 in the same form (theta, rho and zeta
-    None, one oracle call), and rho_0 is read off the gradient-norm ratio at
-    x_1.  At a zero gradient or an early exit of the search the run has
-    converged: x moves to the point and nothing is folded in.  A folded row
-    carries the violation magnitudes of the five per-step guarantees, keyed
-    by INVARIANTS; one above INVARIANT_TOL is a violation.  Growth is an
-    absolute shortfall, the other four are relative to the quantities
-    compared.  With a reference optimum attached, a folded point whose gap
-    is at most cfg.eps ends the run: its row is built as any other and
-    marked converged.
+    passes its steepest step from x0 in the same form (theta and zeta None,
+    one oracle call), and rho_0 is read off the gradient-norm ratio at x_1;
+    a later step's rho and a follow from its theta.  At a zero gradient or
+    an early exit of the search the run has converged: x moves to the point
+    and nothing is folded in.  A folded row carries the violation
+    magnitudes of the five per-step guarantees, keyed by INVARIANTS; one
+    above INVARIANT_TOL is a violation.  Growth is an absolute shortfall,
+    the other four are relative to the quantities compared.  With a
+    reference optimum attached, a folded point whose gap is at most cfg.eps
+    ends the run: its row is built as any other and marked converged.
 
     With rows off only what the iterates and the stop read is folded in:
     f is taken only when a reference is attached (psi is left undefined)
@@ -491,7 +479,9 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         rho = (l2 * l2) / (dual * dual)
         a = a_from_rho(0.0, L, rho)
     else:
-        rho, a = res.rho, res.a_next
+        th = res.theta  # = A_t / A_{t+1}, which fixes rho_t and a_{t+1}
+        rho = th / (18.0 * L * (1.0 - th) ** 2 * state.A)
+        a = state.A * (1.0 - th) / th
     A_before = state.A
     state.accumulate(a, x_new, f_new if rows else None, g_new, dual, l2, L)
     reached = ref is not None and gap <= cfg.eps
@@ -567,7 +557,7 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
     g1 = obj.gradient(x1)
     tr = _fold(state, obj, cfg, CouplingResult(
-        theta=None, rho=None, a_next=None, y=state.x, x_next=x1, zeta=None,
+        theta=None, y=state.x, x_next=x1, zeta=None,
         oracle_calls=1, grad_x_next=g1,
         grad_dual=lp_norm(g1, cfg.geom.p_dual), grad_l2=math.sqrt(g1.dot(g1))),
         rows)

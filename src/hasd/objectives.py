@@ -391,28 +391,24 @@ def smoothness_bound(obj: SmoothObjective, geom: LpGeometry) -> float:
         return convert_smoothness(L, g0.p, geom.p, obj.dim)
     if isinstance(obj, Quadratic):
         return obj.smoothness_for(geom)
-    if isinstance(obj, SymmetricSoftmax):
-        return 1.0 / obj.alpha
     if isinstance(obj, LogSumExpAffine):
         return empirical_smoothness(obj, geom)
     raise SmoothnessUnavailable("no smoothness information for %r" % (type(obj).__name__,))
 
 
-def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
-                    max_iter: int = 500):
-    """High-accuracy reference optimum by damped Newton from x0.
+def solve_reference(obj: SmoothObjective):
+    """High-accuracy reference optimum by damped Newton from the origin.
 
-    Requires a Hessian oracle.  Dense Newton steps from x0 (default 0),
-    each halved until the gradient norm falls, carry x to a gradient norm
-    of grad_tol / 100, however far away the optimum sits; the loop stops
-    early when a full backtracking finds no such point or after max_iter
-    steps.  The result is accepted at a gradient norm of grad_tol, or of
-    the oracle's own rounding floor at x when that is larger, up to a
-    millionth of the gradient norm at x0.  Stores (x_star, f_star) on the
-    objective and returns the pair.  Raises RuntimeError when neither
-    bound is met, and as soon as a point the solve differentiates
-    certifies that a LogSumExpAffine objective is unbounded below (see
-    certifies_unbounded).
+    Requires a Hessian oracle.  Dense Newton steps from x = 0, each halved
+    until the gradient norm falls, carry x to a gradient norm of tol / 100,
+    tol = 1e-10, however far away the optimum sits; the loop stops early
+    when a full backtracking finds no such point or after 500 steps.  The
+    result is accepted at a gradient norm of tol, or of the oracle's own
+    rounding floor at x when that is larger, up to a millionth of the
+    gradient norm at the origin.  Stores (x_star, f_star) on the objective
+    and returns the pair.  Raises RuntimeError when neither bound is met,
+    and as soon as a point the solve differentiates certifies that a
+    LogSumExpAffine objective is unbounded below (see certifies_unbounded).
     """
     if isinstance(obj, Quadratic):
         obj.reference_optimum = (obj.center.copy(), obj.offset)
@@ -423,7 +419,8 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
     if not hasattr(obj, "hessian"):
         raise SmoothnessUnavailable("reference solve needs a Hessian oracle")
 
-    x = np.zeros(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
+    x = np.zeros(obj.dim)
+    tol = 1e-10
     certify = isinstance(obj, LogSumExpAffine)
 
     def jac(x):
@@ -439,8 +436,8 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
     g = jac(x)
     gn = start_gn = float(np.linalg.norm(g))
     seen = {x.tobytes()}  # every point differentiated so far
-    for _ in range(max_iter):
-        if gn <= grad_tol * 1e-2:
+    for _ in range(500):
+        if gn <= tol * 1e-2:
             break
         try:
             direction = np.linalg.solve(obj.hessian(x), g)
@@ -476,7 +473,7 @@ def solve_reference(obj: SmoothObjective, x0=None, grad_tol: float = 1e-10,
     floor = 32.0 * eps_mach * (1.0 + abs(f_x)
                                + h_norm * float(np.linalg.norm(x)))
     cap = 1e-6 * max(1.0, start_gn)
-    if gn > max(grad_tol, min(floor, cap)):
+    if gn > max(tol, min(floor, cap)):
         raise RuntimeError("reference solve stalled at ||grad||_2 = %.3e" % gn)
     obj.reference_optimum = (x, f_x)
     return obj.reference_optimum

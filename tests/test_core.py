@@ -160,8 +160,9 @@ def test_rows_and_zeta_use_numpys_l2_norm_bit_for_bit():
         assert tr.grad_l2 == float(np.linalg.norm(g))
     assert state.t == 12
     for th in np.linspace(0.05, 0.95, 19):
-        zeta, _, _, gx = zeta_eval(th, state, obj, cfg)
+        zeta, _, _, gx, dual_got, l2_got = zeta_eval(th, state, obj, cfg)
         l2, dual = float(np.linalg.norm(gx)), lp_norm(gx, geom.p_dual)
+        assert (dual_got, l2_got) == (dual, l2)
         assert zeta == ((18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th)
                         * (l2 * l2) / (dual * dual))
 
@@ -228,12 +229,13 @@ def test_zeta_eval_p2_closed_form():
     obj, cfg = quad_cfg([1.0, 1.0])
     state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
     for th in (0.2, 0.5, 0.8):
-        zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
+        zeta, y, x, gx, dual, l2 = zeta_eval(th, state, obj, cfg)
         expected = 18.0 * cfg.L * (1 - th) ** 2 * state.A / th
         assert zeta == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(y, th * state.x + (1 - th) * state.v, rtol=1e-15)
         np.testing.assert_allclose(x, y - obj.gradient(y) / 2.0, rtol=1e-12)
         np.testing.assert_allclose(gx, obj.gradient(x), rtol=1e-15)
+        assert dual == l2 == pytest.approx(float(np.linalg.norm(gx)), rel=1e-15)
 
 
 def test_zeta_eval_p4_independent_recomputation():
@@ -244,7 +246,7 @@ def test_zeta_eval_p4_independent_recomputation():
     cfg = HasdConfig(L=L, geom=geom)
     state, _ = first_step(obj, np.array([1.5, -1.0, 2.0]), cfg)
     th = 0.37
-    zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
+    zeta, y, x, gx, dual, l2 = zeta_eval(th, state, obj, cfg)
 
     y_m = th * state.x + (1 - th) * (state.x0 - state.grad_accum)
     gy = h * y_m
@@ -258,6 +260,8 @@ def test_zeta_eval_p4_independent_recomputation():
     np.testing.assert_allclose(y, y_m, rtol=1e-14)
     np.testing.assert_allclose(x, x_m, rtol=1e-12)
     assert zeta == pytest.approx(zeta_m, rel=1e-12)
+    assert l2 == pytest.approx(math.sqrt(float(gx_m @ gx_m)), rel=1e-12)
+    assert dual == pytest.approx(dual_x, rel=1e-12)
 
 
 def test_zeta_eval_exact_optimum():
@@ -285,17 +289,20 @@ def test_find_coupling_accepts_in_window():
         assert not res.early_converged
         assert 0.5 <= res.zeta <= 2.0
         assert res.oracle_calls % 2 == 0 and 2 <= res.oracle_calls <= cfg.max_search_calls
-        # rho and a_next both come from the accepted theta
-        th = res.theta
-        assert res.rho == pytest.approx(th / (18.0 * cfg.L * (1 - th) ** 2 * state.A), rel=1e-14)
-        assert res.a_next == pytest.approx(state.A * (1 - th) / th, rel=1e-14)
-        assert 18.0 * cfg.L * res.rho * res.a_next ** 2 == pytest.approx(
-            state.A + res.a_next, rel=1e-10)
         # the reported zeta is the measured ratio diagnostic at x_next
+        th = res.theta
         g = res.grad_x_next
         r = float(g @ g) / lp_norm(g, geom.p_dual) ** 2
         assert res.zeta == pytest.approx(
             18.0 * cfg.L * (1 - th) ** 2 * state.A / th * r, rel=1e-10)
+        # folding the step derives rho and a_{t+1} from the accepted theta
+        A_t = state.A
+        state, tr = step(state, obj, cfg)
+        a = state.A - A_t
+        assert tr.theta == th
+        assert tr.rho == pytest.approx(th / (18.0 * cfg.L * (1 - th) ** 2 * A_t), rel=1e-14)
+        assert a == pytest.approx(A_t * (1 - th) / th, rel=1e-14)
+        assert 18.0 * cfg.L * tr.rho * a ** 2 == pytest.approx(A_t + a, rel=1e-10)
 
 
 def test_find_coupling_budget_error():
@@ -373,7 +380,7 @@ def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
         x = state.x.copy()
         return (3.0 if theta < 0.3 else 0.1), x, x, np.ones_like(x), 1.0, 1.0
 
-    monkeypatch.setattr("hasd.core._probe", jump)
+    monkeypatch.setattr("hasd.core.zeta_eval", jump)
     with pytest.raises(CouplingSearchError) as exc:
         find_coupling(state, obj, cfg)
     lo, hi = exc.value.bracket
@@ -394,16 +401,14 @@ def search_every_probe(state, obj, cfg):
     while calls + 2 <= cfg.max_search_calls and hi - lo > 4e-12:
         th = 0.5 * (lo + hi)
         calls += 2
-        zeta, y, x, gx = zeta_eval(th, state, obj, cfg)
+        zeta, y, x, gx, _, _ = zeta_eval(th, state, obj, cfg)
         if 0.5 <= zeta <= 2.0:
-            rho = th / (18.0 * cfg.L * (1.0 - th) ** 2 * state.A)
-            a = state.A * (1.0 - th) / th
-            return th, rho, a, zeta, y, x, gx, calls, False, decided
+            return th, zeta, y, x, gx, calls, False, decided
         c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
         if c > above or c < below:
             decided += 1
         elif ref is not None and obj.value(x) - ref[1] <= cfg.eps:
-            return th, None, None, zeta, y, x, gx, calls, True, decided
+            return th, zeta, y, x, gx, calls, True, decided
         if zeta > 1.25:
             lo = th
         else:
@@ -437,16 +442,15 @@ def test_find_coupling_matches_a_search_evaluating_every_probe(p):
             obj.reference_optimum = ref if attach else None
             want = search_every_probe(state, obj, replace(cfg, eps=eps))
             res = find_coupling(state, obj, replace(cfg, eps=eps))
-            got = (res.theta, res.rho, res.a_next, res.zeta)
-            assert got == want[:4]
-            assert res.y.tobytes() == want[4].tobytes()
-            assert res.x_next.tobytes() == want[5].tobytes()
-            assert res.grad_x_next.tobytes() == want[6].tobytes()
-            assert res.early_converged == want[8]
+            assert (res.theta, res.zeta) == want[:2]
+            assert res.y.tobytes() == want[2].tobytes()
+            assert res.x_next.tobytes() == want[3].tobytes()
+            assert res.grad_x_next.tobytes() == want[4].tobytes()
+            assert res.early_converged == want[6]
             early += res.early_converged
             # a decided rejected probe costs no call, reference or not
-            assert res.oracle_calls == want[7] - 2 * want[9]
-            decided += want[9]
+            assert res.oracle_calls == want[5] - 2 * want[7]
+            decided += want[7]
     # at p = 2 c(theta) decides every rejected probe, so only at p > 2 can
     # a search end at a probe's gap
     assert decided > 0 and (early > 0) == (p > 2.0)
@@ -516,9 +520,8 @@ def test_a_run_stops_at_its_first_iterate_within_eps():
 
 def every_probe_coupling(state, obj, cfg):
     """find_coupling's result from search_every_probe."""
-    th, rho, a, zeta, y, x, gx, calls, early, _ = search_every_probe(
-        state, obj, cfg)
-    return CouplingResult(theta=th, rho=rho, a_next=a, y=y, x_next=x,
+    th, zeta, y, x, gx, calls, early, _ = search_every_probe(state, obj, cfg)
+    return CouplingResult(theta=th, y=y, x_next=x,
                           zeta=zeta, oracle_calls=calls, early_converged=early,
                           grad_x_next=gx,
                           f_x_next=obj.value(x) if early else None,

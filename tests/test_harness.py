@@ -4,13 +4,13 @@ import json
 import math
 import shutil
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from hasd.baselines import BaselineConfig, lc_run
-from hasd.cli import main
+from hasd.cli import build_parser, main
 from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig, iterate,
                        run)
 from hasd.geometry import LpGeometry
@@ -18,7 +18,8 @@ from hasd.harness import (STEPSIZE_GRID, CheckRow, ExperimentConfig,
                           attach_reference, check_invariants, config_hash,
                           default_invariant_matrix, default_x0,
                           make_objective, run_bench, run_experiment,
-                          run_method, tune_method, write_trace_csv)
+                          run_method, tune_method, write_json,
+                          write_trace_csv)
 from hasd.objectives import (Quadratic, SymmetricSoftmax, load_instance,
                              make_logsumexp_instance, save_instance,
                              smoothness_bound, solve_reference)
@@ -253,14 +254,13 @@ def test_trace_csv_schema(tmp_path):
     assert all(row.split(",")[8] == "" for row in gd_lines[2:])
 
 
-def _trace_lines_field_by_field(traces, gaps=None):
+def _trace_lines_field_by_field(traces, gaps):
     """Trace CSV rows with each of the twelve fields formatted by hand."""
     def fmt(v):
         return "" if v is None else "%.17g" % float(v)
 
     lines = []
-    for i, tr in enumerate(traces):
-        gap = tr.gap if gaps is None else gaps[i]
+    for tr, gap in zip(traces, gaps):
         lines.append(",".join([
             str(tr.iter), fmt(tr.f), fmt(gap), fmt(tr.grad_l2),
             fmt(tr.grad_dual), fmt(tr.rho), fmt(tr.theta), fmt(tr.zeta),
@@ -271,7 +271,7 @@ def _trace_lines_field_by_field(traces, gaps=None):
 
 def test_trace_csv_rows_follow_the_column_tuple(tmp_path):
     # HASD rows (row 0 without coupling cells), baseline rows (no gap,
-    # no coupling cells), each with and without substituted gaps
+    # no coupling cells), each with its own and with substituted gaps
     obj = make_logsumexp_instance(12, 4, 1e-2, seed=3, declare_smoothness=True)
     geom = LpGeometry(3.0)
     x0 = np.linspace(-1.0, 1.0, 4)
@@ -282,7 +282,8 @@ def test_trace_csv_rows_follow_the_column_tuple(tmp_path):
     assert lc[-1].gap is None and lc[-1].grad_dual is not None
     path = tmp_path / "trace.csv"
     for traces in (hasd, lc):
-        for gaps in (None, [None] + [0.1 / 3 ** i for i in range(1, len(traces))]):
+        for gaps in ([tr.gap for tr in traces],
+                     [None] + [0.1 / 3 ** i for i in range(1, len(traces))]):
             write_trace_csv(path, traces, "h", gaps)
             lines = path.read_text().splitlines()
             assert lines[2:] == _trace_lines_field_by_field(traces, gaps)
@@ -391,11 +392,18 @@ def test_check_row_counts_a_nan_as_a_failure_and_keeps_it_worst():
     assert fresh.failures == 0 and fresh.worst == 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_a_failed_coupling_search_is_a_failed_cell_not_an_exception(capsys):
     # at a millionth of the certified L the quadratic's probes overflow;
-    # each such cell fails coupling_search, is named, and the rest still run
-    report = check_invariants(seeds=(0,), l_scale=1e-6)
+    # each such cell fails coupling_search, is named, and the rest still
+    # run, with no numpy warning: the report says what overflowed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = check_invariants(seeds=(0,), l_scale=1e-6)
+        assert main(["check-invariants", "--l-scale", "1e-6", "--seeds",
+                     "0"]) == 1
+    assert caught == []
+    seen = capsys.readouterr()
+    assert seen.err == "" and seen.out == report.render() + "\n"
     assert not report.ok
     assert report.cells == 12
     row = report.row("coupling_search")
@@ -403,10 +411,8 @@ def test_a_failed_coupling_search_is_a_failed_cell_not_an_exception(capsys):
     assert row.failures == len(report.failed_searches) > 0
     assert any(line.startswith("p=2, Quadratic, seed 0: zeta is NaN")
                for line in report.failed_searches)
-    assert main(["check-invariants", "--l-scale", "1e-6", "--seeds", "0"]) == 1
-    out = capsys.readouterr().out
-    assert "overall: FAIL" in out
-    assert "coupling search failed: p=2, Quadratic, seed 0:" in out
+    assert "overall: FAIL" in seen.out
+    assert "coupling search failed: p=2, Quadratic, seed 0:" in seen.out
     assert check_invariants(seeds=(0,), p_values=(2.0,)).row(
         "coupling_search").failures == 0
 
@@ -761,6 +767,59 @@ def test_cli_tune_writes_json(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((tmp_path / "tuned" / "tune.json").read_text())
     assert doc["gd"]["stepsize"] in (0.1, 0.5)
+    capsys.readouterr()
+
+
+def _strict_load(path):
+    """json.load that refuses NaN, Infinity and -Infinity literals."""
+    def refuse(literal):
+        raise ValueError("non-finite literal %s in %s" % (literal, path))
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_cli_outputs_are_strict_json_when_a_run_diverges(tmp_path, capsys):
+    # gd at stepsize 10 on a quadratic with curvature up to 4 blows up: its
+    # final f and gap are inf, written as the string "inf"
+    out = tmp_path / "div"
+    assert main(["run", "--objective", "quadratic", "--d", "5", "--stepsize",
+                 "10", "--methods", "gd", "--iters", "200",
+                 "--out", str(out)]) == 0
+    entry = _strict_load(out / "summary.json")["mus"]["0"]["methods"]["gd"]
+    assert entry["final_f"] == entry["final_gap"] == "inf"
+    tuned = tmp_path / "tuned"
+    with pytest.warns(RuntimeWarning, match="every stepsize diverged"):
+        assert main(["tune", "--objective", "quadratic", "--d", "5",
+                     "--methods", "gd", "--grid", "10,100",
+                     "--out", str(tuned)]) == 0
+    assert _strict_load(tuned / "tune.json")["gd"] == {
+        "all_divergent": True, "final_f": "inf", "stepsize": 10.0}
+    capsys.readouterr()
+
+
+def test_write_json_spells_non_finite_floats_as_config_p_does(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": [math.inf, -math.inf, math.nan, 1.5],
+                      "b": {"c": (np.float64(math.inf), 2)}})
+    assert _strict_load(path) == {"a": ["inf", "-inf", "nan", 1.5],
+                                  "b": {"c": ["inf", 2]}}
+    assert ExperimentConfig().to_dict()["p"] == "inf"
+
+
+def test_bench_parser_defaults_are_experiment_config_defaults(tmp_path,
+                                                              capsys):
+    args = build_parser().parse_args(["bench"])
+    for f in fields(ExperimentConfig):
+        if f.name in ("n", "d", "seed", "p", "iters", "methods", "grid"):
+            assert getattr(args, f.name) == f.default, f.name
+    small = {"n": 8, "d": 3, "iters": 5, "grid": (0.5, 1.0),
+             "methods": ("hasd", "gd")}
+    argv = ["bench", "--n", "8", "--d", "3", "--iters", "5", "--grid",
+            "0.5,1", "--methods", "hasd,gd", "--mus", "0.01"]
+    assert main(argv + ["--out", str(tmp_path / "cli")]) == 0
+    lib = run_bench(out_dir=str(tmp_path / "lib"), mu_values=(0.01,), **small)
+    written = _strict_load(tmp_path / "cli" / "summary.json")
+    assert written["config_hash"] == lib["config_hash"]
     capsys.readouterr()
 
 
