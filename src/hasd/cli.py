@@ -4,31 +4,35 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration error.
 """
 
 import argparse
+import inspect
 import json
-import math
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 from .geometry import LpGeometry
-from .harness import (_OBJECTIVES, BENCH_MU_VALUES, ExperimentConfig,
+from .harness import (_ALL_METHODS, _OBJECTIVES, ExperimentConfig,
                       check_invariants, default_x0, make_objective,
-                      run_experiment, tune_method, write_json)
+                      run_bench, run_experiment, tune_method, write_json)
 from .objectives import (_object, save_instance, smoothness_bound,
                          solve_reference)
 
 
-def _parse_float_list(text: str):
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+def _list_of(convert):
+    """Argparse type of a comma separated list; blank entries are skipped."""
+    def comma_list(text):
+        return tuple(convert(t.strip()) for t in text.split(",") if t.strip())
+    return comma_list
 
 
-def _parse_name_list(text: str):
-    return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
+def _defaults(fn) -> dict:
+    """The default of each of fn's parameters that has one."""
+    return {name: par.default
+            for name, par in inspect.signature(fn).parameters.items()
+            if par.default is not par.empty}
 
 
-# ExperimentConfig's fields, which flag destinations map straight onto,
-# and their defaults, which are the bench's settings
-_CFG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+# ExperimentConfig's fields (flag destinations) and defaults (the bench's)
+_CFG_DEFAULTS = _defaults(ExperimentConfig)
 
 
 def _instance_flags(sp, with_config=True):
@@ -48,19 +52,14 @@ def _instance_flags(sp, with_config=True):
                     help="JSON file with a stored reference optimum (x, f)")
 
 
-def _method_flags(sp, out_help=None, **defaults):
-    """--p, --iters, --methods, --grid and --out, defaulting to defaults or
-    to None, which leaves a --config file's entry or the field's default."""
-    sp.add_argument("--p", type=float, default=defaults.get("p"),
-                    help='geometry exponent ("inf" ok)')
-    sp.add_argument("--iters", type=int, default=defaults.get("iters"))
-    sp.add_argument("--methods", type=_parse_name_list,
-                    default=defaults.get("methods"),
-                    help="comma separated: hasd,gd,agd,lc,sd_p")
-    sp.add_argument("--grid", type=_parse_float_list,
-                    default=defaults.get("grid"))
-    sp.add_argument("--out", dest="out_dir", default=defaults.get("out_dir"),
-                    help=out_help)
+def _method_flags(sp, out_help=None):
+    """--p, --iters, --methods, --grid and --out, each None unless given."""
+    sp.add_argument("--p", type=float, help='geometry exponent ("inf" ok)')
+    sp.add_argument("--iters", type=int)
+    sp.add_argument("--methods", type=_list_of(str),
+                    help="comma separated: " + ",".join(_ALL_METHODS))
+    sp.add_argument("--grid", type=_list_of(float))
+    sp.add_argument("--out", dest="out_dir", help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,32 +78,34 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--tune", action="store_true",
                        help="grid-tune each method before the recorded run")
     run_p.add_argument("--check-invariants", dest="check_invariants",
-                       action="store_true",
+                       action="store_true", default=None,
                        help="count invariant violations during the runs")
 
     tune_p = sub.add_parser("tune", help="report the best grid stepsize per method")
     _instance_flags(tune_p)
     _method_flags(tune_p, out_help="also write tune.json under this directory")
 
+    bench = _defaults(run_bench)
+    sizes = len(_CFG_DEFAULTS["methods"]), len(bench["mu_values"])
     bench_p = sub.add_parser("bench", help="full tuned comparison matrix "
-                                           "(4 methods x 4 mu values)")
+                             "(%d methods x %d mu values)" % sizes)
     for name in ("n", "d", "seed"):
-        bench_p.add_argument("--" + name, type=int, default=_CFG_DEFAULTS[name])
-    bench_p.add_argument("--mus", type=_parse_float_list,
-                         default=BENCH_MU_VALUES)
-    _method_flags(bench_p, **dict(_CFG_DEFAULTS, out_dir="bench"))
+        bench_p.add_argument("--" + name, type=int)
+    bench_p.add_argument("--mus", type=_list_of(float))
+    _method_flags(bench_p)
+    bench_p.set_defaults(**dict(_CFG_DEFAULTS, out_dir=bench["out_dir"]),
+                         mus=bench["mu_values"])
 
     chk = sub.add_parser("check-invariants",
                          help="run every invariant over the default matrix")
-    chk.add_argument("--p", type=lambda s: tuple(float(t) for t in s.split(",")),
-                     default=(2.0, 3.0, 4.0, math.inf), dest="p_values",
+    chk.add_argument("--p", type=_list_of(float), dest="p_values",
                      help='comma separated exponents, e.g. "2,4,inf"')
-    chk.add_argument("--seeds", type=lambda s: tuple(int(t) for t in s.split(",")),
-                     default=(0, 1))
-    chk.add_argument("--iters", type=int, default=40)
-    chk.add_argument("--l-scale", dest="l_scale", type=float, default=1.0,
+    chk.add_argument("--seeds", type=_list_of(int))
+    chk.add_argument("--iters", type=int)
+    chk.add_argument("--l-scale", dest="l_scale", type=float,
                      help="scale on the smoothness constant handed to the "
                           "optimizer (values < 1 violate it on purpose)")
+    chk.set_defaults(**_defaults(check_invariants))
 
     gen = sub.add_parser("gen-instance", help="generate and store an instance")
     _instance_flags(gen, with_config=False)
@@ -114,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _given(args) -> dict:
+    """The settings a --config file and the flags give, flags winning."""
     doc = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -122,15 +124,14 @@ def _config_from_args(args) -> ExperimentConfig:
         unknown = set(doc) - set(_CFG_DEFAULTS)
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    flags = {name: val for name, val in vars(args).items()
-             if name in _CFG_DEFAULTS and val is not None and val is not False}
-    # the file's values convert on their own first, those a flag overrides too
-    return replace(ExperimentConfig(**doc), **flags)
+        ExperimentConfig(**doc)  # the file's values convert, overridden or not
+    return dict(doc, **{name: val for name, val in vars(args).items()
+                        if name in _CFG_DEFAULTS and val is not None})
 
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    summary = run_experiment(cfg, tune_first=bool(getattr(args, "tune", False)))
+    cfg = ExperimentConfig(**_given(args))
+    summary = run_experiment(cfg, tune_first=args.tune)
     for mu, block in sorted(summary["mus"].items(), key=lambda kv: float(kv[0])):
         for m, entry in sorted(block["methods"].items()):
             print("mu=%-8s %-5s stepsize=%-8g final_f=%.10g gap=%.4e  -> %s"
@@ -145,7 +146,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = _config_from_args(args)
+    given = _given(args)
+    cfg = ExperimentConfig(**given)
     obj = make_objective(cfg)
     geom = LpGeometry(cfg.p)
     L = smoothness_bound(obj, geom)
@@ -159,22 +161,20 @@ def cmd_tune(args) -> int:
         flag = "  (all grid points diverged)" if all_div else ""
         print("%-5s stepsize=%-10g final_f=%.10g%s"
               % (m, best, finals[best], flag))
-    if getattr(args, "out_dir", None):
-        out = Path(args.out_dir)
+    if "out_dir" in given:
+        out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "tune.json", result)
     return 0
 
 
 def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
-    summary = run_experiment(cfg, mu_values=list(args.mus), tune_first=True)
+    summary = run_bench(mu_values=args.mus, **_given(args))
     for mu, block in sorted(summary["mus"].items(), key=lambda kv: float(kv[0])):
-        parts = ["mu=%-8s" % mu]
-        for m in cfg.methods:
-            parts.append("%s=%.3e" % (m, block["methods"][m]["final_gap"]))
-        print("  ".join(parts))
-    print("bench written to %s" % cfg.out_dir)
+        gaps = ["%s=%.3e" % (m, block["methods"][m]["final_gap"])
+                for m in summary["config"]["methods"]]
+        print("  ".join(["mu=%-8s" % mu] + gaps))
+    print("bench written to %s" % args.out_dir)
     return 0
 
 
@@ -186,7 +186,7 @@ def cmd_check_invariants(args) -> int:
 
 
 def cmd_gen_instance(args) -> int:
-    obj = make_objective(_config_from_args(args))
+    obj = make_objective(ExperimentConfig(**_given(args)))
     if args.solve_ref:
         try:
             solve_reference(obj)
@@ -200,8 +200,7 @@ def cmd_gen_instance(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "tune": cmd_tune, "bench": cmd_bench,
                 "check-invariants": cmd_check_invariants,
                 "gen-instance": cmd_gen_instance}

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
+from .baselines import (_METHODS, BaselineConfig, agd_run, gd_run, lc_run,
+                        sdp_run)
 from .core import (INVARIANT_TOL, INVARIANTS, CouplingSearchError,
                    HasdConfig, _run, iterate, rate_bounds, run,
                    search_call_bound)
@@ -31,35 +32,49 @@ from .objectives import (Quadratic, SmoothnessUnavailable, SymmetricSoftmax,
 STEPSIZE_GRID = tuple(c * 10.0 ** e for e in range(-10, 0)
                       for c in (1.0, 2.0, 5.0)) + (1.0,)
 
-BENCH_MU_VALUES = (0.0, 1e-6, 1e-4, 1e-2)
-_ALL_METHODS = ("hasd", "gd", "agd", "lc", "sd_p")
+_ALL_METHODS = ("hasd",) + _METHODS
 _OBJECTIVES = ("logsumexp", "softmax", "quadratic")
 
 TRACE_COLUMNS = ("iter", "f", "gap", "grad_l2", "grad_dual", "rho", "theta",
                  "zeta", "search_calls", "A", "B", "G_running")
 
 
-def _typed(kind, optional=False):
-    """Converter passing a value of the given type (or None, if optional)."""
-    def convert(value):
-        if not (isinstance(value, kind) or (optional and value is None)):
-            raise TypeError("expected %s, got %r" % (kind.__name__, value))
-        return value
-    return convert
+def _checked(ok, need: str, convert=None):
+    """Converter returning convert(value), or value, if ok holds for it."""
+    def check(value):
+        x = value if convert is None else convert(value)
+        if not ok(x):
+            raise ValueError("must be %s, got %r" % (need, x))
+        return x
+    return check
 
 
-# the one converter of each ExperimentConfig field, the instance loader's
-# where it has one: a value that does not convert is a ValueError naming
-# its key (an integer path would otherwise be opened as a file descriptor)
+def _one_of(names):
+    return _checked(lambda v: v in names, "one of " + ", ".join(names))
+
+
+def _each(convert):
+    """Converter of a nonempty sequence to a tuple, entry by entry."""
+    return _checked(bool, "nonempty", lambda v: tuple(map(convert, v)))
+
+
+_positive = _checked(lambda x: x > 0, "positive", _finite)
+_count = _checked(lambda k: k >= 1, "at least 1", operator.index)
+_path = _checked(lambda v: v is None or isinstance(v, str), "a string or null")
+
+# the one converter and range check of each ExperimentConfig field (so an
+# integer path is refused, not opened as a file descriptor)
 _CONVERTERS = {
-    "objective": _typed(str), "n": operator.index, "d": operator.index,
-    "mu": _finite, "alpha": _finite,
-    "seed": lambda v: _seed(operator.index(v)), "methods": tuple,
+    "objective": _one_of(_OBJECTIVES), "n": _count, "d": _count,
+    "mu": _checked(lambda x: x >= 0, "nonnegative", _finite),
+    "alpha": _positive, "seed": lambda v: _seed(operator.index(v)),
+    "methods": _each(_one_of(_ALL_METHODS)),
     "p": lambda v: LpGeometry(v).p,  # reads "inf", refuses NaN and p < 2
-    "iters": operator.index, "grid": lambda v: tuple(map(_finite, v)),
+    "iters": _count, "grid": _each(_positive),
     "stepsize": lambda v: None if v is None else _finite(v),
-    "out_dir": _typed(str), "check_invariants": _typed(bool),
-    "ref_path": _typed(str, True), "instance_path": _typed(str, True),
+    "out_dir": _checked(lambda v: isinstance(v, str), "a string"),
+    "check_invariants": _checked(lambda v: isinstance(v, bool), "a bool"),
+    "ref_path": _path, "instance_path": _path,
 }
 
 
@@ -67,11 +82,10 @@ _CONVERTERS = {
 class ExperimentConfig:
     """Everything one experiment needs; hashable to a provenance id.
 
-    Every setting, whether it comes from a flag, a --config file or a
-    library call, is converted here and only here, by its entry in
-    _CONVERTERS, then range-checked, whichever objective reads it; a value
-    that does not convert, an alpha <= 0 or a mu < 0 is a ValueError
-    beginning "config key <name>:".
+    Every setting, from a flag, a --config file or a library call, is
+    converted and range-checked here and only here, by its entry in
+    _CONVERTERS, read or not (each enters config_hash); a value that fails
+    is a ValueError beginning "config key <name>:".
     """
 
     objective: str = "logsumexp"
@@ -93,24 +107,6 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, convert in _CONVERTERS.items():
             setattr(self, key, _field(vars(self), key, "config", convert))
-        # every setting enters config_hash, read or not
-        if self.alpha <= 0:
-            raise ValueError("config key 'alpha': must be positive, got %r"
-                             % (self.alpha,))
-        if self.mu < 0:
-            raise ValueError("config key 'mu': must be nonnegative, got %r"
-                             % (self.mu,))
-        if self.objective not in _OBJECTIVES:
-            raise ValueError("objective must be one of %r" % (_OBJECTIVES,))
-        bad = [m for m in self.methods if m not in _ALL_METHODS]
-        if bad or not self.methods:
-            raise ValueError("unknown methods %r (choose from %r)" % (bad, _ALL_METHODS))
-        if not self.grid or min(self.grid) <= 0:
-            raise ValueError("stepsize grid must be nonempty and positive")
-        if self.iters < 1:
-            raise ValueError("iteration budget must be at least 1")
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive")
 
     def to_dict(self) -> dict:
         """Canonical document for hashing; excludes out_dir, which names
@@ -364,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     return summary
 
 
-def run_bench(out_dir: str = "bench", mu_values=BENCH_MU_VALUES,
+def run_bench(out_dir: str = "bench", mu_values=(0.0, 1e-6, 1e-4, 1e-2),
               **settings) -> dict:
     """The full comparison matrix: tuned stepsizes, all mu values.
 
@@ -645,10 +641,14 @@ def check_invariants(cells=None, p_values=(2.0, 3.0, 4.0, math.inf),
     progress check must catch).  A cell whose coupling search fails counts
     as a failure of the coupling_search row and is named in the report;
     the other cells still run.  Returns a report whose .ok drives the
-    process exit code.  Raises ValueError when iters < 1.
+    process exit code.  A setting that fails to convert, an empty p_values
+    or seeds among them, is a "config key <name>:" ValueError.
     """
-    if iters < 1:
-        raise ValueError("iteration budget must be at least 1")
+    p_values, iters, l_scale, seeds = (
+        _field({key: value}, key, "config", convert) for key, value, convert in (
+            ("p_values", p_values, _each(_CONVERTERS["p"])),
+            ("iters", iters, _count), ("l_scale", l_scale, _positive),
+            ("seeds", seeds, _each(_CONVERTERS["seed"]))))
     report = InvariantReport(rows=[CheckRow(name, tol) for name, tol in _CHECKS])
     if cells is None:
         labelled = [(cell, "seed %d" % seed)

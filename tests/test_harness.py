@@ -1,5 +1,6 @@
 """Harness tests: tuning, CSV emission, determinism, bench matrix, CLI."""
 
+import inspect
 import json
 import math
 import shutil
@@ -35,21 +36,16 @@ def test_default_grid_has_31_entries_ending_at_one():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(objective="bogus")
-    with pytest.raises(ValueError):
-        ExperimentConfig(methods=("hasd", "newton"))
-    with pytest.raises(ValueError):
-        ExperimentConfig(grid=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(grid=(0.1, -1.0))
-    with pytest.raises(ValueError):
-        ExperimentConfig(iters=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(p=1.5)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            ExperimentConfig(grid=(0.1, bad))
+    # every refused setting names its key, range checks included
+    for settings in ({"objective": "bogus"}, {"methods": ("hasd", "newton")},
+                     {"methods": ()}, {"grid": ()}, {"grid": (0.1, -1.0)},
+                     {"grid": (0.1, math.nan)}, {"grid": (0.1, math.inf)},
+                     {"iters": 0}, {"n": 0}, {"d": 0}, {"p": 1.5},
+                     {"alpha": 0.0}, {"mu": -1e-9}, {"out_dir": 3},
+                     {"ref_path": 3}, {"check_invariants": 1}):
+        (key,) = settings
+        with pytest.raises(ValueError, match="^config key %r: " % key):
+            ExperimentConfig(**settings)
 
 
 def test_config_hash_ignores_output_location():
@@ -770,6 +766,28 @@ def test_cli_tune_writes_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_tune_writes_json_under_a_config_files_out_dir(tmp_path,
+                                                         monkeypatch, capsys):
+    # as hasd run does; with no out_dir from a flag or a file, nothing
+    monkeypatch.chdir(tmp_path)
+    doc = {"objective": "quadratic", "d": 4, "iters": 5, "grid": [0.1, 1.0]}
+    (tmp_path / "bare.json").write_text(json.dumps(doc))
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(doc,
+                                                       out_dir="from_file")))
+    assert main(["tune", "--config", "bare.json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.json",
+                                                          "cfg.json"]
+    assert main(["tune", "--config", "cfg.json"]) == 0
+    table = capsys.readouterr().out
+    tuned = json.loads((tmp_path / "from_file" / "tune.json").read_text())
+    assert list(tuned) == ["agd", "gd", "hasd", "lc"]  # sorted keys
+    for m, entry in tuned.items():
+        assert "%-5s stepsize=%-10g" % (m, entry["stepsize"]) in table
+    assert main(["tune", "--config", "cfg.json", "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "tune.json").exists()
+    capsys.readouterr()
+
+
 def _strict_load(path):
     """json.load that refuses NaN, Infinity and -Infinity literals."""
     def refuse(literal):
@@ -821,6 +839,55 @@ def test_bench_parser_defaults_are_experiment_config_defaults(tmp_path,
     written = _strict_load(tmp_path / "cli" / "summary.json")
     assert written["config_hash"] == lib["config_hash"]
     capsys.readouterr()
+
+
+def test_parser_defaults_are_the_library_calls_defaults():
+    # each verb's defaults come from the call it makes, so they cannot drift
+    lib = inspect.signature(check_invariants).parameters
+    args = build_parser().parse_args(["check-invariants"])
+    for name in ("p_values", "iters", "l_scale", "seeds"):
+        assert getattr(args, name) == lib[name].default, name
+    lib = inspect.signature(run_bench).parameters
+    args = build_parser().parse_args(["bench"])
+    assert args.out_dir == lib["out_dir"].default
+    assert args.mus == lib["mu_values"].default
+
+
+def test_check_invariants_refuses_an_empty_p_values_or_seeds(capsys):
+    # neither is a PASS over 0 cells
+    for settings in ({"p_values": ()}, {"seeds": ()}):
+        (key,) = settings
+        with pytest.raises(ValueError, match="config key %r: must be "
+                                             "nonempty" % key):
+            check_invariants(**settings)
+    for flag in ("--p", "--seeds"):
+        assert main(["check-invariants", flag, ""]) == 2
+        seen = capsys.readouterr()
+        assert seen.out == "" and seen.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["--seeds=-1"], "seeds"), (["--l-scale", "0"], "l_scale"),
+    (["--p", "2,1"], "p_values"), (["--iters", "0"], "iters")],
+    ids=["seeds", "l_scale", "p_values", "iters"])
+def test_check_invariants_names_the_setting_it_refuses(capsys, argv, key):
+    # refused before any cell runs: exit 2, one stderr line naming the key
+    assert main(["check-invariants"] + argv) == 2
+    seen = capsys.readouterr()
+    assert seen.out == "" and seen.err.count("\n") == 1
+    assert seen.err.startswith("error: config key %r: " % key)
+
+
+def test_list_flags_skip_blank_entries(capsys):
+    argv = ["check-invariants", "--seeds", "0", "--iters", "4", "--p"]
+    assert main(argv + ["2,inf"]) == 0
+    want = capsys.readouterr().out
+    assert main(argv + ["2,inf,"]) == 0
+    assert capsys.readouterr().out == want
+    args = build_parser().parse_args(["bench", "--methods", " hasd,, gd ,",
+                                      "--mus", ",0.01,", "--grid", "1,"])
+    assert (args.methods, args.mus, args.grid) == (("hasd", "gd"), (0.01,),
+                                                   (1.0,))
 
 
 def test_cli_bench_with_no_mu_values_is_exit_2(tmp_path, capsys):
