@@ -5,8 +5,11 @@ The elementary subproblem throughout the package is
     min_x  <g, x - y> + L * ||x - y||_p^2,       p in [2, inf],
 
 whose minimizer has a closed form in terms of the dual norm ||g||_{p*},
-p* = p/(p-1).  This module also provides the Hessian of ||.||_p^2 for
-curvature diagnostics.
+p* = p/(p-1).  This module also provides the Hessian of ||.||_p^2 and
+its split into two positive semidefinite pieces, for curvature analysis;
+nothing in the optimizer or the invariant checker calls them, and the
+test suite checks their identities (finite differences, the split, the
+norm lower bound).
 """
 
 import math
@@ -14,25 +17,15 @@ import math
 import numpy as np
 
 
-def lp_norm(x, p: float, axis=None):
-    """l_p norm for p in [1, inf], of all of x or along one axis.
+def lp_norm(x, p: float) -> float:
+    """l_p norm for p in [1, inf] of x, its entries taken as one vector.
 
     Rescales by the max absolute entry before powering so that large or
-    tiny inputs do not overflow/underflow.  With axis None (the default)
-    x is taken as one vector and a float is returned; the empty vector has
-    norm 0.  With an integer axis, as in np.linalg.norm, the norms along
-    that axis are returned as an array (axis=-1: the norm of each row of a
-    matrix); a zero or empty row has norm 0.  Each row's norm is the same
-    bits as lp_norm(row, p): the rows take the scalar path's operations,
-    and at p not in {1, 2, inf} their final root is np.float_power, which
-    is the scalar pow routine (np.power's SIMD loop can differ from it by
-    an ulp, in about 3% of rows).
+    tiny inputs do not overflow/underflow.  The empty vector has norm 0.
     """
     if not (p >= 1.0):
         raise ValueError("lp_norm requires p >= 1, got %r" % (p,))
     x = np.asarray(x, dtype=float)
-    if axis is not None:
-        return _lp_norms(x, p, axis)
     if x.size == 0:
         return 0.0
     # ufunc reduces over all axes are what a.max()/a.sum()/np.sum run,
@@ -46,21 +39,6 @@ def lp_norm(x, p: float, axis=None):
     if p == 2.0:
         return m * math.sqrt(np.add.reduce((a / m) ** 2, None))
     return m * float(np.add.reduce((a / m) ** p, None) ** (1.0 / p))
-
-
-def _lp_norms(x, p: float, axis: int):
-    """lp_norm along one axis: the scalar path's ops, applied per row."""
-    a = np.abs(x)
-    if p == 1.0 or a.shape[axis] == 0:  # an empty row has no maximum
-        return np.add.reduce(a, axis)
-    m = np.maximum.reduce(a, axis)
-    if math.isinf(p):
-        return m
-    # a zero row divides by 1 instead of 0, and its norm stays m = 0
-    scale = np.expand_dims(np.where(m == 0.0, 1.0, m), axis)
-    if p == 2.0:
-        return m * np.sqrt(np.add.reduce((a / scale) ** 2, axis))
-    return m * np.float_power(np.add.reduce((a / scale) ** p, axis), 1.0 / p)
 
 
 class LpGeometry:

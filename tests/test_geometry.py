@@ -117,26 +117,6 @@ def test_lp_norm_matches_wrapped_reduces_bit_for_bit():
             assert _same_bits(got, want), (x, p, got, want)
 
 
-@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, math.inf])
-def test_lp_norm_along_the_last_axis_is_each_rows_norm_bit_for_bit(p):
-    # the stencil and probe blocks of the invariant checker take their row
-    # norms in one call; each must be the vector's own norm, zero rows too
-    rng = np.random.default_rng(53)
-    for d in (1, 2, 5, 10, 33):
-        X = rng.standard_normal((120, d)) * 10.0 ** rng.uniform(-3, 3, (120, 1))
-        X[0] = 0.0
-        X[1, ::2] = 0.0
-        norms = lp_norm(X, p, axis=-1)
-        assert norms.shape == (120,)
-        for row, got in zip(X, norms):
-            assert _same_bits(got, lp_norm(row, p)), (row, p)
-    assert lp_norm(np.zeros((3, 0)), p, axis=-1).tolist() == [0.0] * 3
-    assert lp_norm(np.zeros((0, 4)), p, axis=-1).shape == (0,)
-    stack = rng.standard_normal((2, 3, 4))
-    assert _same_bits(lp_norm(stack, p, axis=-1)[1, 2], lp_norm(stack[1, 2], p))
-    assert _same_bits(lp_norm(stack, p, axis=0)[2, 1], lp_norm(stack[:, 2, 1], p))
-
-
 def test_steepest_step_matches_wrapped_any_bit_for_bit():
     rng = np.random.default_rng(43)
     grads = [np.zeros(4), np.array([-0.0, 0.0, 0.0, -0.0]),
@@ -283,34 +263,38 @@ def test_steepest_step_matches_numeric_argmin():
 
 def test_steepest_step_first_order_condition():
     # grad_i phi(x) = g_i + 2L ||x-y||_p^{2-p} |x_i-y_i|^{p-2} (x_i-y_i) = 0
+    # at d <= 6 this 2-norm bound implies max|resid| <= 1e-8 * max|g|
     rng = np.random.default_rng(17)
     for p in [2.0, 2.5, 3.0, 4.0, 8.0]:
         geom = LpGeometry(p)
-        for _ in range(5):
-            y = rng.standard_normal(4)
-            g = rng.standard_normal(4)
-            L = float(rng.uniform(0.5, 2.0))
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            y = rng.standard_normal(d)
+            g = rng.standard_normal(d)
+            L = 10.0 ** rng.uniform(-1, 1)
             x = steepest_step(y, g, L, geom)
             z = x - y
             n = lp_norm(z, p)
             resid = g + 2 * L * n ** (2 - p) * np.abs(z) ** (p - 2) * z
-            assert np.linalg.norm(resid) <= 1e-9 * max(1.0, np.linalg.norm(g))
+            assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(g)
 
 
 def test_steepest_step_beats_random_perturbations():
+    # np.linalg.norm along rows is an independent l_p norm for the probes
     rng = np.random.default_rng(23)
     for p in P_VALUES:
         geom = LpGeometry(p)
-        y = rng.standard_normal(6)
-        g = rng.standard_normal(6)
-        L = 1.3
-        x = steepest_step(y, g, L, geom)
-        v = subproblem_value(y, g, L, geom, x)
-        for scale in [1e-4, 1e-2, 1.0]:
-            pert = x + scale * rng.standard_normal((2000, 6))
-            diff = pert - y
-            vals = diff @ g + L * np.array([lp_norm(row, p) for row in diff]) ** 2
-            assert vals.min() >= v - 1e-10 * max(1.0, abs(v))
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            y = rng.standard_normal(d)
+            g = rng.standard_normal(d)
+            L = 10.0 ** rng.uniform(-1, 1)
+            x = steepest_step(y, g, L, geom)
+            v = subproblem_value(y, g, L, geom, x)
+            for scale in [1e-4, 1e-2, 1.0]:
+                diff = x + scale * rng.standard_normal((200, d)) - y
+                vals = diff @ g + L * np.linalg.norm(diff, p, axis=1) ** 2
+                assert vals.min() >= v - 1e-10 * abs(v)
 
 
 def test_subproblem_value_direct():

@@ -42,7 +42,8 @@ def test_config_validation():
                      {"grid": (0.1, math.nan)}, {"grid": (0.1, math.inf)},
                      {"iters": 0}, {"n": 0}, {"d": 0}, {"p": 1.5},
                      {"alpha": 0.0}, {"mu": -1e-9}, {"out_dir": 3},
-                     {"ref_path": 3}, {"check_invariants": 1}):
+                     {"ref_path": 3}, {"check_invariants": 1},
+                     {"stepsize": 0.0}, {"stepsize": -1.0}):
         (key,) = settings
         with pytest.raises(ValueError, match="^config key %r: " % key):
             ExperimentConfig(**settings)
@@ -348,31 +349,38 @@ def test_check_invariants_skips_without_reference():
     assert report.row("window").samples > 0
 
 
+def test_check_invariants_cell_started_at_its_optimum():
+    # a stationary start takes no step: its search counts as done, and no
+    # other row has a sample or a skip
+    quad = Quadratic(np.ones(3))
+    report = check_invariants(cells=[(quad, np.zeros(3))],
+                              p_values=(2.0, math.inf))
+    assert report.ok and report.cells == 2
+    assert report.median_search_calls is None
+    for r in report.rows:
+        expect = 2 if r.name == "coupling_search" else 0
+        assert (r.samples, r.failures, r.skipped) == (expect, 0, 0), r.name
+
+
+def test_check_invariants_cell_whose_first_step_lands_on_the_optimum():
+    # at p = 2 and half of L = 1 the first step is x0 - grad f(x0) = x*: the
+    # converged row carries no violations, and with no coupled step (T = 0)
+    # there is no certificate to check
+    quad = Quadratic(np.ones(3))
+    report = check_invariants(cells=[(quad, [1.0, -2.0, 0.5])],
+                              p_values=(2.0,), l_scale=0.5)
+    assert report.ok and report.render().endswith("overall: PASS")
+    assert all(report.row(name).samples == 0 for name in INVARIANTS)
+    assert report.row("coupling_search").samples == 1
+    cert = report.row("certificate")
+    assert (cert.samples, cert.skipped) == (0, 1)
+
+
 def test_check_invariants_catches_violated_smoothness():
     report = check_invariants(seeds=(0,), p_values=(math.inf,), iters=25,
                               l_scale=0.5)
     assert not report.ok
     assert report.row("progress").failures > 0
-
-
-def test_geometry_rows_keep_their_sample_counts():
-    # cells=[] runs the sampled norm checks alone, over the default p values
-    report = check_invariants(cells=[])
-    assert report.ok and report.cells == 0
-    counts = {"holder": 80, "step_optimality": 60, "step_beats_probes": 20,
-              "hessian_fd": 45, "hessian_psd_split": 45, "hessian_witness": 45}
-    for name, samples in counts.items():
-        assert report.row(name).samples == samples, name
-
-
-def test_hessian_fd_catches_a_hessian_one_percent_off(monkeypatch):
-    import hasd.harness as harness
-    exact = harness.lp_sq_hessian
-    monkeypatch.setattr(harness, "lp_sq_hessian",
-                        lambda z, p: 1.01 * exact(z, p))
-    report = check_invariants(cells=[], p_values=(3.0,))
-    assert report.row("hessian_fd").failures > 0
-    assert not report.ok
 
 
 def test_check_row_counts_a_nan_as_a_failure_and_keeps_it_worst():
@@ -854,8 +862,8 @@ def test_parser_defaults_are_the_library_calls_defaults():
 
 
 def test_check_invariants_refuses_an_empty_p_values_or_seeds(capsys):
-    # neither is a PASS over 0 cells
-    for settings in ({"p_values": ()}, {"seeds": ()}):
+    # neither is a PASS over 0 cells, nor is an empty cells list
+    for settings in ({"p_values": ()}, {"seeds": ()}, {"cells": []}):
         (key,) = settings
         with pytest.raises(ValueError, match="config key %r: must be "
                                              "nonempty" % key):
@@ -891,13 +899,53 @@ def test_list_flags_skip_blank_entries(capsys):
 
 
 def test_cli_bench_with_no_mu_values_is_exit_2(tmp_path, capsys):
+    # no mu, or a negative one, is refused before any instance is built
     out = tmp_path / "nomu"
-    assert main(["bench", "--mus", "", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
-    assert not out.exists()
-    with pytest.raises(ValueError, match="mu_values is empty"):
+    for mus, need in (("", "nonempty"), ("-1", "nonnegative")):
+        assert main(["bench", "--mus", mus, "--n", "8", "--d", "3", "--iters",
+                     "3", "--grid", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'mu_values': must be " + need)
+        assert err.count("\n") == 1
+        assert not out.exists()
+    with pytest.raises(ValueError, match="^config key 'mu_values': must be "
+                                         "nonempty"):
         run_experiment(ExperimentConfig(out_dir=str(out)), mu_values=[])
     assert not out.exists()
+
+
+def test_mu_values_convert_without_moving_the_config_hash(tmp_path):
+    # pinned digest: integer and float mu lists hash as before conversion
+    cfg = ExperimentConfig(n=6, d=3, iters=3, methods=("gd",),
+                           out_dir=str(tmp_path))
+    for mus in ([0, 1], (0.0, 1.0)):
+        summary = run_experiment(cfg, mu_values=mus)
+        assert summary["config"]["mu_values"] == [0.0, 1.0]
+        assert summary["config_hash"] == (
+            "ac1ff7b675d315dd8a8ba517b37532210935a107ac3809895426869190107ee0")
+
+
+def test_cli_run_counting_invariant_failures_is_exit_1(tmp_path, capsys):
+    # four times the theory step breaks the per-step invariants
+    out = tmp_path / "viol"
+    assert main(["run", "--objective", "quadratic", "--d", "5", "--stepsize",
+                 "4", "--methods", "hasd", "--iters", "30",
+                 "--check-invariants", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "invariant failures: 60\n"
+    summary = _strict_load(out / "summary.json")
+    assert summary["invariant_failures_total"] == 60
+
+
+def test_cli_run_tuned_over_an_all_divergent_grid(tmp_path, capsys):
+    out = tmp_path / "div"
+    with pytest.warns(RuntimeWarning, match="every stepsize diverged for gd"):
+        assert main(["run", "--objective", "quadratic", "--d", "3", "--tune",
+                     "--grid", "100", "--methods", "gd", "--iters", "400",
+                     "--out", str(out)]) == 0
+    assert '"all_divergent": true' in (out / "summary.json").read_text()
+    entry = _strict_load(out / "summary.json")["mus"]["0"]["methods"]["gd"]
+    assert entry["all_divergent"] is True and entry["stepsize"] == 100.0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("verb,settings,key", [
@@ -913,10 +961,13 @@ def test_cli_bench_with_no_mu_values_is_exit_2(tmp_path, capsys):
     ("run", {"objective": "logsumexp", "n": 6, "alpha": -1}, "alpha"),
     ("run", {"objective": "quadratic", "mu": -1}, "mu"),
     ("run", {"objective": "softmax", "mu": -1}, "mu"),
+    ("run", {"objective": "quadratic", "stepsize": 0}, "stepsize"),
+    ("run", {"objective": "quadratic", "stepsize": -1}, "stepsize"),
 ], ids=["run_mu_nan", "run_alpha_inf", "run_seed", "run_objective", "run_p",
         "tune_mu_nan", "tune_seed", "gen_alpha_inf", "gen_seed",
         "run_lse_alpha_negative", "run_quadratic_mu_negative",
-        "run_softmax_mu_negative"])
+        "run_softmax_mu_negative", "run_stepsize_zero",
+        "run_stepsize_negative"])
 def test_cli_flag_and_config_file_refuse_a_bad_setting_alike(
         tmp_path, capsys, verb, settings, key):
     # a setting converts in one place whatever its source: the same value as
