@@ -129,6 +129,15 @@ def _given(args) -> dict:
                         if name in _CFG_DEFAULTS and val is not None})
 
 
+def _warn_all_divergent(summary):
+    """One stderr line per (method, mu) whose every grid point diverged."""
+    for mu, block in sorted(summary["mus"].items(), key=lambda kv: float(kv[0])):
+        for m, entry in sorted(block["methods"].items()):
+            if entry.get("all_divergent"):
+                print("every stepsize diverged for %s at mu=%s; ran the "
+                      "smallest grid point" % (m, mu), file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     cfg = ExperimentConfig(**_given(args))
     summary = run_experiment(cfg, tune_first=args.tune)
@@ -137,6 +146,7 @@ def cmd_run(args) -> int:
             print("mu=%-8s %-5s stepsize=%-8g final_f=%.10g gap=%.4e  -> %s"
                   % (mu, m, entry["stepsize"], entry["final_f"],
                      entry["final_gap"], entry["csv"]))
+    _warn_all_divergent(summary)
     print("outputs in %s (config %s)" % (cfg.out_dir, summary["config_hash"][:12]))
     fails = summary.get("invariant_failures_total", 0)
     if fails:
@@ -175,6 +185,7 @@ def cmd_bench(args) -> int:
                 for m in summary["config"]["methods"]]
         print("  ".join(["mu=%-8s" % mu] + gaps))
     print("bench written to %s" % args.out_dir)
+    _warn_all_divergent(summary)
     return 0
 
 

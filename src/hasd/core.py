@@ -4,12 +4,12 @@ Accelerated l_p steepest descent in which the dual-averaging weight a_{t+1}
 and the next iterate x_{t+1} are chosen *simultaneously*: the scalar rho_t
 tying them together must land within a factor 2 of the squared l2/l_{p*}
 gradient-norm ratio measured at the resulting point.  The pair is found by
-a binary search over the interpolation parameter theta = A_t / A_{t+1}.
-Only part of zeta needs the oracle: the factor 18 L (1-theta)^2 A_t /
-theta is known up front and the norm ratio lies in [d^-(1-2/p), 1], so
-the search settles the probes those bounds already decide without
-measuring their zeta.  Such a probe costs no oracle call; every other
-probe costs two.
+a bisection over the interpolation parameter theta = A_t / A_{t+1}, at
+most 38 probes.  Only part of zeta needs the oracle: the factor
+18 L (1-theta)^2 A_t / theta is known up front and the norm ratio lies in
+[d^-(1-2/p), 1], so the search settles the probes those bounds already
+decide without measuring their zeta.  Such a probe costs no oracle call;
+every other probe costs two.
 
 Per accepted iteration the following hold (up to floating point):
 
@@ -25,11 +25,10 @@ which combine into the rate  f(x_T) - f* <= 324 L ||x_0 - x*||_2^2 / (G^2 T^2).
 iterate yields a run's rows, x_0 first; a row that folds a step into the
 state carries these five as violation magnitudes in its `violations`.
 With a reference optimum attached, the run stops at the first iterate
-within eps of the reference value (or at a rejected coupling probe
-that is).  The iterates depend only on the coupling search, the steepest
-step and that stop, so with rows off (the tuning sweep's grid runs) the
-loop takes no violation and no row until the final one, and an f value
-only where the stop needs it.
+it folds in within eps of the reference value.  The iterates depend only
+on the coupling search, the steepest step and that stop, so with rows
+off (the tuning sweep's grid runs) the loop takes no violation and no row
+until the final one, and an f value only where the stop needs it.
 """
 
 import math
@@ -41,7 +40,7 @@ from .geometry import LpGeometry, lp_norm, steepest_step
 
 
 class CouplingSearchError(RuntimeError):
-    """Coupling search failed: bracket collapsed or oracle budget spent.
+    """Coupling search failed: its bracket collapsed with no probe accepted.
 
     calls counts gradient evaluations, and last_zeta is the zeta of the
     last probe that measured one (None when every probe was settled from
@@ -63,7 +62,7 @@ class NonFiniteProbeError(CouplingSearchError):
     A non-finite entry in the probe's gradient makes both norms in zeta
     infinite or NaN, so this covers every non-finite gradient (and a finite
     one whose squared norms overflow).  The search stops at that probe
-    instead of bisecting on a NaN comparison until its budget is spent.
+    instead of bisecting on a NaN comparison until its bracket collapses.
     Only a measured probe can raise it: one that find_coupling settles
     from its norm bounds makes no oracle call.
     """
@@ -79,33 +78,22 @@ class NonFiniteProbeError(CouplingSearchError):
             % (theta, calls, bracket[0], bracket[1]))
 
 
-class ExactOptimum(Exception):
-    """A probed point has an exactly zero gradient."""
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
-        super().__init__("probe hit a point with zero gradient")
-
-
 @dataclass
 class HasdConfig:
     """Run parameters.
 
     L is the smoothness constant for the chosen geometry; eps is the
     target accuracy: with a reference optimum attached to the objective, a
-    run stops at the first iterate, or rejected measured coupling probe,
-    whose gap is at most eps; max_search_calls caps gradient evaluations
-    per coupling search; grad_tol declares convergence when the dual
-    gradient norm falls below it; step_scale multiplies 1/L inside the
-    steepest step only (a tuning knob; values other than 1 void the
-    per-iteration guarantees while leaving the coupling logic intact).
+    run stops at the first iterate it folds in whose gap is at most eps;
+    grad_tol declares convergence when the dual gradient norm falls below
+    it; step_scale multiplies 1/L inside the steepest step only (a tuning
+    knob; values other than 1 void the per-iteration guarantees while
+    leaving the coupling logic intact).
     """
 
     L: float
     geom: LpGeometry
     eps: float = 1e-8
-    max_search_calls: int = 200
     max_iters: int = 100
     grad_tol: float = 1e-12
     step_scale: float = 1.0
@@ -116,8 +104,6 @@ class HasdConfig:
             raise ValueError("L must be positive and finite, got %r" % (self.L,))
         if not self.eps > 0:
             raise ValueError("eps must be positive, got %r" % (self.eps,))
-        if self.max_search_calls < 2:
-            raise ValueError("max_search_calls must be at least 2")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not self.grad_tol >= 0:
@@ -207,11 +193,14 @@ class CouplingResult:
     x_next: np.ndarray | None
     zeta: float | None
     oracle_calls: int
-    early_converged: bool = False
     grad_x_next: np.ndarray | None = None
-    f_x_next: float | None = None
     grad_dual: float | None = None
     grad_l2: float | None = None
+
+    @property
+    def early_converged(self) -> bool:
+        """x_next has an exactly zero gradient: the run converged there."""
+        return self.grad_dual == 0.0
 
 
 @dataclass
@@ -297,8 +286,8 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
 
         zeta = 18 L (1-theta)^2 A_t / theta * ||g||_2^2 / ||g||_{p*}^2.
 
-    Costs exactly two gradient evaluations.  Raises ExactOptimum if the
-    gradient at x_theta vanishes identically.
+    Costs exactly two gradient evaluations.  zeta is None when g vanishes
+    identically (x_theta is then an exact optimum).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
@@ -308,11 +297,10 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     x = steepest_step(y, obj.gradient(y), cfg.step_L, cfg.geom)
     gx = obj.gradient(x)
     dual = lp_norm(gx, cfg.geom.p_dual)
-    if dual == 0.0:
-        raise ExactOptimum(x, y)
     # np.linalg.norm's own formula for a 1-D float64 vector, minus its dispatch
     l2 = math.sqrt(gx.dot(gx))
-    zeta = _coupling_factor(theta, state.A, cfg.L) * (l2 * l2) / (dual * dual)
+    zeta = (None if dual == 0.0 else
+            _coupling_factor(theta, state.A, cfg.L) * (l2 * l2) / (dual * dual))
     return zeta, y, x, gx, dual, l2
 
 
@@ -335,80 +323,57 @@ _SETTLE_MARGIN = 1e-6
 
 
 def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
-    """Binary search for a (theta, x_next) pair inside the acceptance window.
+    """Bisection for a (theta, x_next) pair inside the acceptance window.
 
     Maintains a bracket on theta in (0, 1); zeta blows up as theta -> 0
     and vanishes as theta -> 1, so a probe above the 5/4 target moves the
-    lower end up and one below moves the upper end down.  Accepts as soon
-    as zeta lands in [1/2, 2], which is all the downstream guarantees use.
-    Raises CouplingSearchError when the bracket collapses (width at most
-    4e-12; zeta need not be globally monotone) or the next probe could
-    exceed cfg.max_search_calls gradient evaluations, and
-    NonFiniteProbeError at the probe that measured a NaN zeta (a
-    non-finite gradient).
-
-    When the objective carries a reference optimum and a rejected probe's
-    point already has gap <= cfg.eps, or a probe hits a zero gradient,
-    returns early_converged=True with that point.
+    lower end up and one below moves the upper end down.  Returns the
+    first probe whose zeta lands in [1/2, 2], which is all the downstream
+    guarantees use, or whose gradient is exactly zero (zeta None, which
+    _fold takes as convergence).  Raises CouplingSearchError when the
+    bracket collapses (width at most 4e-12, after at most 38 probes; zeta
+    need not be globally monotone), and NonFiniteProbeError at the probe
+    that measured a NaN zeta (a non-finite gradient).
 
     zeta(theta) = c(theta) r, where c(theta) = 18 L (1-theta)^2 A_t / theta
     needs no oracle call and r lies in [d^-(1-2/p), 1].  A probe whose c
     alone puts zeta above 2 or below 1/2 (beyond _SETTLE_MARGIN) is
     decided: it moves the bracket as its measured zeta would have, with no
-    oracle call, so every measured probe, and the accepted one, is the
+    oracle call, so every measured probe, and the returned one, is the
     probe a search measuring every theta makes.  Only a measured probe
-    costs calls (two gradient evaluations, counted against
-    cfg.max_search_calls), sets last_zeta, can raise NonFiniteProbeError
-    or hit an exact optimum, and has its gap checked when rejected;
-    decided probes are bounded by the bracket collapsing.  An accepted
-    point within cfg.eps of the reference value stops the run in _fold.
+    costs calls (two gradient evaluations), sets last_zeta and can raise
+    NonFiniteProbeError.
     """
     if state.A <= 0.0:
         raise ValueError("coupling search requires A_t > 0 (after the first step)")
-    ref = obj.reference_optimum
     # c > above means zeta > 2 and c < below means zeta < 1/2
     above = 2.0 * (1.0 + _SETTLE_MARGIN) * state.x.size ** (1.0 - 2.0 / cfg.geom.p)
     below = 0.5 * (1.0 - _SETTLE_MARGIN)
     calls = 0
     last_zeta = None
     lo, hi = _THETA_MIN, 1.0 - _THETA_MIN
-    try:
-        while calls + 2 <= cfg.max_search_calls and hi - lo > 4.0 * _THETA_MIN:
-            th = 0.5 * (lo + hi)
-            c = _coupling_factor(th, state.A, cfg.L)
-            if c > above:
-                lo = th
-                continue
-            if c < below:
-                hi = th
-                continue
-            calls += 2
-            zeta, y, x, gx, dual, l2 = zeta_eval(th, state, obj, cfg)
-            if math.isnan(zeta):
-                raise NonFiniteProbeError(th, (lo, hi), calls)
-            last_zeta = zeta
-            if 0.5 <= zeta <= 2.0:
-                return CouplingResult(theta=th, y=y, x_next=x, zeta=zeta,
-                                      oracle_calls=calls, grad_x_next=gx,
-                                      grad_dual=dual, grad_l2=l2)
-            if ref is not None:
-                fx = obj.value(x)
-                if fx - ref[1] <= cfg.eps:
-                    return CouplingResult(theta=th, y=y, x_next=x, zeta=zeta,
-                                          oracle_calls=calls,
-                                          early_converged=True,
-                                          grad_x_next=gx, f_x_next=fx,
-                                          grad_dual=dual, grad_l2=l2)
-            if zeta > 1.25:
-                lo = th
-            else:
-                hi = th
-    except ExactOptimum as opt:
-        return CouplingResult(theta=None, y=opt.y, x_next=opt.x, zeta=None,
-                              oracle_calls=calls,
-                              early_converged=True,
-                              grad_x_next=np.zeros_like(opt.x),
-                              grad_dual=0.0, grad_l2=0.0)
+    while hi - lo > 4.0 * _THETA_MIN:
+        th = 0.5 * (lo + hi)
+        c = _coupling_factor(th, state.A, cfg.L)
+        if c > above:
+            lo = th
+            continue
+        if c < below:
+            hi = th
+            continue
+        calls += 2
+        zeta, y, x, gx, dual, l2 = zeta_eval(th, state, obj, cfg)
+        if zeta is None or 0.5 <= zeta <= 2.0:
+            return CouplingResult(theta=th, y=y, x_next=x, zeta=zeta,
+                                  oracle_calls=calls, grad_x_next=gx,
+                                  grad_dual=dual, grad_l2=l2)
+        if math.isnan(zeta):
+            raise NonFiniteProbeError(th, (lo, hi), calls)
+        last_zeta = zeta
+        if zeta > 1.25:
+            lo = th
+        else:
+            hi = th
     raise CouplingSearchError((lo, hi), calls, last_zeta)
 
 
@@ -442,12 +407,12 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     res is the step's search result.  The first step has no search: it
     passes its steepest step from x0 in the same form (theta and zeta None,
     one oracle call), and rho_0 is read off the gradient-norm ratio at x_1;
-    a later step's rho and a follow from its theta.  At a zero gradient or
-    an early exit of the search the run has converged: x moves to the point
-    and nothing is folded in.  A folded row carries the violation
-    magnitudes of the five per-step guarantees, keyed by INVARIANTS; one
-    above INVARIANT_TOL is a violation.  Growth is an absolute shortfall,
-    the other four are relative to the quantities compared.  With a
+    a later step's rho and a follow from its theta.  At a zero gradient the
+    run has converged: x moves to the point and nothing is folded in.  A
+    folded row carries the violation magnitudes of the five per-step
+    guarantees, keyed by INVARIANTS; one above INVARIANT_TOL is a
+    violation.  Growth is an absolute shortfall, the other four are
+    relative to the quantities compared.  With a
     reference optimum attached, a folded point whose gap is at most cfg.eps
     ends the run: its row is built as any other and marked converged.
 
@@ -462,11 +427,11 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     first = state.t == 0
     state.grad_calls += res.oracle_calls
     ref = obj.reference_optimum
-    converged = dual == 0.0 or res.early_converged
+    converged = dual == 0.0
     ends = _ends_run(cfg, state.t + 1, dual, converged)
     f_new = gap = None
     if rows or ends or ref is not None:
-        f_new = obj.value(x_new) if res.f_x_next is None else res.f_x_next
+        f_new = obj.value(x_new)
         gap = _gap(f_new, ref)
     if converged:
         state.x = x_new
@@ -534,9 +499,9 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     holds; rho_0 is the gradient-norm ratio at x_1 (so the window holds
     with equality) and a_1 = A_1 = 1/(18 L rho_0).  Then step runs until a
     trace is converged (a zero gradient, or with a reference optimum
-    attached a gap at most cfg.eps, at the iterate or at a rejected
-    coupling probe), its dual gradient norm is at most cfg.grad_tol, or
-    state.t reaches cfg.max_iters.  Only row 0 is yielded when
+    attached an iterate folded in with gap at most cfg.eps), its dual
+    gradient norm is at most cfg.grad_tol, or state.t reaches
+    cfg.max_iters.  Only row 0 is yielded when
     cfg.max_iters is 0 or the gradient at x0 is exactly zero.  The same
     state object is yielded each time, updated in place.
 

@@ -10,7 +10,6 @@ import hashlib
 import json
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -198,8 +197,8 @@ def tune_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
     Returns (best, all_divergent, final_values).  Divergent runs (non-finite
     final value, or a failed coupling search) rank as +inf; ties break
     toward the smaller stepsize.  If every point diverges the smallest grid
-    point is returned with a warning.  Grid runs, hasd's included, trace
-    only their final row, the one value ranked.
+    point is returned and all_divergent is True.  Grid runs, hasd's
+    included, trace only their final row, the one value ranked.
     """
     finals = {}
     for s in grid:
@@ -212,9 +211,6 @@ def tune_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
                 f = math.inf
         finals[s] = f if math.isfinite(f) else math.inf
     all_divergent = all(not math.isfinite(v) for v in finals.values())
-    if all_divergent:
-        warnings.warn("every stepsize diverged for %s; falling back to the "
-                      "smallest grid point" % method, RuntimeWarning)
     best = min(grid, key=lambda s: (finals[s], s))
     return float(best), all_divergent, finals
 
@@ -404,7 +400,12 @@ class CheckRow:
 @dataclass
 class InvariantReport:
     """The check rows, and one line per cell whose coupling search failed
-    (its p, objective and seed or cell index, and the search's message)."""
+    (its p, objective and seed or cell index, and the search's message).
+
+    It passes when no row failed and each per-step invariant (INVARIANTS)
+    has at least one sample: a matrix whose cells take no step checks
+    nothing, and an invariant row with no sample is shown as failed.
+    """
 
     rows: list = field(default_factory=list)
     cells: int = 0
@@ -415,8 +416,13 @@ class InvariantReport:
         self._by_name = {r.name: r for r in self.rows}
 
     @property
+    def unchecked(self) -> list:
+        """The names of the INVARIANTS rows with no sample."""
+        return [name for name in INVARIANTS if self.row(name).samples == 0]
+
+    @property
     def ok(self) -> bool:
-        return all(r.failures == 0 for r in self.rows)
+        return all(r.failures == 0 for r in self.rows) and not self.unchecked
 
     def row(self, name: str) -> CheckRow:
         return self._by_name[name]
@@ -425,8 +431,10 @@ class InvariantReport:
         head = "%-22s %8s %8s %8s %12s %10s  %s" % (
             "check", "samples", "failed", "skipped", "worst", "tol", "status")
         out = [head, "-" * len(head)]
+        unchecked = self.unchecked
         for r in self.rows:
-            status = "FAIL" if r.failures else ("skip" if r.samples == 0 else "ok")
+            status = ("FAIL" if r.failures or r.name in unchecked
+                      else "skip" if r.samples == 0 else "ok")
             out.append("%-22s %8d %8d %8d %12.3e %10.1e  %s" % (
                 r.name, r.samples, r.failures, r.skipped, r.worst, r.tol, status))
         med = ("n/a" if self.median_search_calls is None

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, CouplingResult,
-                       CouplingSearchError, ExactOptimum, HasdConfig,
-                       HasdState, _run, NonFiniteProbeError, a_from_rho,
+                       CouplingSearchError, HasdConfig, HasdState, _run,
+                       NonFiniteProbeError, a_from_rho,
                        find_coupling, iterate, rate_bounds, run,
                        run_restarting, search_call_bound, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
@@ -99,8 +99,6 @@ def test_config_validation():
         HasdConfig(L=0.0, geom=geom)
     with pytest.raises(ValueError):
         HasdConfig(L=1.0, geom=geom, eps=0.0)
-    with pytest.raises(ValueError):
-        HasdConfig(L=1.0, geom=geom, max_search_calls=1)
     with pytest.raises(ValueError):
         HasdConfig(L=1.0, geom=geom, step_scale=0.0)
     nan, inf = math.nan, math.inf
@@ -269,10 +267,16 @@ def test_zeta_eval_exact_optimum():
     cfg = HasdConfig(L=1.0, geom=LpGeometry(2))
     st = HasdState(np.zeros(2))
     st.A = 1.0  # model centered at the optimum: every probe lands on it
-    with pytest.raises(ExactOptimum):
-        zeta_eval(0.5, st, obj, cfg)
+    zeta, _, x, gx, dual, l2 = zeta_eval(0.5, st, obj, cfg)
+    assert zeta is None and dual == l2 == 0.0
+    np.testing.assert_array_equal(x, np.zeros(2))
+    np.testing.assert_array_equal(gx, np.zeros(2))
+    # the search returns its first measured probe (theta = 1/2 is decided),
+    # which _fold takes as converged
     res = find_coupling(st, obj, cfg)
-    assert res.early_converged
+    assert res.early_converged and res.zeta is None
+    assert res.theta == pytest.approx(0.75)
+    assert res.oracle_calls == 2
     np.testing.assert_array_equal(res.x_next, np.zeros(2))
     np.testing.assert_array_equal(res.grad_x_next, np.zeros(2))
 
@@ -288,7 +292,7 @@ def test_find_coupling_accepts_in_window():
         res = find_coupling(state, obj, cfg)
         assert not res.early_converged
         assert 0.5 <= res.zeta <= 2.0
-        assert res.oracle_calls % 2 == 0 and 2 <= res.oracle_calls <= cfg.max_search_calls
+        assert res.oracle_calls % 2 == 0 and 2 <= res.oracle_calls <= 76
         # the reported zeta is the measured ratio diagnostic at x_next
         th = res.theta
         g = res.grad_x_next
@@ -303,22 +307,6 @@ def test_find_coupling_accepts_in_window():
         assert tr.rho == pytest.approx(th / (18.0 * cfg.L * (1 - th) ** 2 * A_t), rel=1e-14)
         assert a == pytest.approx(A_t * (1 - th) / th, rel=1e-14)
         assert 18.0 * cfg.L * tr.rho * a ** 2 == pytest.approx(A_t + a, rel=1e-10)
-
-
-def test_find_coupling_budget_error():
-    # at p = inf the norm bounds leave the probes near the window
-    # undecided; at this state the first evaluated one is rejected
-    obj, cfg = quad_cfg([1.0, 1.0], p=INF)
-    obj.reference_optimum = None  # no gap-based escape hatch
-    state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
-    for _ in range(3):
-        state, _ = step(state, obj, cfg)
-    assert find_coupling(state, obj, cfg).oracle_calls > 2
-    tiny = replace(cfg, max_search_calls=2)
-    with pytest.raises(CouplingSearchError) as exc:
-        find_coupling(state, obj, tiny)
-    assert exc.value.calls == 2
-    assert exc.value.last_zeta is not None
 
 
 class BrokenFarOut(Quadratic):
@@ -345,70 +333,69 @@ def test_find_coupling_raises_at_first_non_finite_probe(bad):
     state, _ = first_step(obj, np.zeros(2), cfg)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteProbeError) as exc:
         find_coupling(state, obj, cfg)
-    # the first probe (theta = 1/2) is the one that fails, not the budget
-    assert exc.value.calls == 2 < cfg.max_search_calls
+    # the first probe (theta = 1/2) is the one that fails
+    assert exc.value.calls == 2
     assert exc.value.theta == pytest.approx(0.5)
     assert math.isnan(exc.value.last_zeta)
     assert isinstance(exc.value, CouplingSearchError)
 
 
-def test_find_coupling_gap_early_exit():
-    # at p = inf the first probe of this search is measured and rejected
-    # (see test_find_coupling_budget_error); at eps = 1e6 its gap ends it
-    obj, cfg = quad_cfg([1.0, 1.0], p=INF)
-    state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
-    for _ in range(3):
-        state, _ = step(state, obj, cfg)
-    loose = replace(cfg, eps=1e6)
-    t_before, A_before = state.t, state.A
-    state, tr = step(state, obj, loose)
-    assert tr.converged and tr.gap <= 1e6
-    assert tr.theta == 0.5 and tr.search_calls == 2 and tr.violations is None
-    assert not 0.5 <= tr.zeta <= 2.0
-    assert state.t == t_before and state.A == A_before  # nothing folded in
+def jump(theta, state, obj, cfg):
+    """zeta_eval stand-in whose zeta jumps from above the window straight
+    to below it at theta = 0.3, so that no probe is accepted."""
+    x = state.x.copy()
+    return (3.0 if theta < 0.3 else 0.1), x, x, np.ones_like(x), 1.0, 1.0
 
 
 def test_find_coupling_raises_when_bracket_collapses(monkeypatch):
-    # zeta jumps from above the window straight to below it at theta = 0.3,
-    # so no probe is accepted: the search must stop once its bracket has
-    # collapsed onto the jump, well inside its oracle budget
+    # the search must stop once its bracket has collapsed onto the jump
     obj, cfg = quad_cfg([1.0, 1.0])
     obj.reference_optimum = None
     state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
-
-    def jump(theta, state, obj, cfg):
-        x = state.x.copy()
-        return (3.0 if theta < 0.3 else 0.1), x, x, np.ones_like(x), 1.0, 1.0
-
     monkeypatch.setattr("hasd.core.zeta_eval", jump)
     with pytest.raises(CouplingSearchError) as exc:
         find_coupling(state, obj, cfg)
     lo, hi = exc.value.bracket
     assert lo < 0.3 <= hi and hi - lo <= 4e-12
-    assert exc.value.calls < cfg.max_search_calls
     assert exc.value.last_zeta in (3.0, 0.1)
 
 
+def test_a_search_that_never_accepts_stops_after_38_probes(monkeypatch):
+    # with c(theta) deciding no probe, every probe is measured: the bracket
+    # halves from width 1 to at most 4e-12 in 38 probes, 76 gradient calls
+    import hasd.core as core
+    obj, cfg = quad_cfg([1.0, 1.0])
+    state, _ = first_step(obj, np.array([2.0, 0.0]), cfg)
+    probes = []
+
+    def counted_jump(theta, state, obj, cfg):
+        probes.append(theta)
+        return jump(theta, state, obj, cfg)
+
+    monkeypatch.setattr(core, "zeta_eval", counted_jump)
+    monkeypatch.setattr(core, "_coupling_factor", lambda theta, A, L: 1.0)
+    with pytest.raises(CouplingSearchError) as exc:
+        find_coupling(state, obj, cfg)
+    assert len(probes) == 38 and exc.value.calls == 76
+    lo, hi = exc.value.bracket
+    assert lo < 0.3 <= hi and hi - lo <= 4e-12
+
+
 def search_every_probe(state, obj, cfg):
-    """The coupling search that evaluates every probe it bisects on, and
-    checks the gap only at a rejected probe whose c(theta) leaves zeta
-    undecided; its last entry counts the rejected probes c(theta) decides."""
-    ref = obj.reference_optimum
+    """The coupling search that evaluates every probe it bisects on; its
+    last entry counts the rejected probes c(theta) decides."""
     above = 2.0 * (1.0 + _SETTLE_MARGIN) * state.x.size ** (1.0 - 2.0 / cfg.geom.p)
     below = 0.5 * (1.0 - _SETTLE_MARGIN)
     calls = decided = 0
     lo, hi = 1e-12, 1.0 - 1e-12
-    while calls + 2 <= cfg.max_search_calls and hi - lo > 4e-12:
+    while hi - lo > 4e-12:
         th = 0.5 * (lo + hi)
         calls += 2
         zeta, y, x, gx, _, _ = zeta_eval(th, state, obj, cfg)
         if 0.5 <= zeta <= 2.0:
-            return th, zeta, y, x, gx, calls, False, decided
+            return th, zeta, y, x, gx, calls, decided
         c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
-        if c > above or c < below:
-            decided += 1
-        elif ref is not None and obj.value(x) - ref[1] <= cfg.eps:
-            return th, zeta, y, x, gx, calls, True, decided
+        decided += c > above or c < below
         if zeta > 1.25:
             lo = th
         else:
@@ -434,26 +421,23 @@ def coupling_states(p):
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, INF])
 def test_find_coupling_matches_a_search_evaluating_every_probe(p):
-    early = decided = 0
+    decided = 0
     for obj, state, cfg in coupling_states(p):
         ref = obj.reference_optimum
-        # eps = 1 lets the gap check stop some searches early
+        th, zeta, y, x, gx, calls, skipped = search_every_probe(state, obj, cfg)
+        decided += skipped
+        # the search reads neither the reference nor eps
         for attach, eps in ((False, cfg.eps), (True, cfg.eps), (True, 1.0)):
             obj.reference_optimum = ref if attach else None
-            want = search_every_probe(state, obj, replace(cfg, eps=eps))
             res = find_coupling(state, obj, replace(cfg, eps=eps))
-            assert (res.theta, res.zeta) == want[:2]
-            assert res.y.tobytes() == want[2].tobytes()
-            assert res.x_next.tobytes() == want[3].tobytes()
-            assert res.grad_x_next.tobytes() == want[4].tobytes()
-            assert res.early_converged == want[6]
-            early += res.early_converged
-            # a decided rejected probe costs no call, reference or not
-            assert res.oracle_calls == want[5] - 2 * want[7]
-            decided += want[7]
-    # at p = 2 c(theta) decides every rejected probe, so only at p > 2 can
-    # a search end at a probe's gap
-    assert decided > 0 and (early > 0) == (p > 2.0)
+            assert (res.theta, res.zeta) == (th, zeta)
+            assert res.y.tobytes() == y.tobytes()
+            assert res.x_next.tobytes() == x.tobytes()
+            assert res.grad_x_next.tobytes() == gx.tobytes()
+            assert not res.early_converged
+            # a decided rejected probe costs no call
+            assert res.oracle_calls == calls - 2 * skipped
+    assert decided > 0
 
 
 def test_find_coupling_settles_every_rejected_probe_at_p2():
@@ -520,19 +504,16 @@ def test_a_run_stops_at_its_first_iterate_within_eps():
 
 def every_probe_coupling(state, obj, cfg):
     """find_coupling's result from search_every_probe."""
-    th, zeta, y, x, gx, calls, early, _ = search_every_probe(state, obj, cfg)
-    return CouplingResult(theta=th, y=y, x_next=x,
-                          zeta=zeta, oracle_calls=calls, early_converged=early,
-                          grad_x_next=gx,
-                          f_x_next=obj.value(x) if early else None,
+    th, zeta, y, x, gx, calls, _ = search_every_probe(state, obj, cfg)
+    return CouplingResult(theta=th, y=y, x_next=x, zeta=zeta,
+                          oracle_calls=calls, grad_x_next=gx,
                           grad_dual=lp_norm(gx, cfg.geom.p_dual),
                           grad_l2=math.sqrt(gx @ gx))
 
 
 @pytest.mark.parametrize("p", [2.0, INF])
 def test_run_with_reference_matches_a_run_evaluating_every_probe(p, monkeypatch):
-    # eps = 0.1 ends the run within 30 iterations: at p = 2 at an iterate,
-    # at p = inf at a measured probe
+    # eps = 0.1 ends the run at an iterate within 30 iterations
     x0 = np.array([2.0, -1.0, 0.5, 1.0, -2.0])
     cfg = HasdConfig(L=4.0, geom=LpGeometry(p), max_iters=30, eps=0.1)
     obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
@@ -542,7 +523,7 @@ def test_run_with_reference_matches_a_run_evaluating_every_probe(p, monkeypatch)
     every = run(CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5]), x0, cfg)
     assert report.grad_calls < every.grad_calls
     last = report.traces[-1]
-    assert last.converged and (last.violations is not None) == (p == 2.0)
+    assert last.converged and last.violations is not None
     assert ([replace(tr, search_calls=None) for tr in report.traces]
             == [replace(tr, search_calls=None) for tr in every.traces])
     assert report.final_x.tobytes() == every.final_x.tobytes()
@@ -854,11 +835,9 @@ def test_rows_off_runs_equal_core_run():
                   else "gap stop at an iterate" if (
                       last.converged and last.violations is not None)
                   else "exact optimum" if last.converged and last.zeta is None
-                  else "gap early exit" if last.converged
                   else "row 0 only" if last.iter == 0 else "grad_tol")
     assert kinds >= {"stopped at iters", "zero gradient at x_1",
-                     "gap stop at an iterate", "exact optimum",
-                     "gap early exit", "row 0 only",
+                     "gap stop at an iterate", "exact optimum", "row 0 only",
                      "NonFiniteProbeError"}, kinds
 
 

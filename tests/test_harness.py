@@ -123,12 +123,14 @@ def test_tune_single_point_grid_returns_it():
     assert best == 0.3 and set(finals) == {0.3}
 
 
-def test_tune_all_divergent_warns_and_picks_smallest():
+def test_tune_all_divergent_picks_smallest():
     obj = Quadratic(4.0 * np.ones(3), center=np.ones(3))
     geom = LpGeometry(2.0)
     # stepsizes far beyond 2/L = 0.5, large enough that the squared error
-    # overflows to inf within the budget
-    with pytest.warns(RuntimeWarning):
+    # overflows to inf within the budget; the return value says so, and
+    # nothing is warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         best, all_div, _ = tune_method("gd", obj, np.zeros(3), geom, 4.0,
                                        60, (100.0, 200.0, 500.0))
     assert all_div and best == 100.0
@@ -144,9 +146,8 @@ def test_tune_ranks_non_finite_probe_as_divergent():
 
     obj = NanFarOut(np.ones(2), center=np.array([10.0, 0.0]))
     obj.reference_optimum = None
-    with pytest.warns(RuntimeWarning, match="every stepsize diverged"):
-        best, all_div, finals = tune_method("hasd", obj, np.zeros(2),
-                                            LpGeometry(2.0), 1.0, 5, (1.0,))
+    best, all_div, finals = tune_method("hasd", obj, np.zeros(2),
+                                        LpGeometry(2.0), 1.0, 5, (1.0,))
     assert all_div and best == 1.0 and finals == {1.0: math.inf}
 
 
@@ -160,9 +161,7 @@ def test_tune_method_finals_equal_full_row_runs_bit_for_bit():
     for obj, geom in cases:
         L = smoothness_bound(obj, geom)
         for method in ("hasd", "gd", "agd", "lc", "sd_p"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                _, _, finals = tune_method(method, obj, x0, geom, L, 25, grid)
+            _, _, finals = tune_method(method, obj, x0, geom, L, 25, grid)
             for s in grid:
                 with np.errstate(all="ignore"):
                     try:
@@ -351,11 +350,13 @@ def test_check_invariants_skips_without_reference():
 
 def test_check_invariants_cell_started_at_its_optimum():
     # a stationary start takes no step: its search counts as done, and no
-    # other row has a sample or a skip
+    # other row has a sample or a skip; with no step checked the report
+    # does not pass
     quad = Quadratic(np.ones(3))
     report = check_invariants(cells=[(quad, np.zeros(3))],
                               p_values=(2.0, math.inf))
-    assert report.ok and report.cells == 2
+    assert not report.ok and report.cells == 2
+    assert report.unchecked == list(INVARIANTS)
     assert report.median_search_calls is None
     for r in report.rows:
         expect = 2 if r.name == "coupling_search" else 0
@@ -365,12 +366,16 @@ def test_check_invariants_cell_started_at_its_optimum():
 def test_check_invariants_cell_whose_first_step_lands_on_the_optimum():
     # at p = 2 and half of L = 1 the first step is x0 - grad f(x0) = x*: the
     # converged row carries no violations, and with no coupled step (T = 0)
-    # there is no certificate to check
+    # there is no certificate to check; with no step checked the report
+    # does not pass, and each unsampled invariant row shows as failed
     quad = Quadratic(np.ones(3))
     report = check_invariants(cells=[(quad, [1.0, -2.0, 0.5])],
                               p_values=(2.0,), l_scale=0.5)
-    assert report.ok and report.render().endswith("overall: PASS")
+    text = report.render()
+    assert not report.ok and text.endswith("overall: FAIL")
     assert all(report.row(name).samples == 0 for name in INVARIANTS)
+    assert all(line.endswith("FAIL") for line in text.splitlines()
+               if line.split()[0] in INVARIANTS)
     assert report.row("coupling_search").samples == 1
     cert = report.row("certificate")
     assert (cert.samples, cert.skipped) == (0, 1)
@@ -814,10 +819,9 @@ def test_cli_outputs_are_strict_json_when_a_run_diverges(tmp_path, capsys):
     entry = _strict_load(out / "summary.json")["mus"]["0"]["methods"]["gd"]
     assert entry["final_f"] == entry["final_gap"] == "inf"
     tuned = tmp_path / "tuned"
-    with pytest.warns(RuntimeWarning, match="every stepsize diverged"):
-        assert main(["tune", "--objective", "quadratic", "--d", "5",
-                     "--methods", "gd", "--grid", "10,100",
-                     "--out", str(tuned)]) == 0
+    assert main(["tune", "--objective", "quadratic", "--d", "5",
+                 "--methods", "gd", "--grid", "10,100",
+                 "--out", str(tuned)]) == 0
     assert _strict_load(tuned / "tune.json")["gd"] == {
         "all_divergent": True, "final_f": "inf", "stepsize": 10.0}
     capsys.readouterr()
@@ -937,15 +941,25 @@ def test_cli_run_counting_invariant_failures_is_exit_1(tmp_path, capsys):
 
 
 def test_cli_run_tuned_over_an_all_divergent_grid(tmp_path, capsys):
+    # the fact is one stderr line per (method, mu), not a Python warning,
+    # and the run still exits 0
     out = tmp_path / "div"
-    with pytest.warns(RuntimeWarning, match="every stepsize diverged for gd"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["run", "--objective", "quadratic", "--d", "3", "--tune",
                      "--grid", "100", "--methods", "gd", "--iters", "400",
                      "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "every stepsize diverged for gd at mu=0; ran the smallest grid point\n")
     assert '"all_divergent": true' in (out / "summary.json").read_text()
     entry = _strict_load(out / "summary.json")["mus"]["0"]["methods"]["gd"]
     assert entry["all_divergent"] is True and entry["stepsize"] == 100.0
-    capsys.readouterr()
+    # so does the bench, for the one mu whose grid diverges
+    assert main(["bench", "--n", "8", "--d", "3", "--iters", "400", "--grid",
+                 "100", "--methods", "gd", "--mus", "0,1",
+                 "--out", str(tmp_path / "bench")]) == 0
+    assert capsys.readouterr().err == (
+        "every stepsize diverged for gd at mu=1; ran the smallest grid point\n")
 
 
 @pytest.mark.parametrize("verb,settings,key", [
