@@ -6,10 +6,10 @@ and plain l_p steepest descent.  All run with a fixed tuned stepsize and
 emit the same RunReport/trace rows as the accelerated method, with the
 coupling-specific columns left empty.  Each method's loop is a generator
 of its iterates; one driver takes the first iters + 1 of them and builds
-the rows and the report.  With BaselineConfig.all_rows off a run builds
-only its final row, which is all a stepsize sweep ranks, and evaluates no
-gradient that only an unbuilt row would use: agd and lc then make
-iters + 1 gradient calls instead of 2 iters.
+the rows and the report.  With rows off a run builds only its final row,
+which is all a stepsize sweep ranks, and evaluates no gradient that only
+an unbuilt row would use: agd and lc then make iters + 1 gradient calls
+instead of 2 iters.  lc and sd_p refuse a config without a geometry.
 """
 
 import itertools
@@ -21,50 +21,43 @@ import numpy as np
 from .core import RunReport, _row_head
 from .geometry import LpGeometry, steepest_step
 
-_METHODS = ("gd", "agd", "lc", "sd_p")
-
 
 @dataclass
 class BaselineConfig:
-    method: str
     stepsize: float
     iters: int
     geom: LpGeometry | None = None
-    all_rows: bool = True  # False: build only the final row
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError("method must be one of %r" % (_METHODS,))
         if not 0 < self.stepsize < math.inf:  # NaN fails too
             raise ValueError("stepsize must be positive and finite, got %r"
                              % (self.stepsize,))
         if self.iters < 0:
             raise ValueError("iters must be nonnegative")
-        if self.method in ("lc", "sd_p") and self.geom is None:
-            raise ValueError("%s requires a geometry" % self.method)
 
 
-def _drive(method: str, obj, cfg: BaselineConfig, points) -> RunReport:
+def _drive(method: str, obj, cfg: BaselineConfig, points,
+           rows: bool) -> RunReport:
     """Trace and report the first cfg.iters + 1 points of a baseline.
 
     points yields (x_t, grad f(x_t) or None, gradient calls since the
-    previous yield) for t = 0, 1, ...  Every row is built, or with
-    cfg.all_rows off only the final one (t == cfg.iters); a built row
-    whose gradient was not yielded evaluates it here.  points is never
-    advanced past the final row, so grad_calls counts the calls made.
+    previous yield) for t = 0, 1, ...  Every row is built, or with rows
+    off only the final one (t == cfg.iters); a built row whose gradient
+    was not yielded evaluates it here.  points is never advanced past the
+    final row, so grad_calls counts the calls made.
     """
-    rows = []
+    traces = []
     calls = 0
     for t, (x, g, n) in zip(range(cfg.iters + 1), points):
         calls += n
-        if cfg.all_rows or t == cfg.iters:
+        if rows or t == cfg.iters:
             if g is None:
                 g = obj.gradient(x)
                 calls += 1
-            rows.append(_row_head(obj, t, x, g, cfg.geom))
-    return RunReport(method=method, final_x=x, final_f=rows[-1].f,
-                     gap=rows[-1].gap, iters=cfg.iters, grad_calls=calls,
-                     traces=rows)
+            traces.append(_row_head(obj, t, x, g, cfg.geom))
+    return RunReport(method=method, final_x=x, final_f=traces[-1].f,
+                     gap=traces[-1].gap, iters=cfg.iters, grad_calls=calls,
+                     traces=traces)
 
 
 def _descent(obj, x0, update):
@@ -76,13 +69,14 @@ def _descent(obj, x0, update):
         x = update(x, g)
 
 
-def gd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
+def gd_run(obj, x0, cfg: BaselineConfig, rows: bool = True) -> RunReport:
     """x_{t+1} = x_t - alpha * grad f(x_t)."""
     alpha = cfg.stepsize
-    return _drive("gd", obj, cfg, _descent(obj, x0, lambda x, g: x - alpha * g))
+    points = _descent(obj, x0, lambda x, g: x - alpha * g)
+    return _drive("gd", obj, cfg, points, rows)
 
 
-def agd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
+def agd_run(obj, x0, cfg: BaselineConfig, rows: bool = True) -> RunReport:
     """Nesterov acceleration: gradient step plus extrapolation.
 
         y_{t+1} = x_t - alpha * grad f(x_t)
@@ -107,10 +101,10 @@ def agd_run(obj, x0, cfg: BaselineConfig) -> RunReport:
             y = y_new
             yield y, None, int(t > 0)  # grad f(y) only feeds a row
 
-    return _drive("agd", obj, cfg, points())
+    return _drive("agd", obj, cfg, points(), rows)
 
 
-def lc_run(obj, x0, cfg: BaselineConfig) -> RunReport:
+def lc_run(obj, x0, cfg: BaselineConfig, rows: bool = True) -> RunReport:
     """Linear coupling of steepest descent and Euclidean mirror descent.
 
         x_{t+1} = beta_t z_t + (1 - beta_t) y_t,   beta_t = 2/(t+2)
@@ -122,6 +116,8 @@ def lc_run(obj, x0, cfg: BaselineConfig) -> RunReport:
     sequence is traced and returned.  At p = 2 this matches the classical
     three-sequence accelerated scheme step for step.
     """
+    if cfg.geom is None:
+        raise ValueError("lc requires a geometry")
     geom = cfg.geom
     alpha = cfg.stepsize
 
@@ -138,14 +134,16 @@ def lc_run(obj, x0, cfg: BaselineConfig) -> RunReport:
             z = z - ((t + 1.0) * alpha / 2.0) * g
             yield y, None, int(t > 0)  # grad f(y) only feeds a row
 
-    return _drive("lc", obj, cfg, points())
+    return _drive("lc", obj, cfg, points(), rows)
 
 
-def sdp_run(obj, x0, cfg: BaselineConfig) -> RunReport:
+def sdp_run(obj, x0, cfg: BaselineConfig, rows: bool = True) -> RunReport:
     """Unaccelerated l_p steepest descent with proximity weight 1/(2 alpha).
 
     At p = 2 this is gradient descent with stepsize alpha.
     """
+    if cfg.geom is None:
+        raise ValueError("sd_p requires a geometry")
     weight = 1.0 / (2.0 * cfg.stepsize)
     return _drive("sd_p", obj, cfg, _descent(
-        obj, x0, lambda x, g: steepest_step(x, g, weight, cfg.geom)))
+        obj, x0, lambda x, g: steepest_step(x, g, weight, cfg.geom)), rows)

@@ -171,6 +171,7 @@ def cmd_tune(args) -> int:
         flag = "  (all grid points diverged)" if all_div else ""
         print("%-5s stepsize=%-10g final_f=%.10g%s"
               % (m, best, finals[best], flag))
+    _warn_all_divergent({"mus": {"%g" % cfg.mu: {"methods": result}}})
     if "out_dir" in given:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -24,11 +24,12 @@ which combine into the rate  f(x_T) - f* <= 324 L ||x_0 - x*||_2^2 / (G^2 T^2).
 
 iterate yields a run's rows, x_0 first; a row that folds a step into the
 state carries these five as violation magnitudes in its `violations`.
-With a reference optimum attached, the run stops at the first iterate
-it folds in within eps of the reference value.  The iterates depend only
-on the coupling search, the steepest step and that stop, so with rows
-off (the tuning sweep's grid runs) the loop takes no violation and no row
-until the final one, and an f value only where the stop needs it.
+A run stops at an exactly zero gradient, after max_iters steps, or, with
+a reference optimum attached, at the first iterate it folds in within
+eps of the reference value.  The iterates depend only on the coupling
+search, the steepest step and that stop, so with rows off (the tuning
+sweep's grid runs) the loop takes no violation and no row until the
+final one, and an f value only where the stop needs it.
 """
 
 import math
@@ -84,18 +85,17 @@ class HasdConfig:
 
     L is the smoothness constant for the chosen geometry; eps is the
     target accuracy: with a reference optimum attached to the objective, a
-    run stops at the first iterate it folds in whose gap is at most eps;
-    grad_tol declares convergence when the dual gradient norm falls below
-    it; step_scale multiplies 1/L inside the steepest step only (a tuning
-    knob; values other than 1 void the per-iteration guarantees while
-    leaving the coupling logic intact).
+    run stops at the first iterate it folds in whose gap is at most eps,
+    and any run stops at an exactly zero gradient or after max_iters
+    steps; step_scale multiplies 1/L inside the steepest step only (a
+    tuning knob; values other than 1 void the per-iteration guarantees
+    while leaving the coupling logic intact).
     """
 
     L: float
     geom: LpGeometry
     eps: float = 1e-8
     max_iters: int = 100
-    grad_tol: float = 1e-12
     step_scale: float = 1.0
 
     def __post_init__(self):
@@ -106,9 +106,6 @@ class HasdConfig:
             raise ValueError("eps must be positive, got %r" % (self.eps,))
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not self.grad_tol >= 0:
-            raise ValueError("grad_tol must be nonnegative, got %r"
-                             % (self.grad_tol,))
         if not 0 < self.step_scale < math.inf:
             raise ValueError("step_scale must be positive and finite, got %r"
                              % (self.step_scale,))
@@ -394,10 +391,10 @@ INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
 INVARIANT_TOL = 1e-8
 
 
-def _ends_run(cfg: HasdConfig, t: int, dual: float, converged: bool) -> bool:
-    """The stop rule: a converged step, a dual gradient norm at most
-    cfg.grad_tol, or t steps folded in with t >= cfg.max_iters."""
-    return converged or dual <= cfg.grad_tol or t >= cfg.max_iters
+def _ends_run(cfg: HasdConfig, t: int, converged: bool) -> bool:
+    """The stop rule: a converged step, or t steps folded in with
+    t >= cfg.max_iters."""
+    return converged or t >= cfg.max_iters
 
 
 def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
@@ -428,7 +425,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     state.grad_calls += res.oracle_calls
     ref = obj.reference_optimum
     converged = dual == 0.0
-    ends = _ends_run(cfg, state.t + 1, dual, converged)
+    ends = _ends_run(cfg, state.t + 1, converged)
     f_new = gap = None
     if rows or ends or ref is not None:
         f_new = obj.value(x_new)
@@ -499,11 +496,10 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     holds; rho_0 is the gradient-norm ratio at x_1 (so the window holds
     with equality) and a_1 = A_1 = 1/(18 L rho_0).  Then step runs until a
     trace is converged (a zero gradient, or with a reference optimum
-    attached an iterate folded in with gap at most cfg.eps), its dual
-    gradient norm is at most cfg.grad_tol, or state.t reaches
-    cfg.max_iters.  Only row 0 is yielded when
-    cfg.max_iters is 0 or the gradient at x0 is exactly zero.  The same
-    state object is yielded each time, updated in place.
+    attached an iterate folded in with gap at most cfg.eps) or state.t
+    reaches cfg.max_iters.  Only row 0 is yielded when cfg.max_iters is 0
+    or the gradient at x0 is exactly zero.  The same state object is
+    yielded each time, updated in place.
 
     With rows off only the final row is built and yielded, from the
     gradient and norms in hand at the last point, and without violations;
@@ -529,7 +525,7 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     while True:
         if tr is not None:
             yield state, tr
-            if _ends_run(cfg, state.t, tr.grad_dual, tr.converged):
+            if _ends_run(cfg, state.t, tr.converged):
                 return
         state, tr = step(state, obj, cfg, rows)
 
@@ -547,8 +543,7 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
             fails[name] += int(not v <= INVARIANT_TOL)  # NaN is a violation
     last = traces[-1]
     # with no step taken, the run converged iff x0 is stationary
-    converged = ((last.converged or last.grad_dual <= cfg.grad_tol)
-                 if last.iter > 0 else cfg.max_iters > 0)
+    converged = last.converged if last.iter > 0 else cfg.max_iters > 0
     G_mean = state.G_sum / state.t if state.t > 0 else None
     R = None if ref is None else float(np.linalg.norm(x0 - ref[0]))
     cert = (rate_bounds(cfg.L, R, G_mean, state.t)[0]

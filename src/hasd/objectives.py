@@ -132,9 +132,6 @@ class Quadratic(SmoothObjective):
             return float(self.h.sum())
         return lp_norm(self.h, p / (p - 2.0))
 
-    def strong_convexity_l2(self) -> float:
-        return float(self.h.min())
-
 
 class SymmetricSoftmax(SmoothObjective):
     """f(x) = alpha * log sum_i (e^{x_i/alpha} + e^{-x_i/alpha}).
@@ -303,9 +300,6 @@ class LogSumExpAffine(SmoothObjective):
         scale = d if math.isinf(p) else d ** (1.0 - 2.0 / p)
         return min(via_inf, l2 * scale)
 
-    def strong_convexity_l2(self) -> float:
-        return self.mu
-
 
 def make_logsumexp_instance(n: int, d: int, mu: float, seed: int,
                             declare_smoothness: bool = False) -> LogSumExpAffine:
@@ -397,18 +391,22 @@ def smoothness_bound(obj: SmoothObjective, geom: LpGeometry) -> float:
 
 
 def solve_reference(obj: SmoothObjective):
-    """High-accuracy reference optimum by damped Newton from the origin.
+    """High-accuracy reference optimum by regularized Newton from the origin.
 
-    Requires a Hessian oracle.  Dense Newton steps from x = 0, each halved
-    until the gradient norm falls, carry x to a gradient norm of tol / 100,
-    tol = 1e-10, however far away the optimum sits; the loop stops early
-    when a full backtracking finds no such point or after 500 steps.  The
-    result is accepted at a gradient norm of tol, or of the oracle's own
-    rounding floor at x when that is larger, up to a millionth of the
-    gradient norm at the origin.  Stores (x_star, f_star) on the objective
-    and returns the pair.  Raises RuntimeError when neither bound is met,
-    and as soon as a point the solve differentiates certifies that a
-    LogSumExpAffine objective is unbounded below (see certifies_unbounded).
+    Requires a Hessian oracle.  Dense steps
+    x+ = x - (H + sqrt(M ||g||_2) I)^-1 g from x = 0 (Mishchenko, SIAM J.
+    Optim. 2023; Polyak, Math. Program. 2009) carry x to a gradient norm
+    of tol / 100, tol = 1e-10, however far away the optimum sits.  A trial
+    is accepted when its gradient norm is below the current one; M starts
+    at 1, is multiplied by 4 on each rejected trial and divided by 4 after
+    each accepted step.  The loop stops early when 40 trials find no such
+    point or after 500 steps.  The result is accepted at a gradient norm
+    of tol, or of the oracle's own rounding floor at x when that is
+    larger, up to a millionth of the gradient norm at the origin.  Stores
+    (x_star, f_star) on the objective and returns the pair.  Raises
+    RuntimeError when neither bound is met, and as soon as a point the
+    solve differentiates certifies that a LogSumExpAffine objective is
+    unbounded below (see certifies_unbounded).
     """
     if isinstance(obj, Quadratic):
         obj.reference_optimum = (obj.center.copy(), obj.offset)
@@ -430,24 +428,27 @@ def solve_reference(obj: SmoothObjective):
                                "below along the current iterate")
         return g
 
-    # dense Newton steps, backtracked on the gradient norm; generic solvers
-    # stop on value stagnation long before the gradient target when |f| is
-    # large.  The gradient of an accepted trial point serves the next step
+    # regularized Newton steps, accepted on the gradient norm; generic
+    # solvers stop on value stagnation long before the gradient target when
+    # |f| is large.  The shift keeps the system definite where H is nearly
+    # singular, and the gradient of an accepted trial serves the next step
     g = jac(x)
     gn = start_gn = float(np.linalg.norm(g))
     seen = {x.tobytes()}  # every point differentiated so far
+    eye = np.eye(obj.dim)
+    M = 1.0
     for _ in range(500):
         if gn <= tol * 1e-2:
             break
-        try:
-            direction = np.linalg.solve(obj.hessian(x), g)
-        except np.linalg.LinAlgError:
-            break
-        step, improved, key = 1.0, False, x.tobytes()
+        H, improved, key = obj.hessian(x), False, x.tobytes()
         for _ in range(40):
-            x_new = x - step * direction
+            try:
+                x_new = x - np.linalg.solve(H + math.sqrt(M * gn) * eye, g)
+            except np.linalg.LinAlgError:  # a larger shift makes H definite
+                M *= 4.0
+                continue
             new_key = x_new.tobytes()
-            if new_key == key:  # every further halving gives x again
+            if new_key == key:  # every larger shift gives x again
                 break
             # a trial can land on a point differentiated earlier in the
             # solve, whose gradient norm was no smaller than gn (gn only
@@ -458,8 +459,9 @@ def solve_reference(obj: SmoothObjective):
                 gn_new = float(np.linalg.norm(g_new))
                 if gn_new < gn:
                     x, g, gn, improved = x_new, g_new, gn_new, True
+                    M /= 4.0
                     break
-            step *= 0.5
+            M *= 4.0
         if not improved:
             break
     # a far-away optimum raises the rounding floor of the gradient oracle

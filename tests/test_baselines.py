@@ -15,24 +15,28 @@ INF = math.inf
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        BaselineConfig("newton", 0.1, 5)
-    with pytest.raises(ValueError):
-        BaselineConfig("gd", 0.0, 5)
+        BaselineConfig(0.0, 5)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            BaselineConfig("gd", bad, 5)
+            BaselineConfig(bad, 5)
     with pytest.raises(ValueError):
-        BaselineConfig("gd", 0.1, -1)
-    with pytest.raises(ValueError):
-        BaselineConfig("lc", 0.1, 5)  # needs a geometry
-    with pytest.raises(ValueError):
-        BaselineConfig("sd_p", 0.1, 5)
-    BaselineConfig("gd", 0.1, 5)  # geometry optional here
+        BaselineConfig(0.1, -1)
+
+
+def test_lc_and_sd_p_refuse_a_config_without_a_geometry():
+    obj = Quadratic(np.array([1.0, 2.0]))
+    cfg = BaselineConfig(0.1, 5)  # geometry optional for gd and agd
+    for method, runner in (("lc", lc_run), ("sd_p", sdp_run)):
+        with pytest.raises(ValueError, match="^%s requires a geometry$"
+                           % method):
+            runner(obj, np.ones(2), cfg)
+    for runner in (gd_run, agd_run):
+        assert runner(obj, np.ones(2), cfg).iters == 5
 
 
 def test_gd_one_step():
     obj = Quadratic(np.array([1.0, 2.0]))
-    rep = gd_run(obj, np.array([1.0, 1.0]), BaselineConfig("gd", 0.5, 1))
+    rep = gd_run(obj, np.array([1.0, 1.0]), BaselineConfig(0.5, 1))
     np.testing.assert_allclose(rep.final_x, [0.5, 0.0], rtol=1e-15)
     assert rep.iters == 1 and rep.grad_calls == 2
     assert rep.traces[0].f == pytest.approx(1.5)
@@ -50,7 +54,7 @@ def test_rows_use_numpys_l2_norm_bit_for_bit():
         return grads[-1]
 
     obj.gradient = recording_gradient
-    rep = gd_run(obj, np.zeros(8), BaselineConfig("gd", 0.05, 15))
+    rep = gd_run(obj, np.zeros(8), BaselineConfig(0.05, 15))
     assert len(grads) == len(rep.traces) == 16
     for g, tr in zip(grads, rep.traces):
         assert tr.grad_l2 == float(np.linalg.norm(g))
@@ -60,7 +64,7 @@ def test_gd_descends_and_meets_classical_rate():
     obj = Quadratic(np.array([1.0, 4.0, 9.0]))
     L = 9.0
     x0 = np.array([2.0, -1.0, 1.0])
-    rep = gd_run(obj, x0, BaselineConfig("gd", 1.0 / L, 40, geom=LpGeometry(2)))
+    rep = gd_run(obj, x0, BaselineConfig(1.0 / L, 40, geom=LpGeometry(2)))
     fs = [tr.f for tr in rep.traces]
     assert all(b <= a + 1e-14 for a, b in zip(fs, fs[1:]))
     R2 = float(x0 @ x0)
@@ -74,8 +78,8 @@ def test_agd_warmup_matches_gd():
     # iterate that can differ from plain gradient descent
     obj = make_logsumexp_instance(12, 5, 1e-2, seed=0)
     x0 = np.zeros(5)
-    agd = agd_run(obj, x0, BaselineConfig("agd", 0.05, 4))
-    gd = gd_run(obj, x0, BaselineConfig("gd", 0.05, 4))
+    agd = agd_run(obj, x0, BaselineConfig(0.05, 4))
+    gd = gd_run(obj, x0, BaselineConfig(0.05, 4))
     for t in (1, 2, 3):
         assert agd.traces[t].f == pytest.approx(gd.traces[t].f, rel=1e-15)
     assert np.abs(agd.final_x - gd.final_x).max() > 1e-6
@@ -89,7 +93,7 @@ def test_agd_classical_rate(h, x0):
     obj = Quadratic(np.array(h))
     L = max(h)
     x0 = np.array(x0)
-    rep = agd_run(obj, x0, BaselineConfig("agd", 1.0 / L, 80))
+    rep = agd_run(obj, x0, BaselineConfig(1.0 / L, 80))
     R2 = float(x0 @ x0)
     for tr in rep.traces[1:]:
         assert tr.gap <= 2.0 * L * R2 / (tr.iter + 1.0) ** 2 * (1 + 1e-9)
@@ -97,7 +101,7 @@ def test_agd_classical_rate(h, x0):
 
 def test_agd_call_accounting():
     obj = Quadratic(np.array([1.0, 2.0]))
-    rep = agd_run(obj, np.ones(2), BaselineConfig("agd", 0.1, 10))
+    rep = agd_run(obj, np.ones(2), BaselineConfig(0.1, 10))
     assert rep.grad_calls == 20  # one fresh point per update after warmup
     assert len(rep.traces) == 11
 
@@ -106,7 +110,7 @@ def test_lc_first_step_is_plain_steepest_step():
     obj = make_logsumexp_instance(10, 4, 1e-2, seed=1)
     x0 = np.full(4, 0.3)
     geom = LpGeometry(3)
-    rep = lc_run(obj, x0, BaselineConfig("lc", 0.04, 1, geom=geom))
+    rep = lc_run(obj, x0, BaselineConfig(0.04, 1, geom=geom))
     expected = steepest_step(x0, obj.gradient(x0), 1.0 / (2.0 * 0.04), geom)
     np.testing.assert_allclose(rep.final_x, expected, rtol=1e-14)
 
@@ -115,7 +119,7 @@ def test_lc_p2_matches_three_sequence_recursion():
     obj = Quadratic(np.array([1.0, 5.0, 2.0]))
     alpha = 1.0 / 5.0
     x0 = np.array([1.0, -1.0, 2.0])
-    rep = lc_run(obj, x0, BaselineConfig("lc", alpha, 25, geom=LpGeometry(2)))
+    rep = lc_run(obj, x0, BaselineConfig(alpha, 25, geom=LpGeometry(2)))
     z = x0.copy()
     y = x0.copy()
     for t in range(25):
@@ -131,7 +135,7 @@ def test_lc_p2_matches_three_sequence_recursion():
 def test_lc_rate_on_quadratic():
     obj = Quadratic(np.array([1.0, 10.0]))
     x0 = np.array([3.0, -2.0])
-    rep = lc_run(obj, x0, BaselineConfig("lc", 0.1, 80, geom=LpGeometry(2)))
+    rep = lc_run(obj, x0, BaselineConfig(0.1, 80, geom=LpGeometry(2)))
     R2 = float(x0 @ x0)
     for tr in rep.traces[1:]:
         assert tr.gap <= 4.0 * 10.0 * R2 / tr.iter ** 2 * (1 + 1e-9)
@@ -140,7 +144,7 @@ def test_lc_rate_on_quadratic():
 def test_lc_call_accounting():
     obj = Quadratic(np.array([1.0, 2.0]))
     geom = LpGeometry(4)
-    rep = lc_run(obj, np.ones(2), BaselineConfig("lc", 0.1, 10, geom=geom))
+    rep = lc_run(obj, np.ones(2), BaselineConfig(0.1, 10, geom=geom))
     assert rep.grad_calls == 20
     assert rep.method == "lc" and rep.iters == 10
 
@@ -149,8 +153,8 @@ def test_sdp_p2_is_gradient_descent():
     obj = make_logsumexp_instance(15, 6, 1e-3, seed=2)
     x0 = np.zeros(6)
     alpha = 0.25  # power of two keeps the two arithmetic paths bit-identical
-    sd = sdp_run(obj, x0, BaselineConfig("sd_p", alpha, 20, geom=LpGeometry(2)))
-    gd = gd_run(obj, x0, BaselineConfig("gd", alpha, 20, geom=LpGeometry(2)))
+    sd = sdp_run(obj, x0, BaselineConfig(alpha, 20, geom=LpGeometry(2)))
+    gd = gd_run(obj, x0, BaselineConfig(alpha, 20, geom=LpGeometry(2)))
     np.testing.assert_allclose(sd.final_x, gd.final_x, rtol=1e-14)
     for a, b in zip(sd.traces, gd.traces):
         assert a.f == pytest.approx(b.f, rel=1e-14)
@@ -159,7 +163,7 @@ def test_sdp_p2_is_gradient_descent():
 def test_sdp_sup_norm_step():
     obj = Quadratic(np.array([1.0, 1.0]))
     rep = sdp_run(obj, np.array([2.0, 0.0]),
-                  BaselineConfig("sd_p", 0.5, 1, geom=LpGeometry(INF)))
+                  BaselineConfig(0.5, 1, geom=LpGeometry(INF)))
     # x - alpha * ||g||_1 * sign(g) on the support of g
     np.testing.assert_allclose(rep.final_x, [1.0, 0.0], atol=1e-15)
 
@@ -169,7 +173,7 @@ def test_sdp_descends_for_every_geometry():
     L_inf = obj.smoothness[0]
     for p in (2.0, 3.0, INF):
         rep = sdp_run(obj, np.zeros(6),
-                      BaselineConfig("sd_p", 1.0 / (2.0 * L_inf), 30,
+                      BaselineConfig(1.0 / (2.0 * L_inf), 30,
                                      geom=LpGeometry(p)))
         fs = [tr.f for tr in rep.traces]
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
@@ -178,7 +182,7 @@ def test_sdp_descends_for_every_geometry():
 def test_rows_carry_gap_and_dual_norm():
     obj = Quadratic(np.array([2.0, 1.0]))
     geom = LpGeometry(3)
-    rep = gd_run(obj, np.ones(2), BaselineConfig("gd", 0.1, 5, geom=geom))
+    rep = gd_run(obj, np.ones(2), BaselineConfig(0.1, 5, geom=geom))
     for tr in rep.traces:
         assert tr.gap is not None and tr.gap >= -1e-15
         assert tr.grad_dual is not None
@@ -205,12 +209,13 @@ def test_final_row_only_runs_equal_full_runs():
     for method, runner in runners:
         for iters in (0, 1, 7):
             calls.clear()
-            full = runner(obj, x0, BaselineConfig(method, 0.05, iters, geom=geom))
+            full = runner(obj, x0, BaselineConfig(0.05, iters, geom=geom))
             assert full.grad_calls == len(calls)
             calls.clear()
-            last = runner(obj, x0, BaselineConfig(method, 0.05, iters,
-                                                  geom=geom, all_rows=False))
+            last = runner(obj, x0, BaselineConfig(0.05, iters, geom=geom),
+                          rows=False)
             assert last.grad_calls == len(calls) == iters + 1
+            assert last.method == full.method == method
             assert len(full.traces) == iters + 1
             assert last.traces == full.traces[-1:]
             assert (last.final_f, last.gap, last.iters) == (
@@ -224,6 +229,6 @@ def test_row_0_is_hasds_row_0():
     geom = LpGeometry(3.0)
     x0 = np.random.default_rng(11).standard_normal(4)
     _, hasd_row = next(iterate(obj, x0, HasdConfig(L=1.0, geom=geom)))
-    for method, runner in (("gd", gd_run), ("sd_p", sdp_run)):
-        rep = runner(obj, x0, BaselineConfig(method, 0.05, 0, geom=geom))
+    for runner in (gd_run, sdp_run):
+        rep = runner(obj, x0, BaselineConfig(0.05, 0, geom=geom))
         assert rep.traces == [hasd_row]

@@ -102,7 +102,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HasdConfig(L=1.0, geom=geom, step_scale=0.0)
     nan, inf = math.nan, math.inf
-    for bad in ({"L": nan}, {"L": inf}, {"eps": nan}, {"grad_tol": nan},
+    for bad in ({"L": nan}, {"L": inf}, {"eps": nan},
                 {"step_scale": nan}, {"step_scale": inf}):
         with pytest.raises(ValueError):
             HasdConfig(**{"L": 1.0, "geom": geom, **bad})
@@ -444,7 +444,7 @@ def test_find_coupling_settles_every_rejected_probe_at_p2():
     # at p = 2 the norm ratio is 1, so c(theta) alone decides every probe
     # outside the window and each search evaluates only the one it accepts,
     # with its reference attached or not: the searches take no f value
-    cfg = HasdConfig(L=4.0, geom=LpGeometry(2), max_iters=30, grad_tol=0.0)
+    cfg = HasdConfig(L=4.0, geom=LpGeometry(2), max_iters=30)
     for attach in (False, True):
         obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
         if not attach:
@@ -461,7 +461,7 @@ def decided_reference_state():
     """A p = 2 quadratic with its reference, at t = 12 of a run: c(1/2) is
     about 23, so the first probe is decided, and its gap is below 1."""
     obj = CountingQuadratic([0.5, 1.0, 2.0, 4.0, 1.5])
-    cfg = HasdConfig(L=4.0, geom=LpGeometry(2), max_iters=12, grad_tol=0.0)
+    cfg = HasdConfig(L=4.0, geom=LpGeometry(2), max_iters=12)
     state, _ = list(iterate(obj, np.array([2.0, -1.0, 0.5, 1.0, -2.0]), cfg))[-1]
     assert state.t == 12
     assert 18.0 * cfg.L * 0.25 * state.A / 0.5 > 2.0 * (1.0 + _SETTLE_MARGIN)
@@ -612,8 +612,7 @@ def test_run_counts_a_nan_violation(monkeypatch):
     import hasd.core as core
     obj = Quadratic(np.array([0.5, 1.0, 2.0]))
     geom = LpGeometry(2.0)
-    cfg = HasdConfig(L=obj.smoothness_for(geom), geom=geom, max_iters=6,
-                     grad_tol=0.0)
+    cfg = HasdConfig(L=obj.smoothness_for(geom), geom=geom, max_iters=6)
     real_iterate = core.iterate
 
     def nan_potential(*args, **kwargs):
@@ -633,7 +632,7 @@ def test_run_counts_a_nan_violation(monkeypatch):
 def test_run_rate_certificate_and_call_accounting():
     obj = Quadratic(np.array([1.0, 2.0]))
     geom = LpGeometry(2)
-    cfg = HasdConfig(L=2.0, geom=geom, max_iters=20, grad_tol=0.0)
+    cfg = HasdConfig(L=2.0, geom=geom, max_iters=20)
     report = run(obj, np.array([3.0, -1.0]), cfg)
     assert report.certificate == pytest.approx(
         324.0 * cfg.L * report.R ** 2 / (report.G_mean ** 2 * report.iters ** 2), rel=1e-12)
@@ -645,7 +644,7 @@ def test_run_rate_certificate_and_call_accounting():
 def test_run_evaluates_the_start_gradient_once():
     obj = CountingQuadratic([1.0, 2.0])
     x0 = np.array([3.0, -1.0])
-    cfg = HasdConfig(L=2.0, geom=LpGeometry(2), max_iters=6, grad_tol=0.0)
+    cfg = HasdConfig(L=2.0, geom=LpGeometry(2), max_iters=6)
     report = run(obj, x0, cfg)
     at_x0 = [x for x in obj.grad_points if np.array_equal(x, x0)]
     assert len(at_x0) == 1
@@ -659,16 +658,8 @@ def test_rate_bounds():
     assert cubic == pytest.approx(8748.0 * 4.0 * 9.0 / (1.5 ** 2 * 4 ** 3), rel=1e-15)
 
 
-def test_run_convergence_by_gradient_tolerance():
-    obj, _ = quad_cfg([1.0, 2.0])
-    cfg = HasdConfig(L=2.0, geom=LpGeometry(2), max_iters=150, grad_tol=1e-9)
-    report = run(obj, np.array([3.0, -1.0]), cfg)
-    assert report.converged_early and report.iters < 150
-    assert lp_norm(obj.gradient(report.final_x), 2) <= 1e-9 or report.gap <= cfg.eps
-
-
 def test_iterate_yields_every_step_then_stops():
-    obj, cfg = quad_cfg([1.0, 2.0], max_iters=5, grad_tol=0.0)
+    obj, cfg = quad_cfg([1.0, 2.0], max_iters=5)
     x0 = np.array([3.0, -1.0])
     seen = [(state.t, tr.iter) for state, tr in iterate(obj, x0, cfg)]
     assert seen == [(t, t) for t in range(0, 6)]  # row 0, then every step
@@ -835,8 +826,8 @@ def test_rows_off_runs_equal_core_run():
                   else "gap stop at an iterate" if (
                       last.converged and last.violations is not None)
                   else "exact optimum" if last.converged and last.zeta is None
-                  else "row 0 only" if last.iter == 0 else "grad_tol")
-    assert kinds >= {"stopped at iters", "zero gradient at x_1",
+                  else "row 0 only" if last.iter == 0 else "unexplained stop")
+    assert kinds == {"stopped at iters", "zero gradient at x_1",
                      "gap stop at an iterate", "exact optimum", "row 0 only",
                      "NonFiniteProbeError"}, kinds
 
@@ -885,7 +876,7 @@ def test_restarting_halves_gap_per_round():
 def test_restarting_round_length():
     # mu = L and G_hat = 1 give the round length 36 exactly
     obj = Quadratic(np.array([1.0, 1.0]))
-    cfg = HasdConfig(L=1.0, geom=LpGeometry(2), grad_tol=0.0, eps=1e-300)
+    cfg = HasdConfig(L=1.0, geom=LpGeometry(2), eps=1e-300)
     report = run_restarting(obj, np.array([2.0, 0.0]), mu=1.0, eps=1e-3,
                             cfg=cfg, G_hat=1.0)
     first_round_rows = [tr for tr in report.traces if tr.iter <= 36]

@@ -200,7 +200,7 @@ def test_run_method_lc_stepsize_is_scale_on_coupling():
     L = 3.0
     via_harness = run_method("lc", obj, np.zeros(4), geom, L, 15, 0.5)
     direct = lc_run(obj, np.zeros(4),
-                    BaselineConfig("lc", 0.5 / (2.0 * L), 15, geom=geom))
+                    BaselineConfig(0.5 / (2.0 * L), 15, geom=geom))
     np.testing.assert_array_equal(via_harness.final_x, direct.final_x)
 
 
@@ -273,7 +273,7 @@ def test_trace_csv_rows_follow_the_column_tuple(tmp_path):
     x0 = np.linspace(-1.0, 1.0, 4)
     hasd = run(obj, x0, HasdConfig(L=smoothness_bound(obj, geom), geom=geom,
                                    max_iters=6)).traces
-    lc = lc_run(obj, x0, BaselineConfig("lc", 0.05, 6, geom=geom)).traces
+    lc = lc_run(obj, x0, BaselineConfig(0.05, 6, geom=geom)).traces
     assert hasd[0].rho is None and hasd[-1].search_calls is not None
     assert lc[-1].gap is None and lc[-1].grad_dual is not None
     path = tmp_path / "trace.csv"
@@ -818,13 +818,16 @@ def test_cli_outputs_are_strict_json_when_a_run_diverges(tmp_path, capsys):
                  "--out", str(out)]) == 0
     entry = _strict_load(out / "summary.json")["mus"]["0"]["methods"]["gd"]
     assert entry["final_f"] == entry["final_gap"] == "inf"
+    assert capsys.readouterr().err == ""
     tuned = tmp_path / "tuned"
     assert main(["tune", "--objective", "quadratic", "--d", "5",
                  "--methods", "gd", "--grid", "10,100",
                  "--out", str(tuned)]) == 0
     assert _strict_load(tuned / "tune.json")["gd"] == {
         "all_divergent": True, "final_f": "inf", "stepsize": 10.0}
-    capsys.readouterr()
+    # the one stderr line run and bench print for an all-divergent grid
+    assert capsys.readouterr().err == (
+        "every stepsize diverged for gd at mu=0; ran the smallest grid point\n")
 
 
 def test_write_json_spells_non_finite_floats_as_config_p_does(tmp_path):

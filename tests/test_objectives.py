@@ -389,6 +389,27 @@ def test_newton_reference_matches_lbfgsb_oracle_on_other_shapes(n, d, mu, seed):
     assert np.linalg.norm(x - want_x) <= 1e-8 * np.linalg.norm(want_x)
 
 
+def test_solve_reference_does_not_stall_on_sharp_logits():
+    # a stacked regression instance [A; -A] at logit scale 3: the softmax
+    # at the origin sits on two rows, so the Hessian there is singular to
+    # rounding, and a halved Newton step stalls at ||grad||_2 = 19.44
+    d, s = 64, 3.0
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((2 * d, d))
+    b = A @ rng.standard_normal(d) + 0.1 * rng.standard_normal(2 * d)
+
+    def build():
+        return LogSumExpAffine(s * np.vstack([A, -A]),
+                               s * np.concatenate([b, -b]))
+
+    want_x, want_f = lbfgsb_reference(build())
+    obj = build()
+    x, f = solve_reference(obj)
+    assert float(np.linalg.norm(obj.gradient(x))) <= 1e-10
+    assert abs(f - want_f) <= 1e-12 * abs(want_f)
+    assert np.linalg.norm(x - want_x) <= 1e-8 * np.linalg.norm(want_x)
+
+
 def _count_gradient_points(obj):
     """Make obj record the bytes of every point its gradient is called at."""
     points = []
