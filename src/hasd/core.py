@@ -246,9 +246,9 @@ def a_from_rho(A_t: float, L: float, rho: float) -> float:
     a = (1 + sqrt(1 + 72 L rho A_t)) / (36 L rho); at A_t = 0 this is
     1/(18 L rho).
     """
-    if L <= 0 or rho <= 0:
+    if not (L > 0 and rho > 0):  # NaN fails too
         raise ValueError("a_from_rho needs L > 0 and rho > 0")
-    if A_t < 0:
+    if not A_t >= 0:
         raise ValueError("A_t must be nonnegative")
     return (1.0 + math.sqrt(1.0 + 72.0 * L * rho * A_t)) / (36.0 * L * rho)
 
@@ -261,7 +261,7 @@ def search_call_bound(p: float, d: int, L: float, eps: float, R: float) -> float
     costing at most two gradient evaluations: a probe its norm bounds
     decide costs none.  Valid for eps <= L D_R / 6.
     """
-    if d <= 0 or L <= 0 or eps <= 0 or R <= 0:
+    if not (d > 0 and L > 0 and eps > 0 and R > 0):  # NaN fails too
         raise ValueError("need positive d, L, eps, R")
     coeff = 0.5 if math.isinf(p) else (p - 2.0) / (2.0 * p)
     D_R = (R + 1458.0 * R * R) * (20.0 * R + 4374.0 * R * R)

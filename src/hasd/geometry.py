@@ -26,13 +26,13 @@ def lp_norm(x, p: float) -> float:
     if not (p >= 1.0):
         raise ValueError("lp_norm requires p >= 1, got %r" % (p,))
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return 0.0
     # ufunc reduces over all axes are what a.max()/a.sum()/np.sum run,
     # without their wrappers: the same bits at a fraction of the call cost
+    if p == 1.0:  # an empty sum is 0.0
+        return float(np.add.reduce(np.abs(x), None))
+    if x.size == 0:
+        return 0.0
     a = np.abs(x)
-    if p == 1.0:
-        return float(np.add.reduce(a, None))
     m = float(np.maximum.reduce(a, None))
     if m == 0.0 or math.isinf(p):
         return m
@@ -77,22 +77,31 @@ def steepest_step(y, grad, L: float, geom: LpGeometry):
 
     which at p = 2 reduces to y - grad/(2L).  At p = inf the analytic
     limit is y - (1/2L) * ||grad||_1 * sign(grad); coordinates where
-    grad_i = 0 do not move (sign(0) = 0).  A zero gradient returns y.
+    grad_i = 0 do not move (sign(0) = 0).  A zero gradient returns a copy
+    of y, bit for bit: away from p = 2 it is told by the dual norm the
+    step takes anyway, which is 0 exactly when every entry is +-0 (a NaN
+    entry makes it NaN), and at p = 2 by np.count_nonzero, because
+    y - g/(2L) would turn a -0.0 in y into +0.0.
     """
-    if L <= 0:
+    if not L > 0:  # NaN fails too
         raise ValueError("steepest_step requires L > 0, got %r" % (L,))
     y = np.asarray(y, dtype=float)
     g = np.asarray(grad, dtype=float)
     if y.shape != g.shape:
         raise ValueError("shape mismatch: y %r vs grad %r" % (y.shape, g.shape))
-    if not np.count_nonzero(g):  # cheaper than g.any(); NaN counts as nonzero
-        return y.copy()
     p = geom.p
     if math.isinf(p):
-        return y - (0.5 / L) * lp_norm(g, 1.0) * np.sign(g)
+        dual = float(np.add.reduce(np.abs(g), None))  # lp_norm(g, 1.0)
+        if dual == 0.0:
+            return y.copy()
+        return y - (0.5 / L) * dual * np.sign(g)
     if p == 2.0:
+        if not np.count_nonzero(g):  # cheaper than g.any(); NaN counts as nonzero
+            return y.copy()
         return y - g / (2.0 * L)
     dual = lp_norm(g, geom.p_dual)
+    if dual == 0.0:
+        return y.copy()
     # sign(g)*|g|^{1/(p-1)} equals g/|g|^{(p-2)/(p-1)} with 0 -> 0
     direction = np.sign(g) * np.abs(g) ** (1.0 / (p - 1.0))
     return y - (0.5 / L) * dual ** ((p - 2.0) / (p - 1.0)) * direction

@@ -25,11 +25,15 @@ from .geometry import LpGeometry, lp_norm
 # dispatch, not arithmetic: the kernels cost about a tenth of its logsumexp
 # and a third of its softmax.  They call the ufunc reduces that the
 # .max()/.sum() methods wrap, which is the same arithmetic without the
-# wrapper's call cost.
+# wrapper's call cost.  The max is read as z[z.argmax()], a third of the
+# cost of np.maximum.reduce on a short row and the same value: argmax stops
+# at the first NaN, and where +0.0 and -0.0 tie for the max the sign it
+# picks only reaches exp(+-0) = 1, the tie mask (0.0 == -0.0) and a sum
+# whose other terms make it +0.0 either way.
 
 def _logsumexp(z):
     """log(sum(exp(z))) of a nonempty 1-D float array, as a numpy float64."""
-    zmax = np.maximum.reduce(z)
+    zmax = z[z.argmax()]
     if not math.isfinite(zmax):
         # a +inf, -inf or NaN maximum: scipy's direct evaluation, silently
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -47,15 +51,16 @@ def _logsumexp(z):
 
 def _softmax(z):
     """exp(z) / sum(exp(z)) of a nonempty 1-D float array, shifted by max(z)."""
-    e = z - np.maximum.reduce(z)
+    e = z - z[z.argmax()]
     np.exp(e, out=e)
     e /= np.add.reduce(e)
     return e
 
 
 # Bytes of the one buffer LogSumExpAffine.smoothness_upper takes its row
-# norms through (it holds two rows at least): small beside a large A, large
-# enough that the per-block calls cost nothing beside the sums.
+# norms through (it holds two rows at least), and certifies_unbounded its
+# |A|: small beside a large A, large enough that the per-block calls cost
+# nothing beside the sums.
 _BOUND_BLOCK_BYTES = 1 << 20
 
 
@@ -192,6 +197,10 @@ class LogSumExpAffine(SmoothObjective):
     unbounded below (every softmax combination of the rows stays in the
     positive orthant, so the gradient never vanishes); mu > 0 restores a
     unique minimizer.
+
+    A and b must not change after construction: the oracles share the
+    last point's logits, and gradient and hessian take their products
+    with the transpose view A.T kept from the constructor.
     """
 
     def __init__(self, A, b, mu: float = 0.0, seed=None):
@@ -206,6 +215,7 @@ class LogSumExpAffine(SmoothObjective):
             A = np.ascontiguousarray(A)
         super().__init__(A.shape[1])
         self.A = A
+        self._AT = A.T  # a view, kept so gradient builds none per call
         self.b = b
         self.mu = float(mu)
         self.seed = seed
@@ -239,7 +249,7 @@ class LogSumExpAffine(SmoothObjective):
 
     def gradient(self, x):
         x = self._check(x)
-        g = self.A.T.dot(_softmax(self._logits(x)))
+        g = self._AT.dot(_softmax(self._logits(x)))
         g += self.mu * x
         return g
 
@@ -249,21 +259,35 @@ class LogSumExpAffine(SmoothObjective):
 
         Then f(t x) = log sum_k exp(t a_k . x - b_k) tends to -inf as t
         grows.  The margin (d + 2) eps |a_k| . |x| covers the rounding
-        error of any summation order of a length-d dot product.
+        error of any summation order of a length-d dot product, so |A| is
+        taken over blocks of rows, through one buffer of about
+        _BOUND_BLOCK_BYTES laid out as A is (as in smoothness_upper), and
+        the first block with a row at or above 0, or NaN, ends the test.
         """
         if self.mu != 0.0:
             return False
         x = self._check(x)
-        slack = (self.dim + 2) * float(np.finfo(float).eps)
+        A = self.A
+        n, d = A.shape
+        slack = (d + 2) * float(np.finfo(float).eps)
+        rows = min(n, max(1, _BOUND_BLOCK_BYTES // (A.itemsize * d)))
+        buf = np.empty_like(A[:rows])
+        abs_x = np.abs(x)
         with np.errstate(all="ignore"):  # a non-finite x certifies nothing
-            worst = self.A.dot(x) + slack * np.abs(self.A).dot(np.abs(x))
-        return bool(np.maximum.reduce(worst) < 0.0)
+            for lo in range(0, n, rows):
+                lo = min(lo, n - rows)  # the last block overlaps the one before
+                block = A[lo:lo + rows]
+                np.abs(block, out=buf)
+                worst = block.dot(x) + slack * buf.dot(abs_x)
+                if not np.maximum.reduce(worst) < 0.0:
+                    return False
+        return True
 
     def hessian(self, x):
         x = self._check(x)
         w = _softmax(self._logits(x))
-        Aw = self.A.T @ w
-        H = self.A.T @ (self.A * w[:, None]) - np.outer(Aw, Aw)
+        Aw = self._AT @ w
+        H = self._AT @ (self.A * w[:, None]) - np.outer(Aw, Aw)
         return H + self.mu * np.eye(self.dim)
 
     def smoothness_upper(self, geom: LpGeometry) -> float:
@@ -339,7 +363,7 @@ def convert_smoothness(L: float, q: float, p: float, d: int) -> float:
 
     p <= q keeps L; p > q pays d^{2/q - 2/p}.
     """
-    if L <= 0 or d <= 0:
+    if not (L > 0 and d > 0):  # NaN fails too
         raise ValueError("need L > 0 and d > 0")
     if not (q >= 2.0 and p >= 2.0):
         raise ValueError("exponents must be >= 2")

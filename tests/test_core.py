@@ -78,6 +78,9 @@ def test_a_from_rho_rejects_bad_inputs():
         a_from_rho(1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         a_from_rho(-1.0, 1.0, 1.0)
+    for args in ((1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (math.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            a_from_rho(*args)
 
 
 def test_search_call_bound():
@@ -91,6 +94,11 @@ def test_search_call_bound():
         search_call_bound(2.0, 0, 1.0, 1e-3, 1.0)
     with pytest.raises(ValueError):
         search_call_bound(2.0, 16, 1.0, -1.0, 1.0)
+    for i in (1, 2, 3, 4):  # a NaN d, L, eps or R
+        args = [4.0, 10, 1.0, 1e-8, 1.0]
+        args[i] = math.nan
+        with pytest.raises(ValueError, match="need positive d, L, eps, R"):
+            search_call_bound(*args)
 
 
 def test_config_validation():

@@ -124,7 +124,7 @@ def test_steepest_step_matches_wrapped_any_bit_for_bit():
              np.array([1.0, -1.0, 2.0, -2.0]), np.array([0.0, 3.0, 0.0, -5e-324])]
     grads += [rng.standard_normal(4) * 10.0 ** rng.uniform(-100, 100)
               for _ in range(50)]
-    y = np.array([0.5, -1.5, 2.0, 0.0])
+    y = np.array([0.5, -1.5, 2.0, -0.0])  # a zero gradient keeps the -0.0
     for g in grads:
         for p in (2.0, 3.0, 4.0, math.inf):
             geom = LpGeometry(p)
@@ -241,6 +241,16 @@ def test_steepest_step_zero_gradient_returns_start():
         y = np.array([1.0, -2.0, 0.5])
         x = steepest_step(y, np.zeros(3), 2.0, LpGeometry(p))
         np.testing.assert_array_equal(x, y)
+
+
+def test_steepest_step_rejects_bad_inputs():
+    y = np.array([1.0, -2.0])
+    for p in P_VALUES:
+        for L in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="requires L > 0"):
+                steepest_step(y, np.ones(2), L, LpGeometry(p))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            steepest_step(y, np.ones(3), 1.0, LpGeometry(p))
 
 
 def test_steepest_step_matches_numeric_argmin():

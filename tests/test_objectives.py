@@ -193,6 +193,43 @@ def test_logsumexp_mu_zero_unbounded_below():
     assert not regularized.certifies_unbounded(-np.ones(8))
 
 
+def _one_shot_certifies(obj, x):
+    # certifies_unbounded before it took |A| in blocks of rows
+    slack = (obj.dim + 2) * float(np.finfo(float).eps)
+    with np.errstate(all="ignore"):
+        worst = obj.A.dot(x) + slack * np.abs(obj.A).dot(np.abs(x))
+    return bool(worst.max() < 0.0)
+
+
+@pytest.mark.parametrize("zero_row", [None, 0, 1000, 1999])
+def test_certifies_unbounded_holds_nothing_of_the_size_of_A(zero_row):
+    # 2000 x 500 takes eight blocks of rows, the last overlapping the one
+    # before; a zero row (a_k . x = 0) anywhere must void the certificate
+    A, b = _one_shot_instance(2000, 500, 4)
+    if zero_row is not None:
+        A[zero_row] = 0.0
+    obj = LogSumExpAffine(A, b)
+    rng = np.random.default_rng(5)
+    points = [-np.ones(500), np.ones(500), np.zeros(500),
+              -rng.uniform(0.5, 1.5, 500), rng.standard_normal(500)]
+    one_x = -np.ones(500)
+    one_x[7] = 1e4  # rows with a_k7 = 1 turn positive
+    points.append(one_x)
+    verdicts = []
+    for x in points:
+        tracemalloc.start()
+        try:
+            got = obj.certifies_unbounded(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 4
+        assert got == _one_shot_certifies(obj, x)
+        verdicts.append(got)
+    assert verdicts == [zero_row is None, False, False, zero_row is None,
+                        False, False]
+
+
 def test_logsumexp_smoothness_upper_holds_empirically():
     obj = make_logsumexp_instance(25, 6, 1e-2, seed=13)
     for p in [2.0, 4.0, math.inf]:
@@ -339,6 +376,9 @@ def test_convert_smoothness():
     assert convert_smoothness(1.0, 2.0, math.inf, 16) == pytest.approx(16.0)
     with pytest.raises(ValueError):
         convert_smoothness(1.0, 1.0, 2.0, 4)
+    for L in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="need L > 0 and d > 0"):
+            convert_smoothness(L, 2, 4, 10)
 
 
 def test_smoothness_bound_dispatch():
@@ -604,6 +644,8 @@ TIES_AND_SPREADS = [
     [3.0, 3.0, 1.0],
     [4.0, 4.0, 4.0, 4.0],
     [0.0, -0.0, -1.0],
+    [-0.0, 0.0, -1.0],   # the max is found first at -0.0
+    [-0.0, -0.0],
     [700.0, -700.0, 0.0],
     [-700.0, -700.0, -745.0],
     [709.5, 709.5, 0.0],
@@ -811,7 +853,10 @@ def test_value_after_gradient_at_one_point_maps_it_once():
             return np.asarray(self) @ other
 
     obj = make_logsumexp_instance(20, 5, 1e-2, seed=7)
+    # the constructor's np.asarray drops a subclass, so the counting view
+    # replaces A together with the transpose the oracles keep of it
     obj.A = obj.A.view(CountingMatrix)
+    obj._AT = obj.A.T
     x = np.random.default_rng(35).standard_normal(5)
     obj.gradient(x)
     after_gradient = CountingMatrix.products
