@@ -43,7 +43,6 @@ from .core import (
     rate_bounds,
     run,
     run_restarting,
-    search_call_bound,
     step,
     zeta_eval,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "run",
     "run_restarting",
     "rate_bounds",
-    "search_call_bound",
     "BaselineConfig",
     "gd_run",
     "agd_run",

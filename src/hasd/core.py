@@ -253,21 +253,6 @@ def a_from_rho(A_t: float, L: float, rho: float) -> float:
     return (1.0 + math.sqrt(1.0 + 72.0 * L * rho * A_t)) / (36.0 * L * rho)
 
 
-def search_call_bound(p: float, d: int, L: float, eps: float, R: float) -> float:
-    """Worst-case number of theta probes for one coupling search.
-
-    9 + (5(p-2)/2p) log2(d) + log2(L D_R / eps),  D_R = (R + 1458 R^2)
-    (20 R + 4374 R^2).  find_coupling makes at most these probes, each
-    costing at most two gradient evaluations: a probe its norm bounds
-    decide costs none.  Valid for eps <= L D_R / 6.
-    """
-    if not (d > 0 and L > 0 and eps > 0 and R > 0):  # NaN fails too
-        raise ValueError("need positive d, L, eps, R")
-    coeff = 0.5 if math.isinf(p) else (p - 2.0) / (2.0 * p)
-    D_R = (R + 1458.0 * R * R) * (20.0 * R + 4374.0 * R * R)
-    return 9.0 + 5.0 * coeff * math.log2(d) + math.log2(L * D_R / eps)
-
-
 def _coupling_factor(theta: float, A_t: float, L: float) -> float:
     """c(theta) = 18 L (1-theta)^2 A_t / theta, the factor of zeta that
     needs no oracle call: zeta(theta) = c(theta) * ||g||_2^2 / ||g||_{p*}^2."""
@@ -330,7 +315,12 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     _fold takes as convergence).  Raises CouplingSearchError when the
     bracket collapses (width at most 4e-12, after at most 38 probes; zeta
     need not be globally monotone), and NonFiniteProbeError at the probe
-    that measured a NaN zeta (a non-finite gradient).
+    that measured a NaN zeta (a non-finite gradient).  The bracket is the
+    only cap the search needs: the paper's worst case, 9 + (5(p-2)/2p)
+    log2 d + log2(L D_R / eps) probes with D_R = (R + 1458 R^2)(20 R +
+    4374 R^2) and R = ||x_0 - x*||_2, is at least 55 on every cell of the
+    invariant checker (seeds 0-79, at half the certified L too), above
+    the 38 the bracket allows.
 
     zeta(theta) = c(theta) r, where c(theta) = 18 L (1-theta)^2 A_t / theta
     needs no oracle call and r lies in [d^-(1-2/p), 1].  A probe whose c
@@ -568,7 +558,9 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
     with the lower model re-centered at the round's start, which at least
     halves the optimality gap; K = ceil(log2(gap_0 / eps)) rounds reach
     gap <= eps.  K is derived from the reference optimum when available,
-    otherwise it must be supplied.
+    otherwise it must be supplied.  With K = 0 (x0 already within eps, or
+    as supplied) no round runs: the report holds row 0 at x0, as run
+    builds it, and a copy of x0.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -593,7 +585,12 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
         x = rounds[-1].final_x
         if rounds[-1].gap is not None and rounds[-1].gap <= eps:
             break
-    traces = rounds[0].traces[:1] if rounds else []  # row 0 of round 0
+    if rounds:
+        traces = rounds[0].traces[:1]  # row 0 of round 0
+        grad_calls = sum(r.grad_calls for r in rounds)
+    else:  # no round ran: row 0 at x0 as run builds it, and a copy of x0
+        traces = [_row_head(obj, 0, x0, obj.gradient(x0), cfg.geom)]
+        x, grad_calls = x0.copy(), 1
     for rep in rounds:
         offset = traces[-1].iter
         for tr in rep.traces[1:]:
@@ -603,8 +600,7 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
     return RunReport(method="hasd+restart", final_x=x,
                      final_f=last.final_f if last else f_start,
                      gap=last.gap if last else gap0,
-                     iters=traces[-1].iter if traces else 0,
-                     grad_calls=sum(r.grad_calls for r in rounds),
+                     iters=traces[-1].iter, grad_calls=grad_calls,
                      G_mean=last.G_mean if last else None,
                      R=None if ref is None else float(np.linalg.norm(x0 - ref[0])),
                      invariants={key: sum(r.invariants[key] for r in rounds)

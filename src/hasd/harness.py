@@ -17,8 +17,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
 from .core import (INVARIANT_TOL, INVARIANTS, CouplingSearchError,
-                   HasdConfig, _run, iterate, rate_bounds, run,
-                   search_call_bound)
+                   HasdConfig, _run, iterate, rate_bounds, run)
 from .geometry import LpGeometry
 from .objectives import (Quadratic, SmoothnessUnavailable, SymmetricSoftmax,
                          _field, _finite, _seed, attach_reference,
@@ -446,11 +445,10 @@ class InvariantReport:
 
 
 _CHECKS = tuple((name, INVARIANT_TOL) for name in INVARIANTS) + (
-    ("gain_range", 1e-10), ("coupling_search", 0.0), ("search_economy", 0.0),
-    ("search_median", 20.0), ("psi_at_opt", INVARIANT_TOL),
-    ("v_distance", INVARIANT_TOL), ("gap_model_bound", INVARIANT_TOL),
-    ("grad_conversion", INVARIANT_TOL), ("certificate", INVARIANT_TOL),
-    ("min_grad_cubic", INVARIANT_TOL),
+    ("coupling_search", 0.0), ("search_median", 20.0),
+    ("psi_at_opt", INVARIANT_TOL), ("v_distance", INVARIANT_TOL),
+    ("gap_model_bound", INVARIANT_TOL), ("grad_conversion", INVARIANT_TOL),
+    ("certificate", INVARIANT_TOL), ("min_grad_cubic", INVARIANT_TOL),
 )
 
 
@@ -485,10 +483,8 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
     cfg = HasdConfig(L=L, geom=geom, max_iters=iters)
     ref = obj.reference_optimum
     row = report.row
-    # bound once per cell: the loop below records up to 11 values a step
+    # bound once per cell: the loop below records up to 9 values a step
     invariants = [(name, row(name).record) for name in INVARIANTS]
-    gain_range = row("gain_range").record
-    economy = row("search_economy")
     ref_rows = [row(name) for name in ("psi_at_opt", "v_distance",
                                        "gap_model_bound", "grad_conversion")]
     psi_at_opt, v_distance, gap_model_bound, grad_conversion = (
@@ -500,11 +496,6 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
         # np.linalg.norm's own formula for a 1-D float64 vector
         u = x0 - x_star
         R = math.sqrt(u.dot(u))
-    d = obj.dim
-    gain_cap = d ** (0.5 - (0.0 if math.isinf(geom.p) else 1.0 / geom.p))
-    call_cap = None
-    if R is not None and R > 0:
-        call_cap = 2.0 * search_call_bound(geom.p, d, cfg.L, cfg.eps, R)
 
     min_dual_sq = math.inf
     try:
@@ -517,13 +508,8 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
                 continue
             for name, record in invariants:
                 record(violations[name])
-            gain_range(max(1.0 - tr.G_running, tr.G_running - gain_cap, 0.0))
             if tr.iter >= 2:  # rows produced by an actual coupling search
                 search_counts.append(tr.search_calls)
-                if call_cap is None:
-                    economy.skip()
-                else:
-                    economy.record(max(0.0, tr.search_calls - call_cap))
             if ref is None:
                 for r in ref_rows:
                     r.skip()

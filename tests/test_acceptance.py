@@ -178,11 +178,13 @@ def test_criterion_07_coupling_window_and_recurrence(matrix_report):
 # ------------------------------------------------------------ criterion 8
 
 def test_criterion_08_search_economy(matrix_report):
-    r = matrix_report.row("search_economy")
+    # the median is what can fail: no search spends more than 76 calls (38
+    # probes), which test_a_search_that_never_accepts_stops_after_38_probes
+    # pins
     med = matrix_report.median_search_calls
-    ok = _rows_ok(r) and med is not None and med <= 20.0
+    ok = med is not None and med <= 20.0
     _verdict(8, "coupling search call economy", ok,
-             "%s, median %s calls" % (_row_detail(r), med))
+             "median %s calls" % med)
 
 
 # ------------------------------------------------------------ criterion 9

@@ -2,7 +2,7 @@
 
 import copy
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, CouplingResult,
                        CouplingSearchError, HasdConfig, HasdState, _run,
                        NonFiniteProbeError, a_from_rho,
                        find_coupling, iterate, rate_bounds, run,
-                       run_restarting, search_call_bound, step, zeta_eval)
+                       run_restarting, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound,
@@ -81,24 +81,6 @@ def test_a_from_rho_rejects_bad_inputs():
     for args in ((1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (math.nan, 1.0, 1.0)):
         with pytest.raises(ValueError):
             a_from_rho(*args)
-
-
-def test_search_call_bound():
-    base = search_call_bound(2.0, 16, 1.0, 1e-3, 1.0)
-    D_R = (1.0 + 1458.0) * (20.0 + 4374.0)
-    assert base == pytest.approx(9.0 + math.log2(D_R / 1e-3), rel=1e-12)
-    # geometry coefficient: (p-2)/2p ramps from 0 at p=2 to 1/2 at p=inf
-    assert search_call_bound(4.0, 16, 1.0, 1e-3, 1.0) - base == pytest.approx(5.0)
-    assert search_call_bound(INF, 16, 1.0, 1e-3, 1.0) - base == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        search_call_bound(2.0, 0, 1.0, 1e-3, 1.0)
-    with pytest.raises(ValueError):
-        search_call_bound(2.0, 16, 1.0, -1.0, 1.0)
-    for i in (1, 2, 3, 4):  # a NaN d, L, eps or R
-        args = [4.0, 10, 1.0, 1e-8, 1.0]
-        args[i] = math.nan
-        with pytest.raises(ValueError, match="need positive d, L, eps, R"):
-            search_call_bound(*args)
 
 
 def test_config_validation():
@@ -913,14 +895,18 @@ def test_restarting_without_reference_uses_supplied_K():
     assert len(report.restart_G) == 3
 
 
-def _restart_aggregate_inline(obj, x0, rounds, gap0):
+def _restart_aggregate_inline(obj, x0, cfg, rounds, gap0):
     """run_restarting's report fields as the hand-kept counters built them
-    before the report was assembled from its round reports."""
+    before the report was assembled from its round reports; with no round
+    run, row 0 at x0 as run builds it, for one gradient call."""
     ref = obj.reference_optimum
     x = x0
     gaps = [gap0] if gap0 is not None else None
     round_G, traces = [], []
     offset = grad_calls = 0
+    if not rounds:
+        traces = [next(iterate(obj, x0, cfg))[1]]
+        grad_calls = 1
     fails = report = None
     for k, report in enumerate(rounds):
         x = report.final_x
@@ -990,7 +976,33 @@ def test_restarting_report_is_built_from_its_rounds(monkeypatch):
         assert events[-1] == ("run" if rounds else "value")
         round_counts.add(len(rounds))
         gap0 = obj.value(x0) - obj.reference_optimum[1]
-        want = _restart_aggregate_inline(obj, x0, rounds, gap0)
+        want = _restart_aggregate_inline(obj, x0, cfg, rounds, gap0)
         assert want.pop("final_x").tobytes() == rep.final_x.tobytes()
         assert want == {key: getattr(rep, key) for key in want}
     assert 0 in round_counts and max(round_counts) > 2
+
+
+def test_restarting_with_no_round_reports_row_0_and_a_copy_of_x0():
+    # x0 is already within eps, so K = 0: the report holds row 0 at x0 as
+    # run builds it, and a fresh array, not the caller's
+    obj = Quadratic(np.ones(3))
+    cfg = HasdConfig(L=1.0, geom=LpGeometry(2))
+    x0 = np.array([1e-6, 0.0, 0.0])
+    rep = run_restarting(obj, x0, mu=1.0, eps=1e-3, cfg=cfg)
+    start = run(obj, x0, replace(cfg, max_iters=0))
+    assert rep.iters == 0 and rep.restart_gaps == [rep.gap]
+    assert [asdict(tr) for tr in rep.traces] == [asdict(start.traces[0])]
+    assert rep.grad_calls == start.grad_calls == 1
+    assert rep.final_x is not x0
+    assert rep.final_x.tobytes() == start.final_x.tobytes() == x0.tobytes()
+    x0[0] = 5.0
+    assert rep.final_x[0] == 1e-6
+
+
+def test_every_name_in_all_resolves():
+    # so `from hasd import *` cannot break on a stale entry
+    import hasd
+    assert len(set(hasd.__all__)) == len(hasd.__all__)
+    namespace = {}
+    exec("from hasd import *", namespace)  # AttributeError on a stale name
+    assert set(hasd.__all__) <= set(namespace)

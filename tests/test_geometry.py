@@ -162,6 +162,17 @@ def test_geometry_dual_exponents():
         LpGeometry(1.5)
 
 
+def test_geometry_equality_hash_and_repr():
+    sup = LpGeometry("inf")
+    assert sup == LpGeometry(math.inf)
+    assert hash(sup) == hash(LpGeometry(math.inf))
+    assert sup != LpGeometry(4)
+    assert LpGeometry(4) != 4.0
+    assert len({LpGeometry(2), LpGeometry(2.0), sup, LpGeometry(np.inf)}) == 2
+    assert repr(sup) == "LpGeometry(p=inf)"
+    assert repr(LpGeometry(3)) == "LpGeometry(p=3.0)"
+
+
 def test_holder_inequality():
     rng = np.random.default_rng(11)
     for p in P_VALUES:

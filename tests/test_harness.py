@@ -16,7 +16,8 @@ from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig, iterate,
                        run)
 from hasd.geometry import LpGeometry
 from hasd.harness import (STEPSIZE_GRID, CheckRow, ExperimentConfig,
-                          attach_reference, check_invariants, config_hash,
+                          _reference_value, attach_reference,
+                          check_invariants, config_hash,
                           default_invariant_matrix, default_x0,
                           make_objective, run_bench, run_experiment,
                           run_method, tune_method, write_json,
@@ -316,6 +317,56 @@ def test_bench_small_matrix_file_count(tmp_path):
             assert entry["final_gap"] > 0
 
 
+def _best_found_case(mu):
+    """(_reference_value's arguments at mu, the best value of each method's
+    own and 4x-budget runs) on an instance with no attached reference."""
+    obj = make_logsumexp_instance(16, 5, 1e-2, seed=0)
+    geom = LpGeometry(math.inf)
+    L = smoothness_bound(obj, geom)
+    x0 = np.zeros(5)
+    tuned = {"hasd": 1.0, "agd": 1.0 / L}
+    reports = {m: run_method(m, obj, x0, geom, L, 10, s)
+               for m, s in tuned.items()}
+    best = {m: min(tr.f for tr in reports[m].traces
+                   + run_method(m, obj, x0, geom, L, 40, s).traces)
+            for m, s in tuned.items()}
+    return (obj, mu, x0, geom, L, 10, tuned, reports), best
+
+
+def _margined(best):
+    return best - 1e-9 * (1.0 + abs(best))
+
+
+def test_reference_value_falls_back_when_the_solve_fails(monkeypatch):
+    # a mu > 0 instance whose reference solve raises takes the best value
+    # any run found, the extended runs' included
+    args, best = _best_found_case(1e-2)
+
+    def unsolvable(obj):
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr("hasd.harness.solve_reference", unsolvable)
+    assert _reference_value(*args) == (_margined(min(best.values())),
+                                       "best_found")
+
+
+def test_reference_value_skips_an_extended_run_whose_search_fails(
+        monkeypatch):
+    # hasd's 4x run fails its coupling search: agd's still counts, and
+    # hasd's recorded run
+    args, best = _best_found_case(0.0)
+    own = min(tr.f for tr in args[-1]["hasd"].traces)
+
+    def failing(method, *rest):
+        if method == "hasd":
+            raise CouplingSearchError((0.5, 0.5), 76)
+        return run_method(method, *rest)
+
+    monkeypatch.setattr("hasd.harness.run_method", failing)
+    assert _reference_value(*args) == (_margined(min(own, best["agd"])),
+                                       "best_found")
+
+
 def test_symmetric_softmax_gain_is_sqrt_d(tmp_path):
     cfg = ExperimentConfig(objective="softmax", d=16, alpha=1.0,
                            methods=("hasd",), p=math.inf, iters=10,
@@ -334,6 +385,23 @@ def test_check_invariants_passes_on_small_matrix():
     assert report.row("progress").failures == 0
     text = report.render()
     assert "PASS" in text and "window" in text
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, math.inf])
+def test_g_running_lies_in_holders_interval_on_the_checkers_cells(p):
+    # G_running is a mean of ||g||_{p*} / ||g||_2, which Hoelder puts in
+    # [1, d^(1/2 - 1/p)]; every row of a HASD run over the checker's default
+    # cells lands there to 1e-10
+    geom = LpGeometry(p)
+    rows = 0
+    for obj, x0 in default_invariant_matrix():
+        cap = obj.dim ** (0.5 - (0.0 if math.isinf(p) else 1.0 / p))
+        cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom,
+                         max_iters=40)
+        for tr in run(obj, x0, cfg).traces[1:]:
+            assert 1.0 - 1e-10 <= tr.G_running <= cap + 1e-10, (p, tr.iter)
+            rows += 1
+    assert rows > 100
 
 
 def test_check_invariants_skips_without_reference():
