@@ -21,9 +21,12 @@ Per accepted iteration the following hold (up to floating point):
   growth       sqrt(A_t) >= G_t * t / (18 sqrt(L))
 
 which combine into the rate  f(x_T) - f* <= 324 L ||x_0 - x*||_2^2 / (G^2 T^2).
+With a reference optimum x* and R = ||x_0 - x*||_2, REFERENCE_CHECKS holds
+four more: psi_t(x*) <= R^2/2 + A_t f*, ||v_t - x*||_2 <= R, f(x_t) - f* <=
+R^2/(2 A_t) and ||grad f(x_t)||_{p*}^2 <= 2 L (f(x_t) - f*).
 
 iterate yields a run's rows, x_0 first; a row that folds a step into the
-state carries these five as violation magnitudes in its `violations`.
+state carries these as violation magnitudes in its `violations`.
 A run stops at an exactly zero gradient, after max_iters steps, or, with
 a reference optimum attached, at the first iterate it folds in within
 eps of the reference value.  The iterates depend only on the coupling
@@ -45,8 +48,11 @@ class CouplingSearchError(RuntimeError):
 
     calls counts gradient evaluations, and last_zeta is the zeta of the
     last probe that measured one (None when every probe was settled from
-    its norm bounds).
+    its norm bounds).  run re-raises it with traces, the rows it built
+    before the failure (None when raised elsewhere).
     """
+
+    traces = None
 
     def __init__(self, bracket, calls, last_zeta=None):
         self.bracket = bracket
@@ -125,7 +131,7 @@ class HasdState:
     whenever grad_accum changes, so coupling probes read it without
     recomputing it.  A point folded in without its f value leaves c_t, and
     so psi, undefined: psi and psi_min then raise ValueError.  grad_calls
-    counts the gradient evaluations the run has spent.
+    counts the gradient evaluations the run has spent; R = ||x0 - x*||_2.
     """
 
     def __init__(self, x0):
@@ -142,6 +148,7 @@ class HasdState:
         self.psi_const = 0.0  # None once a point is folded without f
         self.G_sum = 0.0
         self.grad_calls = 0
+        self.R = None
 
     def _psi_const(self) -> float:
         if self.psi_const is None:
@@ -216,7 +223,7 @@ class IterationTrace:
     A: float | None = None
     B: float | None = None
     G_running: float | None = None
-    violations: dict | None = None  # INVARIANTS -> magnitude; not in the CSV
+    violations: dict | None = None  # check name -> magnitude; not in the CSV
     converged: bool = False
 
 
@@ -378,7 +385,15 @@ def _row_head(obj, t: int, x, g, geom: LpGeometry | None) -> IterationTrace:
 
 
 INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
+REFERENCE_CHECKS = ("psi_at_opt", "v_distance", "gap_model_bound",
+                    "grad_conversion")
 INVARIANT_TOL = 1e-8
+
+
+def _reference_R(state: HasdState, x_star) -> float:
+    if state.R is None:  # once per run, with np.linalg.norm's own formula
+        state.R = math.sqrt((u := state.x0 - x_star).dot(u))
+    return state.R
 
 
 def _ends_run(cfg: HasdConfig, t: int, converged: bool) -> bool:
@@ -397,11 +412,12 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     a later step's rho and a follow from its theta.  At a zero gradient the
     run has converged: x moves to the point and nothing is folded in.  A
     folded row carries the violation magnitudes of the five per-step
-    guarantees, keyed by INVARIANTS; one above INVARIANT_TOL is a
-    violation.  Growth is an absolute shortfall, the other four are
-    relative to the quantities compared.  With a
-    reference optimum attached, a folded point whose gap is at most cfg.eps
-    ends the run: its row is built as any other and marked converged.
+    guarantees, keyed by INVARIANTS, and with a reference optimum attached
+    the four REFERENCE_CHECKS; one above INVARIANT_TOL is a violation.
+    Growth is an absolute shortfall, the others are relative to the
+    quantities compared.  With a reference optimum attached, a folded point
+    whose gap is at most cfg.eps ends the run: its row is built as any
+    other and marked converged.
 
     With rows off only what the iterates and the stop read is folded in:
     f is taken only when a reference is attached (psi is left undefined)
@@ -454,7 +470,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     model = L * lp_norm(dx, cfg.geom.p) ** 2
     dual_q = dual * dual / (9.0 * L)
     psi_min = state.psi_min()
-    tr.violations = {
+    v = tr.violations = {
         "window": max(0.5 - rho / r, rho / r - 2.0, 0.0),
         "recurrence": abs(18.0 * L * rho * a * a - state.A) / state.A,
         "progress": (max(model - inner, dual_q - model, 0.0)
@@ -463,6 +479,18 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
                       / max(abs(psi_min), 1e-12)),
         "growth": state.G_sum / (18.0 * math.sqrt(L)) - math.sqrt(state.A),
     }
+    if ref is not None:
+        x_star, f_star = ref
+        R = _reference_R(state, x_star)
+        psi_bound = 0.5 * R * R + state.A * f_star
+        u = state.v - x_star
+        model_bound = R * R / (2.0 * state.A)
+        conv, dual_sq = 2.0 * L * max(gap, 0.0), dual ** 2
+        v.update(
+            psi_at_opt=(state.psi(x_star) - psi_bound) / max(abs(psi_bound), 1.0),
+            v_distance=(math.sqrt(u.dot(u)) - R) / max(R, 1e-30),
+            gap_model_bound=(gap - model_bound) / max(model_bound, 1e-30),
+            grad_conversion=(dual_sq - conv) / max(dual_sq, conv, 1e-20))
     return tr
 
 
@@ -522,20 +550,24 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
 
 def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
     """run, or with rows off the same report from iterate's final row only:
-    traces holds that row and invariants is None."""
-    x0 = np.asarray(x0, dtype=float)
+    traces holds that row and invariants is None.  A CouplingSearchError
+    is re-raised with the rows built before it as its traces."""
     ref = obj.reference_optimum
     traces = []
     fails = dict.fromkeys(INVARIANTS, 0)
-    for state, tr in iterate(obj, x0, cfg, rows):
-        traces.append(tr)
-        for name, v in (tr.violations or {}).items():
-            fails[name] += int(not v <= INVARIANT_TOL)  # NaN is a violation
+    try:
+        for state, tr in iterate(obj, x0, cfg, rows):
+            traces.append(tr)
+            for name in fails if tr.violations else ():  # NaN is a violation
+                fails[name] += int(not tr.violations[name] <= INVARIANT_TOL)
+    except CouplingSearchError as exc:
+        exc.traces = traces
+        raise
     last = traces[-1]
     # with no step taken, the run converged iff x0 is stationary
     converged = last.converged if last.iter > 0 else cfg.max_iters > 0
     G_mean = state.G_sum / state.t if state.t > 0 else None
-    R = None if ref is None else float(np.linalg.norm(x0 - ref[0]))
+    R = None if ref is None else _reference_R(state, ref[0])
     cert = (rate_bounds(cfg.L, R, G_mean, state.t)[0]
             if ref is not None and G_mean else None)
     return RunReport(method="hasd", final_x=state.x, final_f=last.f,

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
-from .core import (INVARIANT_TOL, INVARIANTS, CouplingSearchError,
-                   HasdConfig, _run, iterate, rate_bounds, run)
+from .core import (INVARIANT_TOL, INVARIANTS, REFERENCE_CHECKS,
+                   CouplingSearchError, HasdConfig, _run, rate_bounds, run)
 from .geometry import LpGeometry
 from .objectives import (Quadratic, SmoothnessUnavailable, SymmetricSoftmax,
                          _field, _finite, _seed, attach_reference,
@@ -444,12 +444,10 @@ class InvariantReport:
         return "\n".join(out)
 
 
-_CHECKS = tuple((name, INVARIANT_TOL) for name in INVARIANTS) + (
-    ("coupling_search", 0.0), ("search_median", 20.0),
-    ("psi_at_opt", INVARIANT_TOL), ("v_distance", INVARIANT_TOL),
-    ("gap_model_bound", INVARIANT_TOL), ("grad_conversion", INVARIANT_TOL),
-    ("certificate", INVARIANT_TOL), ("min_grad_cubic", INVARIANT_TOL),
-)
+_CHECKS = (tuple((name, INVARIANT_TOL) for name in INVARIANTS)
+           + (("coupling_search", 0.0), ("search_median", 20.0))
+           + tuple((name, INVARIANT_TOL) for name in REFERENCE_CHECKS)
+           + (("certificate", INVARIANT_TOL), ("min_grad_cubic", INVARIANT_TOL)))
 
 
 def default_invariant_matrix(seeds=(0, 1)):
@@ -473,74 +471,42 @@ def _seed_cells(seed: int):
 @np.errstate(all="ignore")  # a violated L can overflow; the checks say so
 def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
                      report: InvariantReport, search_counts: list):
-    """Run one instrumented optimization from the float array x0, checking
-    every invariant against the live state after each accepted iteration.
-
-    A failed coupling search ends the cell: it is recorded as a failure of
-    the coupling_search row, the checks of the rows before it stand, and
-    its message is returned (None when the run completed).
+    """Run core.run from the float array x0 and record each folded row's
+    violations (REFERENCE_CHECKS skip without a reference), its search
+    calls from t = 2 on, and the report's end-of-run bounds.  A failed
+    coupling search fails the coupling_search row, the rows built before
+    it (the error's traces) stand, and its message is returned.
     """
-    cfg = HasdConfig(L=L, geom=geom, max_iters=iters)
-    ref = obj.reference_optimum
     row = report.row
-    # bound once per cell: the loop below records up to 9 values a step
-    invariants = [(name, row(name).record) for name in INVARIANTS]
-    ref_rows = [row(name) for name in ("psi_at_opt", "v_distance",
-                                       "gap_model_bound", "grad_conversion")]
-    psi_at_opt, v_distance, gap_model_bound, grad_conversion = (
-        r.record for r in ref_rows)
-    x_star, f_star, R = None, None, None
-    if ref is not None:
-        x_star = np.asarray(ref[0], dtype=float)
-        f_star = float(ref[1])
-        # np.linalg.norm's own formula for a 1-D float64 vector
-        u = x0 - x_star
-        R = math.sqrt(u.dot(u))
-
-    min_dual_sq = math.inf
     try:
-        for state, tr in iterate(obj, x0, cfg):
-            if tr.iter == 0:  # the start point: no step taken yet
-                continue
-            min_dual_sq = min(min_dual_sq, tr.grad_dual ** 2)
-            violations = tr.violations
-            if violations is None:
-                continue
-            for name, record in invariants:
-                record(violations[name])
-            if tr.iter >= 2:  # rows produced by an actual coupling search
-                search_counts.append(tr.search_calls)
-            if ref is None:
-                for r in ref_rows:
-                    r.skip()
-                continue
-            gap = tr.f - f_star
-            psi_bound = 0.5 * R * R + tr.A * f_star
-            psi_at_opt((state.psi(x_star) - psi_bound)
-                       / max(abs(psi_bound), 1.0))
-            u = state.v - x_star
-            v_distance((math.sqrt(u.dot(u)) - R) / max(R, 1e-30))
-            model_bound = R * R / (2.0 * tr.A)
-            gap_model_bound((gap - model_bound) / max(model_bound, 1e-30))
-            conv = 2.0 * cfg.L * max(gap, 0.0)
-            grad_conversion((tr.grad_dual ** 2 - conv)
-                            / max(tr.grad_dual ** 2, conv, 1e-20))
+        rep = run(obj, x0, HasdConfig(L=L, geom=geom, max_iters=iters))
+        traces, failed = rep.traces, None
     except CouplingSearchError as exc:
-        row("coupling_search").record(1.0)
+        traces, failed = exc.traces, str(exc)
+    ref_names = () if obj.reference_optimum is None else REFERENCE_CHECKS
+    # bound once per cell: the loop below records up to 9 values a step
+    records = [(name, row(name).record) for name in INVARIANTS + ref_names]
+    skips = [] if ref_names else [row(name).skip for name in REFERENCE_CHECKS]
+    for tr in traces[1:]:  # row 0 is the start point: no step taken yet
+        if tr.violations is None:
+            continue
+        for name, record in records:
+            record(tr.violations[name])
+        if tr.iter >= 2:  # rows produced by an actual coupling search
+            search_counts.append(tr.search_calls)
+        for skip in skips:
+            skip()
+    row("coupling_search").record(float(failed is not None))
+    if failed is None and traces[-1].iter == 0:  # stationary start
+        return None
+    cert = rep.certificate if failed is None else None  # None: no ref or step
+    if cert is None:
         row("certificate").skip()
         row("min_grad_cubic").skip()
-        return str(exc)
-    row("coupling_search").record(0.0)
-    if tr.iter == 0:  # stationary start: no step was taken
-        return None
-
-    T = state.t
-    if ref is None or T == 0:
-        row("certificate").skip()
-        row("min_grad_cubic").skip()
-        return None
-    cert, cubic = rate_bounds(cfg.L, R, state.G_sum / T, T)
-    row("certificate").record((tr.f - f_star - cert) / cert)
+        return failed
+    cubic = rate_bounds(L, rep.R, rep.G_mean, rep.iters)[1]
+    row("certificate").record((rep.gap - cert) / cert)
+    min_dual_sq = min([math.inf] + [tr.grad_dual ** 2 for tr in traces[1:]])
     if math.isfinite(min_dual_sq):
         row("min_grad_cubic").record((min_dual_sq - cubic) / cubic)
     return None

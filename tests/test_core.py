@@ -7,7 +7,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, CouplingResult,
+from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, INVARIANTS,
+                       REFERENCE_CHECKS, CouplingResult,
                        CouplingSearchError, HasdConfig, HasdState, _run,
                        NonFiniteProbeError, a_from_rho,
                        find_coupling, iterate, rate_bounds, run,
@@ -594,6 +595,43 @@ def test_run_invariants_logsumexp(p):
     cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom, max_iters=25)
     x0 = np.random.default_rng(4).standard_normal(6)
     assert_invariant_chain(run(obj, x0, cfg), cfg.L)
+
+
+def test_a_reference_adds_its_four_checks_to_each_folded_row():
+    # _fold evaluates the nine per-step checks with a reference attached and
+    # the five INVARIANTS without; RunReport.invariants counts the five only
+    for with_ref in (True, False):
+        obj, cfg = quad_cfg([0.5, 1.0, 2.0], p=INF, max_iters=8)
+        if not with_ref:
+            obj.reference_optimum = None
+        report = run(obj, np.array([2.0, -1.0, 0.5]), cfg)
+        folded = [tr for tr in report.traces if tr.violations is not None]
+        assert len(folded) == report.iters == 8
+        keys = INVARIANTS + REFERENCE_CHECKS if with_ref else INVARIANTS
+        for tr in folded:
+            assert tuple(tr.violations) == keys
+            assert all(v <= INVARIANT_TOL for v in tr.violations.values())
+        assert tuple(report.invariants) == INVARIANTS
+        assert sum(report.invariants.values()) == 0
+
+
+def test_a_failed_search_carries_the_rows_built_before_it():
+    # run re-raises a failed coupling search with its rows so far as
+    # traces: row 0 and the 12 steps folded in before a probe first passes
+    # |x|_inf = 6; the error raised by find_coupling itself carries none
+    def build():
+        return NanFarOut(np.ones(2), center=np.array([10.0, 0.0]))
+
+    cfg = HasdConfig(L=4.0, geom=LpGeometry(2.0), max_iters=40)
+    built = []
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteProbeError) as exc:
+        for _, tr in iterate(build(), np.zeros(2), cfg):
+            built.append(tr)
+    assert exc.value.traces is None
+    assert [tr.iter for tr in built] == list(range(13))
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteProbeError) as exc:
+        run(build(), np.zeros(2), cfg)
+    assert exc.value.traces == built
 
 
 def test_run_counts_a_nan_violation(monkeypatch):
