@@ -32,6 +32,7 @@ from .objectives import (
 from .core import (
     CouplingResult,
     CouplingSearchError,
+    FirstStepError,
     HasdConfig,
     HasdState,
     IterationTrace,
@@ -72,6 +73,7 @@ __all__ = [
     "HasdState",
     "CouplingResult",
     "CouplingSearchError",
+    "FirstStepError",
     "NonFiniteProbeError",
     "IterationTrace",
     "RunReport",

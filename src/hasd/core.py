@@ -21,9 +21,9 @@ Per accepted iteration the following hold (up to floating point):
   growth       sqrt(A_t) >= G_t * t / (18 sqrt(L))
 
 which combine into the rate  f(x_T) - f* <= 324 L ||x_0 - x*||_2^2 / (G^2 T^2).
-With a reference optimum x* and R = ||x_0 - x*||_2, REFERENCE_CHECKS holds
-four more: psi_t(x*) <= R^2/2 + A_t f*, ||v_t - x*||_2 <= R, f(x_t) - f* <=
-R^2/(2 A_t) and ||grad f(x_t)||_{p*}^2 <= 2 L (f(x_t) - f*).
+With a reference optimum x* and R = ||x_0 - x*||_2 four more hold, named in
+REFERENCE_CHECKS: psi_t(x*) <= R^2/2 + A_t f*, ||v_t - x*||_2 <= R,
+f(x_t) - f* <= R^2/(2 A_t) and ||grad f(x_t)||_{p*}^2 <= 2 L (f(x_t) - f*).
 
 iterate yields a run's rows, x_0 first; a row that folds a step into the
 state carries these as violation magnitudes in its `violations`.
@@ -83,6 +83,32 @@ class NonFiniteProbeError(CouplingSearchError):
             self, "zeta is NaN at theta=%.6e after %d oracle calls "
             "(non-finite gradient), bracket=(%.6e, %.6e)"
             % (theta, calls, bracket[0], bracket[1]))
+
+
+class FirstStepError(CouplingSearchError):
+    """The first step's rho_0, ||g||_2^2 / ||g||_{p*}^2 at x_1, is not
+    finite and positive, so no weight a_1 follows from it: g = grad f(x_1)
+    is non-finite, or its squared norms overflow or underflow.  The first
+    step makes no search: bracket and last_zeta are None, and calls is
+    its one gradient call, at x_1.
+    """
+
+    def __init__(self, rho, grad_l2, grad_dual):
+        self.rho = rho
+        self.bracket = self.last_zeta = None
+        self.calls = 1
+        RuntimeError.__init__(
+            self, "first step: rho_0 = %r at x_1 is not finite and positive "
+            "(||grad f(x_1)||_2 = %r, ||.||_{p*} = %r)"
+            % (rho, grad_l2, grad_dual))
+
+
+def _sq(x: float) -> float:
+    """x ** 2 with pow's bits, and inf where ** raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -408,8 +434,9 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
 
     res is the step's search result.  The first step has no search: it
     passes its steepest step from x0 in the same form (theta and zeta None,
-    one oracle call), and rho_0 is read off the gradient-norm ratio at x_1;
-    a later step's rho and a follow from its theta.  At a zero gradient the
+    one oracle call), and rho_0 is read off the gradient-norm ratio at x_1
+    (FirstStepError where that is not finite and positive); a later
+    step's rho and a follow from its theta.  At a zero gradient the
     run has converged: x moves to the point and nothing is folded in.  A
     folded row carries the violation magnitudes of the five per-step
     guarantees, keyed by INVARIANTS, and with a reference optimum attached
@@ -444,7 +471,9 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
                               search_calls=res.oracle_calls, A=A, B=B,
                               converged=True)
     if first:
-        rho = (l2 * l2) / (dual * dual)
+        rho = (l2 * l2) / (dual * dual) if dual * dual else math.nan
+        if not 0.0 < rho < math.inf:  # NaN fails too
+            raise FirstStepError(rho, l2, dual)
         a = a_from_rho(0.0, L, rho)
     else:
         th = res.theta  # = A_t / A_{t+1}, which fixes rho_t and a_{t+1}
@@ -462,12 +491,13 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         converged=reached)
     if not rows:
         return tr
-    r = l2 ** 2 / dual ** 2
+    dual_sq = _sq(dual)
+    r = _sq(l2) / dual_sq
     a = state.A - A_before  # the weight as folded into A
     dx = x_new - res.y
     # <g, y - x> is exactly -<g, x - y>: negation commutes with rounding
     inner = -float(g_new.dot(dx))
-    model = L * lp_norm(dx, cfg.geom.p) ** 2
+    model = L * _sq(lp_norm(dx, cfg.geom.p))
     dual_q = dual * dual / (9.0 * L)
     psi_min = state.psi_min()
     v = tr.violations = {
@@ -485,12 +515,12 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         psi_bound = 0.5 * R * R + state.A * f_star
         u = state.v - x_star
         model_bound = R * R / (2.0 * state.A)
-        conv, dual_sq = 2.0 * L * max(gap, 0.0), dual ** 2
-        v.update(
-            psi_at_opt=(state.psi(x_star) - psi_bound) / max(abs(psi_bound), 1.0),
-            v_distance=(math.sqrt(u.dot(u)) - R) / max(R, 1e-30),
-            gap_model_bound=(gap - model_bound) / max(model_bound, 1e-30),
-            grad_conversion=(dual_sq - conv) / max(dual_sq, conv, 1e-20))
+        conv = 2.0 * L * max(gap, 0.0)
+        v["psi_at_opt"] = ((state.psi(x_star) - psi_bound)
+                           / max(abs(psi_bound), 1.0))
+        v["v_distance"] = (math.sqrt(u.dot(u)) - R) / max(R, 1e-30)
+        v["gap_model_bound"] = (gap - model_bound) / max(model_bound, 1e-30)
+        v["grad_conversion"] = (dual_sq - conv) / max(dual_sq, conv, 1e-20)
     return tr
 
 
@@ -558,8 +588,10 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
     try:
         for state, tr in iterate(obj, x0, cfg, rows):
             traces.append(tr)
-            for name in fails if tr.violations else ():  # NaN is a violation
-                fails[name] += int(not tr.violations[name] <= INVARIANT_TOL)
+            v = tr.violations
+            for name in INVARIANTS if v else ():
+                if not v[name] <= INVARIANT_TOL:  # NaN is a violation
+                    fails[name] += 1
     except CouplingSearchError as exc:
         exc.traces = traces
         raise
@@ -650,7 +682,7 @@ def rate_bounds(L: float, R: float, G: float, T: int):
     (G T)^2, and the bound 8748 L^2 R^2 / (G^2 T^3) on the smallest
     squared dual gradient norm over steps 1..T.
     """
-    cert = 324.0 * L * R * R / (G ** 2 * T ** 2)
-    cubic = 8748.0 * L ** 2 * R * R / (G ** 2 * T ** 3)
+    cert = 324.0 * L * R * R / (_sq(G) * T ** 2)
+    cubic = 8748.0 * _sq(L) * R * R / (_sq(G) * T ** 3)
     return cert, cubic
 

@@ -9,8 +9,8 @@ import pytest
 
 from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, INVARIANTS,
                        REFERENCE_CHECKS, CouplingResult,
-                       CouplingSearchError, HasdConfig, HasdState, _run,
-                       NonFiniteProbeError, a_from_rho,
+                       CouplingSearchError, FirstStepError, HasdConfig,
+                       HasdState, _run, NonFiniteProbeError, a_from_rho,
                        find_coupling, iterate, rate_bounds, run,
                        run_restarting, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
@@ -655,6 +655,39 @@ def test_run_counts_a_nan_violation(monkeypatch):
     assert folded > 0
     assert report.invariants["potential"] == folded
     assert report.invariants["window"] == 0
+
+
+def test_a_first_step_whose_rho_overflows_is_a_typed_search_error():
+    # a step of 1e200/L from the quadratic's start makes ||grad f(x_1)||_2
+    # overflow (p = inf: the dual l_1 norm stays finite), so rho_0 is NaN;
+    # the first step raises a CouplingSearchError naming itself, not
+    # a_from_rho's ValueError, and run attaches row 0 as its traces
+    obj, cfg = quad_cfg([0.5, 1.0, 2.0, 4.0, 1.5], p=INF, max_iters=50)
+    x0 = np.array([2.0, -1.0, 0.5, 1.0, -2.0])
+    with np.errstate(over="ignore"), pytest.raises(FirstStepError) as exc:
+        run(obj, x0, replace(cfg, step_scale=1e200))
+    assert isinstance(exc.value, CouplingSearchError)
+    assert str(exc.value).startswith("first step: rho_0 = nan at x_1")
+    assert math.isnan(exc.value.rho) and exc.value.calls == 1
+    assert [tr.iter for tr in exc.value.traces] == [0]
+    with pytest.raises(FirstStepError):  # a rows-off run as well
+        with np.errstate(over="ignore"):
+            _run(obj, x0, replace(cfg, step_scale=1e200), rows=False)
+
+
+def test_an_overflowing_square_in_a_row_is_inf_not_an_error():
+    # a step of 1e300/L on a LogSumExp leaves the gradient finite but the
+    # step's ||x_1 - y||_p squared overflows: the progress check takes it
+    # as inf and counts a violation where ** raised OverflowError
+    obj = make_logsumexp_instance(20, 5, 0.0, seed=0)
+    geom = LpGeometry(INF)
+    cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom, max_iters=50,
+                     step_scale=1e300)
+    with np.errstate(all="ignore"):
+        report = run(obj, np.zeros(5), cfg)
+    assert report.iters == 50
+    assert report.invariants["progress"] > 0
+    assert report.traces[1].grad_dual < math.inf
 
 
 def test_run_rate_certificate_and_call_accounting():

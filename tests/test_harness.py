@@ -506,6 +506,71 @@ def test_cli_run_whose_search_fails_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_run_whose_first_step_overflows_is_one_error_line(tmp_path,
+                                                              capsys):
+    # at a step scale of 1e200 the gradient at x_1 overflows: the first
+    # step's typed error, not a_from_rho's, names what failed
+    out = tmp_path / "huge_step"
+    rc = main(["run", "--objective", "quadratic", "--d", "5", "--stepsize",
+               "1e200", "--methods", "hasd", "--iters", "50", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: method 'hasd' at mu=0: coupling search "
+                          "failed: first step: rho_0 = nan")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_cli_run_whose_step_square_overflows_exits_without_traceback(
+        tmp_path, capsys):
+    # ||x_1 - y||_p ** 2 overflowed into an OverflowError traceback and
+    # exit 1, the CLI's code for an invariant failure
+    out = tmp_path / "lse"
+    rc = main(["run", "--objective", "logsumexp", "--n", "20", "--d", "5",
+               "--mu", "0", "--stepsize", "1e300", "--methods", "hasd",
+               "--iters", "50", "--out", str(out)])
+    seen = capsys.readouterr()
+    assert rc == 0 and seen.err == ""
+    assert json.loads((out / "summary.json").read_text())[
+        "mus"]["0"]["methods"]["hasd"]["iters"] == 50
+
+
+def test_tune_ranks_a_grid_point_whose_first_step_overflows_inf(capsys):
+    # one overflowing grid point ranks +inf instead of aborting the sweep
+    obj = make_objective(ExperimentConfig(objective="quadratic", d=5))
+    geom = LpGeometry(math.inf)
+    best, all_div, finals = tune_method("hasd", obj, default_x0(obj), geom,
+                                        smoothness_bound(obj, geom), 130,
+                                        (1.0, 1e200))
+    assert (best, all_div, finals[1e200]) == (1.0, False, math.inf)
+    assert main(["tune", "--objective", "quadratic", "--d", "5", "--grid",
+                 "1,1e200", "--methods", "hasd"]) == 0
+    seen = capsys.readouterr()
+    assert seen.err == "" and "stepsize=1 " in seen.out
+
+
+def test_check_invariants_at_an_overflowing_l_scale_fails_its_cells():
+    # at 1e-160 of the certified L the first step's gradient overflows on
+    # the quadratic and LogSumExp cells: each fails coupling_search with
+    # the first step named, where a_from_rho's ValueError ended the command
+    report = check_invariants(seeds=(0,), l_scale=1e-160)
+    assert not report.ok and report.cells == 12
+    assert report.row("coupling_search").failures == 8
+    assert all("first step: rho_0 = nan" in line
+               for line in report.failed_searches)
+
+
+def test_check_invariants_fails_a_bound_that_underflows_to_zero(capsys):
+    # at 1e-300 of the certified L the min_grad_cubic bound, 8748 L^2 R^2 /
+    # (G^2 T^3), underflows to 0 on the cells that complete: a failed
+    # sample, not a ZeroDivisionError
+    report = check_invariants(seeds=(0,), l_scale=1e-300)
+    cubic = report.row("min_grad_cubic")
+    assert cubic.samples == cubic.failures == 4 and cubic.worst == math.inf
+    assert main(["check-invariants", "--l-scale", "1e-300", "--seeds",
+                 "0"]) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_check_invariants_rejects_empty_budget(capsys):
     with pytest.raises(ValueError):
         check_invariants(seeds=(0,), p_values=(2.0,), iters=0)
