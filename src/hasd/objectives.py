@@ -79,6 +79,9 @@ class SmoothObjective:
         Declared smoothness constant and the geometry it certifies.
     reference_optimum : None or (ndarray, float)
         Known or precomputed (x_star, f_star).
+
+    A subclass whose oracles share one map of the point supplies _map(x)
+    and reads (x, map) through _at.
     """
 
     def __init__(self, dim: int):
@@ -87,12 +90,30 @@ class SmoothObjective:
         self.dim = int(dim)
         self.smoothness = None
         self.reference_optimum = None
+        self._last = None  # (x.tobytes(), _map(x)) at the last point mapped
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError("expected shape (%d,), got %r" % (self.dim, x.shape))
         return x
+
+    def _at(self, x):
+        """(x, _map(x)) at the checked x, shared by the oracles.
+
+        The last point's map is kept under the bytes of x, so value and
+        gradient at one point map it once (a point mutated in place has new
+        bytes, hence a miss).  Key and map are stored as one tuple in one
+        assignment, so a concurrent caller never pairs one point's key with
+        another's map.  Callers must not mutate the map, and what _map
+        reads must not change after construction.
+        """
+        x = self._check(x)
+        key = x.tobytes()
+        last = self._last
+        if last is None or last[0] != key:
+            last = self._last = (key, self._map(x))
+        return x, last[1]
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -102,7 +123,11 @@ class SmoothObjective:
 
 
 class Quadratic(SmoothObjective):
-    """Separable convex quadratic 0.5 * sum_i h_i (x_i - c_i)^2 + f0, h_i >= 0."""
+    """Separable convex quadratic 0.5 * sum_i h_i (x_i - c_i)^2 + f0, h_i >= 0.
+
+    The center must not change after construction: the oracles share the
+    last point's x - c.
+    """
 
     def __init__(self, h, center=None, offset: float = 0.0):
         h = np.asarray(h, dtype=float)
@@ -116,14 +141,15 @@ class Quadratic(SmoothObjective):
         self.offset = float(offset)
         self.reference_optimum = (self.center.copy(), self.offset)
 
+    def _map(self, x):
+        return x - self.center
+
     def value(self, x) -> float:
-        x = self._check(x)
-        d = x - self.center
+        d = self._at(x)[1]
         return 0.5 * float(self.h @ (d * d)) + self.offset
 
     def gradient(self, x):
-        x = self._check(x)
-        return self.h * (x - self.center)
+        return self.h * self._at(x)[1]
 
     def hessian(self, x):
         return np.diag(self.h)
@@ -143,7 +169,8 @@ class SymmetricSoftmax(SmoothObjective):
 
     Smooth max of +/- x_i pairs; minimized at x = 0 with value
     alpha * log(2 d).  Smooth with constant 1/alpha for the sup-norm
-    geometry, hence for every p in [2, inf].
+    geometry, hence for every p in [2, inf].  alpha must not change after
+    construction: the oracles share the last point's [x, -x] / alpha.
     """
 
     def __init__(self, dim: int, alpha: float = 1.0):
@@ -153,39 +180,19 @@ class SymmetricSoftmax(SmoothObjective):
         self.alpha = float(alpha)
         self.smoothness = (1.0 / self.alpha, LpGeometry(math.inf))
         self.reference_optimum = (np.zeros(self.dim), self.alpha * math.log(2 * self.dim))
-        self._last = None  # (x.tobytes(), [x, -x] / alpha) at the last point
 
-    def _scaled(self, x):
-        """u = [x, -x] / alpha at a checked x, shared by the three oracles.
-
-        As in LogSumExpAffine._logits, the last point's u is kept under the
-        bytes of x, so value and gradient at one point map it once; key and
-        u are stored in one assignment.  Callers must not mutate u, and
-        alpha must not change after construction.
-        """
-        key = x.tobytes()
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        u = np.concatenate([x, -x]) / self.alpha
-        self._last = (key, u)
-        return u
-
-    def _weights(self, x):
-        return _softmax(self._scaled(x))
+    def _map(self, x):
+        return np.concatenate([x, -x]) / self.alpha
 
     def value(self, x) -> float:
-        x = self._check(x)
-        return self.alpha * float(_logsumexp(self._scaled(x)))
+        return self.alpha * float(_logsumexp(self._at(x)[1]))
 
     def gradient(self, x):
-        x = self._check(x)
-        w = self._weights(x)
+        w = _softmax(self._at(x)[1])
         return w[: self.dim] - w[self.dim :]
 
     def hessian(self, x):
-        x = self._check(x)
-        w = self._weights(x)
+        w = _softmax(self._at(x)[1])
         g = w[: self.dim] - w[self.dim :]
         return (np.diag(w[: self.dim] + w[self.dim :]) - np.outer(g, g)) / self.alpha
 
@@ -219,37 +226,21 @@ class LogSumExpAffine(SmoothObjective):
         self.b = b
         self.mu = float(mu)
         self.seed = seed
-        self._last = None  # (x.tobytes(), A x - b) at the last point mapped
 
-    def _logits(self, x):
-        """z = A x - b at a checked x, shared by the three oracles.
-
-        The last point's logits are kept under the bytes of x, so value and
-        gradient at one point make one product with A (a point mutated in
-        place has new bytes, hence a miss).  Key and logits are stored as
-        one tuple in one assignment, so a concurrent caller never pairs one
-        point's key with another's logits.  Callers must not mutate z, and
-        A and b must not change after construction.
-        """
-        key = x.tobytes()
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
+    def _map(self, x):
         # on a contiguous x, ndarray.dot is the gemv that @ calls, with less
         # dispatch; on a negative stride the two round differently
         z = self.A.dot(x) if x.flags.c_contiguous else self.A @ x
         z -= self.b
-        self._last = (key, z)
         return z
 
     def value(self, x) -> float:
-        x = self._check(x)
-        v = float(_logsumexp(self._logits(x)))
-        return v + 0.5 * self.mu * float(x @ x)
+        x, z = self._at(x)
+        return float(_logsumexp(z)) + 0.5 * self.mu * float(x @ x)
 
     def gradient(self, x):
-        x = self._check(x)
-        g = self._AT.dot(_softmax(self._logits(x)))
+        x, z = self._at(x)
+        g = self._AT.dot(_softmax(z))
         g += self.mu * x
         return g
 
@@ -284,8 +275,7 @@ class LogSumExpAffine(SmoothObjective):
         return True
 
     def hessian(self, x):
-        x = self._check(x)
-        w = _softmax(self._logits(x))
+        w = _softmax(self._at(x)[1])
         Aw = self._AT @ w
         H = self._AT @ (self.A * w[:, None]) - np.outer(Aw, Aw)
         return H + self.mu * np.eye(self.dim)

@@ -867,3 +867,27 @@ def test_value_after_gradient_at_one_point_maps_it_once():
     assert CountingMatrix.products == after_gradient + 1  # only A^T w
     obj.value(x + 1.0)
     assert CountingMatrix.products == after_gradient + 2  # a new point
+
+
+def test_quadratic_value_after_gradient_at_one_point_maps_it_once():
+    # Quadratic keeps x - center of the last point through the same _at as
+    # the other two objectives
+    def make():
+        return Quadratic([1.0, 2.0, 3.0], center=[0.5, -1.0, 2.0], offset=0.25)
+
+    obj, fresh = make(), make()
+    maps = []
+    mapped = obj._map
+    obj._map = lambda x: maps.append(1) or mapped(x)
+    x = np.array([0.3, 0.1, -2.0])
+    grad = obj.gradient(x)
+    value = obj.value(x)
+    assert len(maps) == 1  # value read gradient's map
+    d = x - obj.center
+    assert value == 0.5 * float(obj.h @ (d * d)) + 0.25 == fresh.value(x)
+    assert grad.tobytes() == (obj.h * d).tobytes()
+    x[1] += 1.0  # mutated in place: new bytes, a new point
+    assert obj.value(x) == fresh.value(x)
+    assert len(maps) == 2
+    assert obj.gradient(x).tobytes() == fresh.gradient(x).tobytes()
+    assert len(maps) == 2
