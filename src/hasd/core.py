@@ -67,11 +67,12 @@ class NonFiniteProbeError(CouplingSearchError):
     """A coupling probe measured a NaN zeta.
 
     A non-finite entry in the probe's gradient makes both norms in zeta
-    infinite or NaN, so this covers every non-finite gradient (and a finite
-    one whose squared norms overflow).  The search stops at that probe
-    instead of bisecting on a NaN comparison until its bracket collapses.
-    Only a measured probe can raise it: one that find_coupling settles
-    from its norm bounds makes no oracle call.
+    infinite or NaN, so this covers every non-finite gradient, and a
+    nonzero finite one whose squared norms overflow or underflow (zeta
+    then has no ratio to read).  The search stops at that probe instead of
+    bisecting on a NaN comparison until its bracket collapses, or dividing
+    by a zero square.  Only a measured probe can raise it: one that
+    find_coupling settles from its norm bounds makes no oracle call.
     """
 
     def __init__(self, theta, bracket, calls):
@@ -81,7 +82,8 @@ class NonFiniteProbeError(CouplingSearchError):
         self.last_zeta = math.nan
         RuntimeError.__init__(
             self, "zeta is NaN at theta=%.6e after %d oracle calls "
-            "(non-finite gradient), bracket=(%.6e, %.6e)"
+            "(non-finite gradient, or squared norms that overflow or "
+            "underflow), bracket=(%.6e, %.6e)"
             % (theta, calls, bracket[0], bracket[1]))
 
 
@@ -286,6 +288,15 @@ def a_from_rho(A_t: float, L: float, rho: float) -> float:
     return (1.0 + math.sqrt(1.0 + 72.0 * L * rho * A_t)) / (36.0 * L * rho)
 
 
+def _holder_clamp(r: float, d: int, p: float) -> float:
+    """r = ||g||_2^2 / ||g||_{p*}^2 as computed, or the end of Hoelder's
+    interval [d^-(1-2/p), 1] it rounded past; NaN stays NaN.  At p = 2
+    the interval is the point 1, so a step never hinges on the last ulp
+    of the computed r."""
+    lo = d ** (2.0 / p - 1.0)
+    return lo if r < lo else 1.0 if r > 1.0 else r
+
+
 def _coupling_factor(theta: float, A_t: float, L: float) -> float:
     """c(theta) = 18 L (1-theta)^2 A_t / theta, the factor of zeta that
     needs no oracle call: zeta(theta) = c(theta) * ||g||_2^2 / ||g||_{p*}^2."""
@@ -301,8 +312,12 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
 
         zeta = 18 L (1-theta)^2 A_t / theta * ||g||_2^2 / ||g||_{p*}^2.
 
-    Costs exactly two gradient evaluations.  zeta is None when g vanishes
-    identically (x_theta is then an exact optimum).
+    The ratio takes _holder_clamp: a computed ratio outside Hoelder's
+    interval is replaced by the end it left, and one inside keeps the
+    product above, rounded as written.  Costs exactly two gradient
+    evaluations.  zeta is None when g vanishes identically (x_theta is
+    then an exact optimum), and NaN when ||g||_2 or ||g||_{p*}^2
+    underflows to 0 while g does not vanish.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
@@ -314,8 +329,16 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     dual = lp_norm(gx, cfg.geom.p_dual)
     # np.linalg.norm's own formula for a 1-D float64 vector, minus its dispatch
     l2 = math.sqrt(gx.dot(gx))
-    zeta = (None if dual == 0.0 else
-            _coupling_factor(theta, state.A, cfg.L) * (l2 * l2) / (dual * dual))
+    l2_sq, dual_sq = l2 * l2, dual * dual
+    if dual == 0.0:
+        zeta = None
+    elif l2 == 0.0 or dual_sq == 0.0:  # an underflowed square: no ratio
+        zeta = math.nan
+    else:
+        c = _coupling_factor(theta, state.A, cfg.L)
+        r = l2_sq / dual_sq
+        end = _holder_clamp(r, x.size, cfg.geom.p)
+        zeta = c * l2_sq / dual_sq if end == r else c * end
     return zeta, y, x, gx, dual, l2
 
 
@@ -348,7 +371,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     _fold takes as convergence).  Raises CouplingSearchError when the
     bracket collapses (width at most 4e-12, after at most 38 probes; zeta
     need not be globally monotone), and NonFiniteProbeError at the probe
-    that measured a NaN zeta (a non-finite gradient).  The bracket is the
+    that measured a NaN zeta (a non-finite gradient, or an underflowed
+    square).  The bracket is the
     only cap the search needs: the paper's worst case, 9 + (5(p-2)/2p)
     log2 d + log2(L D_R / eps) probes with D_R = (R + 1458 R^2)(20 R +
     4374 R^2) and R = ||x_0 - x*||_2, is at least 55 on every cell of the
@@ -435,7 +459,8 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     res is the step's search result.  The first step has no search: it
     passes its steepest step from x0 in the same form (theta and zeta None,
     one oracle call), and rho_0 is read off the gradient-norm ratio at x_1
-    (FirstStepError where that is not finite and positive); a later
+    (FirstStepError where that is not finite and positive), through
+    _holder_clamp as zeta reads it; a later
     step's rho and a follow from its theta.  At a zero gradient the
     run has converged: x moves to the point and nothing is folded in.  A
     folded row carries the violation magnitudes of the five per-step
@@ -474,6 +499,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         rho = (l2 * l2) / (dual * dual) if dual * dual else math.nan
         if not 0.0 < rho < math.inf:  # NaN fails too
             raise FirstStepError(rho, l2, dual)
+        rho = _holder_clamp(rho, x_new.size, cfg.geom.p)
         a = a_from_rho(0.0, L, rho)
     else:
         th = res.theta  # = A_t / A_{t+1}, which fixes rho_t and a_{t+1}

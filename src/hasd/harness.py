@@ -514,7 +514,11 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
 
 
 def _excess(value: float, bound: float) -> float:
-    """(value - bound) / bound; a bound that underflowed to 0 fails (inf)."""
+    """(value - bound) / bound; a bound that underflowed to 0 fails (inf),
+    and a finite value under one that overflowed to inf passes (-1, the
+    limit)."""
+    if bound == math.inf and math.isfinite(value):
+        return -1.0
     return (value - bound) / bound if bound else math.inf
 
 

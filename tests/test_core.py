@@ -14,7 +14,7 @@ from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, INVARIANTS,
                        find_coupling, iterate, rate_bounds, run,
                        run_restarting, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
-from hasd.objectives import (Quadratic, SymmetricSoftmax,
+from hasd.objectives import (Quadratic, SmoothObjective, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound,
                              solve_reference)
 
@@ -329,6 +329,24 @@ def test_find_coupling_raises_at_first_non_finite_probe(bad):
     assert exc.value.theta == pytest.approx(0.5)
     assert math.isnan(exc.value.last_zeta)
     assert isinstance(exc.value, CouplingSearchError)
+
+
+@pytest.mark.parametrize("p", [2.0, INF])
+@pytest.mark.parametrize("entry", [1.4e-162, 1e-170])
+def test_zeta_is_nan_where_a_squared_norm_underflows(entry, p):
+    # g = (e, e, e) does not vanish, but g @ g underflows to 0, so
+    # ||g||_2 = 0: at e = 1.4e-162 ||g||_{p*}^2 stays positive (a ratio of
+    # 0 that would read as Hoelder's lower end), at 1e-170 it underflows too
+    # (a division by 0); either way the probe has no ratio and zeta is NaN
+    class Linear(SmoothObjective):
+        def gradient(self, x):
+            return np.full(3, entry)
+
+    state = HasdState(np.zeros(3))
+    state.A = 1.0
+    cfg = HasdConfig(L=1.0, geom=LpGeometry(p))
+    zeta, _, _, _, dual, l2 = zeta_eval(0.5, state, Linear(3), cfg)
+    assert math.isnan(zeta) and l2 == 0.0 and dual > 0.0
 
 
 def jump(theta, state, obj, cfg):

@@ -12,8 +12,8 @@ import pytest
 
 from hasd.baselines import BaselineConfig, lc_run
 from hasd.cli import build_parser, main
-from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig, iterate,
-                       run)
+from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig,
+                       NonFiniteProbeError, iterate, run)
 from hasd.geometry import LpGeometry
 from hasd.harness import (STEPSIZE_GRID, CheckRow, ExperimentConfig,
                           _reference_value, attach_reference,
@@ -150,6 +150,23 @@ def test_tune_ranks_non_finite_probe_as_divergent():
     best, all_div, finals = tune_method("hasd", obj, np.zeros(2),
                                         LpGeometry(2.0), 1.0, 5, (1.0,))
     assert all_div and best == 1.0 and finals == {1.0: math.inf}
+
+
+def test_a_probe_whose_squared_norms_underflow_is_a_non_finite_probe():
+    # from 1e-150 the run closes in on the quadratic's minimizer at 0 until
+    # a probe's gradient, nonzero, has squared norms that underflow to 0:
+    # zeta is NaN and the search stops there with its rows attached,
+    # instead of dividing by the zero square, and a sweep ranks it +inf
+    obj = Quadratic([1.0, 2.0, 3.0])
+    obj.reference_optimum = None
+    x0 = np.array([1e-150, -2e-150, 3e-150])
+    geom = LpGeometry(2.0)
+    with pytest.raises(NonFiniteProbeError) as exc:
+        run(obj, x0, HasdConfig(L=3.0, geom=geom, max_iters=400))
+    assert "underflow" in str(exc.value)
+    assert len(exc.value.traces) == 364  # row 0 and 363 steps
+    _, all_div, finals = tune_method("hasd", obj, x0, geom, 3.0, 400, (1.0,))
+    assert all_div and finals == {1.0: math.inf}
 
 
 def test_tune_method_finals_equal_full_row_runs_bit_for_bit():
@@ -569,6 +586,18 @@ def test_check_invariants_fails_a_bound_that_underflows_to_zero(capsys):
     assert main(["check-invariants", "--l-scale", "1e-300", "--seeds",
                  "0"]) == 1
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("l_scale", [1e150, 1e200])
+def test_check_invariants_passes_a_value_under_a_bound_that_overflows(l_scale):
+    # any L above the certified one is a valid smoothness constant, so every
+    # check holds; at 1e150 of it the min_grad_cubic bound, 8748 L^2 R^2 /
+    # (G^2 T^3), overflows to inf on some cells (at 1e200 on all), and a
+    # finite min ||g||_{p*}^2 under it is a passing sample, not a NaN
+    report = check_invariants(seeds=(0,), l_scale=l_scale)
+    cubic = report.row("min_grad_cubic")
+    assert cubic.samples == 12 and cubic.failures == 0 and cubic.worst == 0.0
+    assert report.ok
 
 
 def test_check_invariants_rejects_empty_budget(capsys):
