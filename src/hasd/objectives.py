@@ -152,6 +152,7 @@ class Quadratic(SmoothObjective):
         return self.h * self._at(x)[1]
 
     def hessian(self, x):
+        self._check(x)
         return np.diag(self.h)
 
     def smoothness_for(self, geom: LpGeometry) -> float:

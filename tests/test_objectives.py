@@ -70,6 +70,16 @@ def test_quadratic_rejects_negative_curvature():
         Quadratic(np.array([1.0, -0.1]))
 
 
+@pytest.mark.parametrize("oracle", ["value", "gradient", "hessian"])
+@pytest.mark.parametrize("make", [
+    lambda: Quadratic(np.ones(3)), lambda: SymmetricSoftmax(3),
+    lambda: make_logsumexp_instance(5, 3, 0.1, seed=0)],
+    ids=["quadratic", "softmax", "logsumexp"])
+def test_every_oracle_refuses_a_point_of_the_wrong_shape(make, oracle):
+    with pytest.raises(ValueError, match="expected shape"):
+        getattr(make(), oracle)(np.zeros(4))
+
+
 # ------------------------------------------------------ symmetric softmax
 
 def test_softmax_value_at_origin():
