@@ -675,6 +675,17 @@ def test_run_counts_a_nan_violation(monkeypatch):
     assert report.invariants["window"] == 0
 
 
+def test_the_first_steps_rho_is_exactly_1_at_p_2():
+    # at p = 2 Hoelder's interval for r = ||g||_2^2 / ||g||_{p*}^2 is the
+    # point 1, but the two norms round differently: rho_0 takes the end
+    # of the interval, so a permuted problem starts with the same weight
+    obj, cfg = quad_cfg(np.arange(1.0, 8.0), p=2.0)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        x0 = rng.standard_normal(7) * 10.0 ** rng.uniform(-3, 3)
+        assert first_step(obj, x0, cfg)[1].rho == 1.0
+
+
 def test_a_first_step_whose_rho_overflows_is_a_typed_search_error():
     # a step of 1e200/L from the quadratic's start makes ||grad f(x_1)||_2
     # overflow (p = inf: the dual l_1 norm stays finite), so rho_0 is NaN;
