@@ -105,14 +105,6 @@ class FirstStepError(CouplingSearchError):
             % (rho, grad_l2, grad_dual))
 
 
-def _sq(x: float) -> float:
-    """x ** 2 with pow's bits, and inf where ** raises OverflowError."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 @dataclass
 class HasdConfig:
     """Run parameters.
@@ -288,6 +280,16 @@ def a_from_rho(A_t: float, L: float, rho: float) -> float:
     return (1.0 + math.sqrt(1.0 + 72.0 * L * rho * A_t)) / (36.0 * L * rho)
 
 
+def _l2(u) -> float:
+    """||u||_2 by np.linalg.norm's own formula, minus its dispatch."""
+    return math.sqrt(u.dot(u))
+
+
+def _grad_norms(g, geom: LpGeometry | None):
+    """(||g||_{p*}, ||g||_2); the dual norm is None without a geometry."""
+    return (None if geom is None else lp_norm(g, geom.p_dual)), _l2(g)
+
+
 def _holder_clamp(r: float, d: int, p: float) -> float:
     """r = ||g||_2^2 / ||g||_{p*}^2 as computed, or the end of Hoelder's
     interval [d^-(1-2/p), 1] it rounded past; NaN stays NaN.  At p = 2
@@ -326,9 +328,7 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     y = theta * state.x + (1.0 - theta) * state.v
     x = steepest_step(y, obj.gradient(y), cfg.step_L, cfg.geom)
     gx = obj.gradient(x)
-    dual = lp_norm(gx, cfg.geom.p_dual)
-    # np.linalg.norm's own formula for a 1-D float64 vector, minus its dispatch
-    l2 = math.sqrt(gx.dot(gx))
+    dual, l2 = _grad_norms(gx, cfg.geom)
     l2_sq, dual_sq = l2 * l2, dual * dual
     if dual == 0.0:
         zeta = None
@@ -429,9 +429,9 @@ def _row_head(obj, t: int, x, g, geom: LpGeometry | None) -> IterationTrace:
     """Trace row t at x, g being grad f(x): f, gap, ||g||_2 and ||g||_{p*}
     (no dual norm without a geometry); the coupling columns stay empty."""
     f = obj.value(x)
-    dual = None if geom is None else lp_norm(g, geom.p_dual)
+    dual, l2 = _grad_norms(g, geom)
     return IterationTrace(iter=t, f=f, gap=_gap(f, obj.reference_optimum),
-                          grad_l2=math.sqrt(g.dot(g)), grad_dual=dual)
+                          grad_l2=l2, grad_dual=dual)
 
 
 INVARIANTS = ("window", "recurrence", "progress", "potential", "growth")
@@ -441,8 +441,8 @@ INVARIANT_TOL = 1e-8
 
 
 def _reference_R(state: HasdState, x_star) -> float:
-    if state.R is None:  # once per run, with np.linalg.norm's own formula
-        state.R = math.sqrt((u := state.x0 - x_star).dot(u))
+    if state.R is None:  # once per run
+        state.R = _l2(state.x0 - x_star)
     return state.R
 
 
@@ -458,10 +458,11 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
 
     res is the step's search result.  The first step has no search: it
     passes its steepest step from x0 in the same form (theta and zeta None,
-    one oracle call), and rho_0 is read off the gradient-norm ratio at x_1
-    (FirstStepError where that is not finite and positive), through
-    _holder_clamp as zeta reads it; a later
-    step's rho and a follow from its theta.  At a zero gradient the
+    one oracle call), and rho_0 is read off the gradient-norm ratio r at
+    x_1 (FirstStepError where that is not finite and positive), through
+    _holder_clamp as zeta reads it; a later step's rho and a follow from
+    its theta.  The window check compares rho with the same clamped r, and
+    every square of a norm is the product x * x.  At a zero gradient the
     run has converged: x moves to the point and nothing is folded in.  A
     folded row carries the violation magnitudes of the five per-step
     guarantees, keyed by INVARIANTS, and with a reference optimum attached
@@ -495,12 +496,13 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
                               grad_dual=dual, theta=res.theta, zeta=res.zeta,
                               search_calls=res.oracle_calls, A=A, B=B,
                               converged=True)
+    # r = ||g||_2^2 / ||g||_{p*}^2, once: rho_0 and the window read it
+    r = (l2 * l2) / (dual * dual) if dual * dual else math.nan
+    if first and not 0.0 < r < math.inf:  # NaN fails too
+        raise FirstStepError(r, l2, dual)
+    r = _holder_clamp(r, x_new.size, cfg.geom.p)
     if first:
-        rho = (l2 * l2) / (dual * dual) if dual * dual else math.nan
-        if not 0.0 < rho < math.inf:  # NaN fails too
-            raise FirstStepError(rho, l2, dual)
-        rho = _holder_clamp(rho, x_new.size, cfg.geom.p)
-        a = a_from_rho(0.0, L, rho)
+        rho, a = r, a_from_rho(0.0, L, r)
     else:
         th = res.theta  # = A_t / A_{t+1}, which fixes rho_t and a_{t+1}
         rho = th / (18.0 * L * (1.0 - th) ** 2 * state.A)
@@ -517,14 +519,14 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         converged=reached)
     if not rows:
         return tr
-    dual_sq = _sq(dual)
-    r = _sq(l2) / dual_sq
     a = state.A - A_before  # the weight as folded into A
     dx = x_new - res.y
     # <g, y - x> is exactly -<g, x - y>: negation commutes with rounding
     inner = -float(g_new.dot(dx))
-    model = L * _sq(lp_norm(dx, cfg.geom.p))
-    dual_q = dual * dual / (9.0 * L)
+    dx_p = lp_norm(dx, cfg.geom.p)
+    model = L * (dx_p * dx_p)
+    dual_sq = dual * dual
+    dual_q = dual_sq / (9.0 * L)
     psi_min = state.psi_min()
     v = tr.violations = {
         "window": max(0.5 - rho / r, rho / r - 2.0, 0.0),
@@ -544,7 +546,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         conv = 2.0 * L * max(gap, 0.0)
         v["psi_at_opt"] = ((state.psi(x_star) - psi_bound)
                            / max(abs(psi_bound), 1.0))
-        v["v_distance"] = (math.sqrt(u.dot(u)) - R) / max(R, 1e-30)
+        v["v_distance"] = (_l2(u) - R) / max(R, 1e-30)
         v["gap_model_bound"] = (gap - model_bound) / max(model_bound, 1e-30)
         v["grad_conversion"] = (dual_sq - conv) / max(dual_sq, conv, 1e-20)
     return tr
@@ -591,11 +593,10 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
         return
     x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
     g1 = obj.gradient(x1)
+    dual, l2 = _grad_norms(g1, cfg.geom)
     tr = _fold(state, obj, cfg, CouplingResult(
-        theta=None, y=state.x, x_next=x1, zeta=None,
-        oracle_calls=1, grad_x_next=g1,
-        grad_dual=lp_norm(g1, cfg.geom.p_dual), grad_l2=math.sqrt(g1.dot(g1))),
-        rows)
+        theta=None, y=state.x, x_next=x1, zeta=None, oracle_calls=1,
+        grad_x_next=g1, grad_dual=dual, grad_l2=l2), rows)
     while True:
         if tr is not None:
             yield state, tr
@@ -692,7 +693,7 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
                      gap=last.gap if last else gap0,
                      iters=traces[-1].iter, grad_calls=grad_calls,
                      G_mean=last.G_mean if last else None,
-                     R=None if ref is None else float(np.linalg.norm(x0 - ref[0])),
+                     R=None if ref is None else _l2(x0 - ref[0]),
                      invariants={key: sum(r.invariants[key] for r in rounds)
                                  for key in INVARIANTS} if last else None,
                      converged_early=bool(last and last.converged_early),
@@ -708,7 +709,7 @@ def rate_bounds(L: float, R: float, G: float, T: int):
     (G T)^2, and the bound 8748 L^2 R^2 / (G^2 T^3) on the smallest
     squared dual gradient norm over steps 1..T.
     """
-    cert = 324.0 * L * R * R / (_sq(G) * T ** 2)
-    cubic = 8748.0 * _sq(L) * R * R / (_sq(G) * T ** 3)
+    cert = 324.0 * L * R * R / (G * G * T ** 2)
+    cubic = 8748.0 * (L * L) * R * R / (G * G * T ** 3)
     return cert, cubic
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
 from .core import (INVARIANT_TOL, INVARIANTS, REFERENCE_CHECKS,
-                   CouplingSearchError, HasdConfig, _run, _sq, rate_bounds,
-                   run)
+                   CouplingSearchError, HasdConfig, _run, rate_bounds, run)
 from .geometry import LpGeometry
 from .objectives import (Quadratic, SmoothnessUnavailable, SymmetricSoftmax,
                          _field, _finite, _seed, attach_reference,
@@ -507,7 +506,8 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
         return failed
     cubic = rate_bounds(L, rep.R, rep.G_mean, rep.iters)[1]
     row("certificate").record(_excess(rep.gap, cert))
-    min_dual_sq = min([math.inf] + [_sq(tr.grad_dual) for tr in traces[1:]])
+    min_dual_sq = min([math.inf] + [tr.grad_dual * tr.grad_dual
+                                    for tr in traces[1:]])
     if math.isfinite(min_dual_sq):
         row("min_grad_cubic").record(_excess(min_dual_sq, cubic))
     return None

@@ -57,11 +57,23 @@ def _softmax(z):
     return e
 
 
-# Bytes of the one buffer LogSumExpAffine.smoothness_upper takes its row
-# norms through (it holds two rows at least), and certifies_unbounded its
-# |A|: small beside a large A, large enough that the per-block calls cost
-# nothing beside the sums.
+# Bytes of a block of _row_blocks: small beside a large A, large enough
+# that the per-block calls cost nothing beside the sums.
 _BOUND_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(A):
+    """Yield (block, buf) over the rows of A: blocks of about
+    _BOUND_BLOCK_BYTES and at least two rows (numpy sums a lone row of a
+    Fortran-ordered array in another order than within the array), the
+    last ending at row n and overlapping the one before, and one buffer of
+    their shape laid out as A is."""
+    n, d = A.shape
+    rows = min(n, max(2, _BOUND_BLOCK_BYTES // (A.itemsize * d)))
+    buf = np.empty_like(A[:rows])
+    for lo in range(0, n, rows):
+        lo = min(lo, n - rows)
+        yield A[lo:lo + rows], buf
 
 
 class SmoothnessUnavailable(Exception):
@@ -252,23 +264,16 @@ class LogSumExpAffine(SmoothObjective):
         Then f(t x) = log sum_k exp(t a_k . x - b_k) tends to -inf as t
         grows.  The margin (d + 2) eps |a_k| . |x| covers the rounding
         error of any summation order of a length-d dot product, so |A| is
-        taken over blocks of rows, through one buffer of about
-        _BOUND_BLOCK_BYTES laid out as A is (as in smoothness_upper), and
-        the first block with a row at or above 0, or NaN, ends the test.
+        taken over _row_blocks, and the first block with a row at or above
+        0, or NaN, ends the test.
         """
         if self.mu != 0.0:
             return False
         x = self._check(x)
-        A = self.A
-        n, d = A.shape
-        slack = (d + 2) * float(np.finfo(float).eps)
-        rows = min(n, max(1, _BOUND_BLOCK_BYTES // (A.itemsize * d)))
-        buf = np.empty_like(A[:rows])
+        slack = (self.dim + 2) * float(np.finfo(float).eps)
         abs_x = np.abs(x)
         with np.errstate(all="ignore"):  # a non-finite x certifies nothing
-            for lo in range(0, n, rows):
-                lo = min(lo, n - rows)  # the last block overlaps the one before
-                block = A[lo:lo + rows]
+            for block, buf in _row_blocks(self.A):
                 np.abs(block, out=buf)
                 worst = block.dot(x) + slack * buf.dot(abs_x)
                 if not np.maximum.reduce(worst) < 0.0:
@@ -288,23 +293,13 @@ class LogSumExpAffine(SmoothObjective):
         max_k ||a_k||_1^2 + mu*d (inherited downward to any p), and the
         l2 bound max_k ||a_k||_2^2 + mu scaled up by d^{1 - 2/p}.
 
-        The row norms are taken over blocks of rows of about
-        _BOUND_BLOCK_BYTES, through one buffer laid out as A is, so the
-        bound needs no temporary of A's size.  A block holds at least two
-        rows (numpy sums a lone row of a Fortran-ordered array in another
-        order than it sums that row within the array), and the last block
-        ends at row n, overlapping the one before it.  So each row is summed
-        as the one-shot formula sums it, and combining the block maxima by
+        The row norms are taken over _row_blocks, so each row is summed as
+        the one-shot formula sums it, and combining the block maxima by
         np.maximum gives its bits: a NaN entry gives NaN, an inf entry inf.
         """
-        A = self.A
-        n, d = A.shape
-        rows = min(n, max(2, _BOUND_BLOCK_BYTES // (A.itemsize * d)))
-        buf = np.empty_like(A[:rows])
+        d = self.dim
         l1_max, l2_max = [], []
-        for lo in range(0, n, rows):
-            lo = min(lo, n - rows)
-            block = A[lo:lo + rows]
+        for block, buf in _row_blocks(self.A):
             np.abs(block, out=buf)
             l1_max.append(np.maximum.reduce(np.add.reduce(buf, axis=1)))
             np.multiply(block, block, out=buf)
