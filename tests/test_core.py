@@ -707,7 +707,7 @@ def test_a_first_step_whose_rho_overflows_is_a_typed_search_error():
 def test_an_overflowing_square_in_a_row_is_inf_not_an_error():
     # a step of 1e300/L on a LogSumExp leaves the gradient finite but the
     # step's ||x_1 - y||_p squared overflows: the progress check takes it
-    # as inf and counts a violation where ** raised OverflowError
+    # as inf (x * x, where ** raises OverflowError) and counts a violation
     obj = make_logsumexp_instance(20, 5, 0.0, seed=0)
     geom = LpGeometry(INF)
     cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom, max_iters=50,
@@ -746,6 +746,17 @@ def test_rate_bounds():
     cert, cubic = rate_bounds(2.0, 3.0, 1.5, 4)
     assert cert == pytest.approx(324.0 * 2.0 * 9.0 / (1.5 * 4) ** 2, rel=1e-15)
     assert cubic == pytest.approx(8748.0 * 4.0 * 9.0 / (1.5 ** 2 * 4 ** 3), rel=1e-15)
+
+
+def test_rate_bounds_squares_are_products():
+    # every square of a norm is the IEEE product x * x, which is correctly
+    # rounded; pow's x ** 2 is not, and at this G it is an ulp off
+    G = 1.5453803786388183e43
+    assert G ** 2 != G * G
+    cert, cubic = rate_bounds(2.0, 3.0, G, 4)
+    assert cert == 324.0 * 2.0 * 3.0 * 3.0 / (G * G * 16)
+    assert cubic == 8748.0 * (2.0 * 2.0) * 3.0 * 3.0 / (G * G * 64)
+    assert rate_bounds(G, 3.0, 1.0, 1)[1] == 8748.0 * (G * G) * 3.0 * 3.0
 
 
 def test_iterate_yields_every_step_then_stops():

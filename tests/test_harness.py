@@ -421,6 +421,18 @@ def test_g_running_lies_in_holders_interval_on_the_checkers_cells(p):
     assert rows > 100
 
 
+def test_window_check_reads_the_ratio_rho_0_was_read_from():
+    # rho_0 is the clamped ratio r and the window check compares rho_t
+    # with that same r, so the first step's window reads exactly 0; a
+    # second, unclamped r rounded apart from it by up to 1.3e-15 here.  On
+    # the default matrix and the benchmark's seeds 0-7, at L and half L
+    for seeds in [(0, 1), tuple(range(8))]:
+        for l_scale in (1.0, 0.5):
+            report = check_invariants(seeds=seeds, l_scale=l_scale)
+            row = report.row("window")
+            assert row.samples > 0 and row.worst == 0.0, (seeds, l_scale)
+
+
 def test_check_invariants_skips_without_reference():
     obj = make_logsumexp_instance(12, 4, 1e-2, seed=0, declare_smoothness=True)
     assert obj.reference_optimum is None
