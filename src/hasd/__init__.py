@@ -32,7 +32,6 @@ from .objectives import (
 from .core import (
     CouplingResult,
     CouplingSearchError,
-    FirstStepError,
     HasdConfig,
     HasdState,
     IterationTrace,
@@ -73,7 +72,6 @@ __all__ = [
     "HasdState",
     "CouplingResult",
     "CouplingSearchError",
-    "FirstStepError",
     "NonFiniteProbeError",
     "IterationTrace",
     "RunReport",

@@ -9,7 +9,9 @@ most 38 probes.  Only part of zeta needs the oracle: the factor
 18 L (1-theta)^2 A_t / theta is known up front and the norm ratio lies in
 [d^-(1-2/p), 1], so the search settles the probes those bounds already
 decide without measuring their zeta.  Such a probe costs no oracle call;
-every other probe costs two.
+every other probe costs two.  A measured gradient with no ratio to read
+(a non-finite entry, or a square that overflows or underflows) raises
+NonFiniteProbeError, at a probe or at the first step.
 
 Per accepted iteration the following hold (up to floating point):
 
@@ -64,45 +66,38 @@ class CouplingSearchError(RuntimeError):
 
 
 class NonFiniteProbeError(CouplingSearchError):
-    """A coupling probe measured a NaN zeta.
+    """A measured gradient g gives no ratio ||g||_2^2 / ||g||_{p*}^2.
 
-    A non-finite entry in the probe's gradient makes both norms in zeta
-    infinite or NaN, so this covers every non-finite gradient, and a
-    nonzero finite one whose squared norms overflow or underflow (zeta
-    then has no ratio to read).  The search stops at that probe instead of
-    bisecting on a NaN comparison until its bracket collapses, or dividing
-    by a zero square.  Only a measured probe can raise it: one that
-    find_coupling settles from its norm bounds makes no oracle call.
+    A non-finite entry in g makes both norms infinite or NaN, so this
+    covers every non-finite gradient, and a nonzero finite one with a
+    square that overflows or underflows (see _norm_ratio).  At a coupling
+    probe zeta is then NaN: the search stops at that probe instead of
+    bisecting on a NaN comparison until its bracket collapses.  Only a
+    measured probe can raise it: one that find_coupling settles from its
+    norm bounds makes no oracle call.  At the first step (at_first_step)
+    rho_0 is NaN, so no weight a_1 follows; that step makes no search:
+    theta, bracket and last_zeta are None, and calls is its one gradient
+    call, at x_1.
     """
 
-    def __init__(self, theta, bracket, calls):
+    def __init__(self, theta, bracket, calls, message=None):
         self.theta = theta
         self.bracket = bracket
         self.calls = calls
-        self.last_zeta = math.nan
-        RuntimeError.__init__(
-            self, "zeta is NaN at theta=%.6e after %d oracle calls "
+        self.last_zeta = None if theta is None else math.nan
+        RuntimeError.__init__(self, message or (
+            "zeta is NaN at theta=%.6e after %d oracle calls "
             "(non-finite gradient, or squared norms that overflow or "
             "underflow), bracket=(%.6e, %.6e)"
-            % (theta, calls, bracket[0], bracket[1]))
+            % (theta, calls, bracket[0], bracket[1])))
 
-
-class FirstStepError(CouplingSearchError):
-    """The first step's rho_0, ||g||_2^2 / ||g||_{p*}^2 at x_1, is not
-    finite and positive, so no weight a_1 follows from it: g = grad f(x_1)
-    is non-finite, or its squared norms overflow or underflow.  The first
-    step makes no search: bracket and last_zeta are None, and calls is
-    its one gradient call, at x_1.
-    """
-
-    def __init__(self, rho, grad_l2, grad_dual):
-        self.rho = rho
-        self.bracket = self.last_zeta = None
-        self.calls = 1
-        RuntimeError.__init__(
-            self, "first step: rho_0 = %r at x_1 is not finite and positive "
-            "(||grad f(x_1)||_2 = %r, ||.||_{p*} = %r)"
-            % (rho, grad_l2, grad_dual))
+    @classmethod
+    def at_first_step(cls, grad_l2, grad_dual):
+        """The error of a first step whose gradient at x_1 has no ratio."""
+        return cls(None, None, 1,
+                   "first step: rho_0 = nan at x_1 is not finite and "
+                   "positive (||grad f(x_1)||_2 = %r, ||.||_{p*} = %r)"
+                   % (grad_l2, grad_dual))
 
 
 @dataclass
@@ -209,7 +204,9 @@ class CouplingResult:
     """Outcome of one coupling search (_fold derives rho and a from theta).
 
     grad_dual and grad_l2 are ||grad f(x_next)||_{p*} and ||.||_2, as the
-    probe computed them.
+    probe computed them; _fold reads their ratio through _norm_ratio, as
+    zeta did.  A gradient with a square that overflows or underflows has
+    no ratio and raises NonFiniteProbeError instead of making a result.
     """
 
     theta: float | None
@@ -290,13 +287,19 @@ def _grad_norms(g, geom: LpGeometry | None):
     return (None if geom is None else lp_norm(g, geom.p_dual)), _l2(g)
 
 
-def _holder_clamp(r: float, d: int, p: float) -> float:
-    """r = ||g||_2^2 / ||g||_{p*}^2 as computed, or the end of Hoelder's
-    interval [d^-(1-2/p), 1] it rounded past; NaN stays NaN.  At p = 2
-    the interval is the point 1, so a step never hinges on the last ulp
-    of the computed r."""
+def _norm_ratio(dual: float, l2: float, d: int, p: float):
+    """(dual_sq, l2_sq, q, r) of a gradient g in d coordinates, from
+    dual = ||g||_{p*} and l2 = ||g||_2: the two squares as products,
+    q = l2_sq / dual_sq as computed, and r, q clamped to Hoelder's
+    interval [d^-(1-2/p), 1].  At p = 2 the interval is the point 1, so a
+    step never hinges on the last ulp of q.  q and r are NaN (no ratio)
+    where a square underflows to 0 or overflows to inf, NaN included."""
+    dual_sq, l2_sq = dual * dual, l2 * l2
+    if not (0.0 < l2_sq < math.inf and 0.0 < dual_sq < math.inf):
+        return dual_sq, l2_sq, math.nan, math.nan
+    q = l2_sq / dual_sq
     lo = d ** (2.0 / p - 1.0)
-    return lo if r < lo else 1.0 if r > 1.0 else r
+    return dual_sq, l2_sq, q, lo if q < lo else 1.0 if q > 1.0 else q
 
 
 def _coupling_factor(theta: float, A_t: float, L: float) -> float:
@@ -314,12 +317,12 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
 
         zeta = 18 L (1-theta)^2 A_t / theta * ||g||_2^2 / ||g||_{p*}^2.
 
-    The ratio takes _holder_clamp: a computed ratio outside Hoelder's
-    interval is replaced by the end it left, and one inside keeps the
-    product above, rounded as written.  Costs exactly two gradient
-    evaluations.  zeta is None when g vanishes identically (x_theta is
-    then an exact optimum), and NaN when ||g||_2 or ||g||_{p*}^2
-    underflows to 0 while g does not vanish.
+    The ratio is read through _norm_ratio: a computed ratio outside
+    Hoelder's interval is replaced by the end it left, and one inside
+    keeps the product above, rounded as written.  Costs exactly two
+    gradient evaluations.  zeta is None when g vanishes identically
+    (x_theta is then an exact optimum), and NaN where g gives no ratio: a
+    non-finite g, or a square that overflows or underflows.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
@@ -329,16 +332,11 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     x = steepest_step(y, obj.gradient(y), cfg.step_L, cfg.geom)
     gx = obj.gradient(x)
     dual, l2 = _grad_norms(gx, cfg.geom)
-    l2_sq, dual_sq = l2 * l2, dual * dual
     if dual == 0.0:
-        zeta = None
-    elif l2 == 0.0 or dual_sq == 0.0:  # an underflowed square: no ratio
-        zeta = math.nan
-    else:
-        c = _coupling_factor(theta, state.A, cfg.L)
-        r = l2_sq / dual_sq
-        end = _holder_clamp(r, x.size, cfg.geom.p)
-        zeta = c * l2_sq / dual_sq if end == r else c * end
+        return None, y, x, gx, dual, l2
+    dual_sq, l2_sq, q, r = _norm_ratio(dual, l2, x.size, cfg.geom.p)
+    c = _coupling_factor(theta, state.A, cfg.L)
+    zeta = c * l2_sq / dual_sq if r == q else c * r  # NaN fails r == q
     return zeta, y, x, gx, dual, l2
 
 
@@ -355,8 +353,8 @@ _THETA_MIN = 1e-12
 # 1 + ln(d) ulps and zeta takes two more roundings.  At d = 10^9 the
 # total is about 3.3e-7, below the margin, so a probe with
 # c > 2 (1 + margin) d^(1-2/p) measures zeta > 2 and one with
-# c < (1 - margin) / 2 measures zeta < 1/2, as long as the squared
-# gradient norms neither overflow nor underflow.
+# c < (1 - margin) / 2 measures zeta < 1/2.  A gradient with a square that
+# overflows or underflows has no ratio: its probe measures a NaN zeta.
 _SETTLE_MARGIN = 1e-6
 
 
@@ -371,8 +369,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     _fold takes as convergence).  Raises CouplingSearchError when the
     bracket collapses (width at most 4e-12, after at most 38 probes; zeta
     need not be globally monotone), and NonFiniteProbeError at the probe
-    that measured a NaN zeta (a non-finite gradient, or an underflowed
-    square).  The bracket is the
+    that measured a NaN zeta (a non-finite gradient, or a square that
+    overflows or underflows).  The bracket is the
     only cap the search needs: the paper's worst case, 9 + (5(p-2)/2p)
     log2 d + log2(L D_R / eps) probes with D_R = (R + 1458 R^2)(20 R +
     4374 R^2) and R = ||x_0 - x*||_2, is at least 55 on every cell of the
@@ -458,12 +456,12 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
 
     res is the step's search result.  The first step has no search: it
     passes its steepest step from x0 in the same form (theta and zeta None,
-    one oracle call), and rho_0 is read off the gradient-norm ratio r at
-    x_1 (FirstStepError where that is not finite and positive), through
-    _holder_clamp as zeta reads it; a later step's rho and a follow from
-    its theta.  The window check compares rho with the same clamped r, and
-    every square of a norm is the product x * x.  At a zero gradient the
-    run has converged: x moves to the point and nothing is folded in.  A
+    one oracle call), and rho_0 is the gradient-norm ratio r at x_1, read
+    through _norm_ratio as zeta reads it (NonFiniteProbeError where g has
+    no ratio); a later step's rho and a follow from its theta.  The window
+    check compares rho with the same clamped r, and every square of a norm
+    is the product x * x.  At a zero gradient the run has converged: x
+    moves to the point and nothing is folded in.  A
     folded row carries the violation magnitudes of the five per-step
     guarantees, keyed by INVARIANTS, and with a reference optimum attached
     the four REFERENCE_CHECKS; one above INVARIANT_TOL is a violation.
@@ -497,11 +495,10 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
                               search_calls=res.oracle_calls, A=A, B=B,
                               converged=True)
     # r = ||g||_2^2 / ||g||_{p*}^2, once: rho_0 and the window read it
-    r = (l2 * l2) / (dual * dual) if dual * dual else math.nan
-    if first and not 0.0 < r < math.inf:  # NaN fails too
-        raise FirstStepError(r, l2, dual)
-    r = _holder_clamp(r, x_new.size, cfg.geom.p)
+    dual_sq, _, _, r = _norm_ratio(dual, l2, x_new.size, cfg.geom.p)
     if first:
+        if math.isnan(r):
+            raise NonFiniteProbeError.at_first_step(l2, dual)
         rho, a = r, a_from_rho(0.0, L, r)
     else:
         th = res.theta  # = A_t / A_{t+1}, which fixes rho_t and a_{t+1}
@@ -525,7 +522,6 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     inner = -float(g_new.dot(dx))
     dx_p = lp_norm(dx, cfg.geom.p)
     model = L * (dx_p * dx_p)
-    dual_sq = dual * dual
     dual_q = dual_sq / (9.0 * L)
     psi_min = state.psi_min()
     v = tr.violations = {

@@ -162,6 +162,7 @@ def default_x0(obj):
     return np.zeros(obj.dim)
 
 
+@np.errstate(all="ignore")  # a divergent run overflows; its report says so
 def run_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
                stepsize: float, rows: bool = True):
     """One report for one method.
@@ -200,13 +201,11 @@ def tune_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
     """
     finals = {}
     for s in grid:
-        with np.errstate(all="ignore"):
-            try:
-                rep = run_method(method, obj, x0, geom, L, iters, s,
-                                 rows=False)
-                f = float(rep.final_f)
-            except CouplingSearchError:
-                f = math.inf
+        try:
+            f = float(run_method(method, obj, x0, geom, L, iters, s,
+                                 rows=False).final_f)
+        except CouplingSearchError:
+            f = math.inf
         finals[s] = f if math.isfinite(f) else math.inf
     all_divergent = all(not math.isfinite(v) for v in finals.values())
     best = min(grid, key=lambda s: (finals[s], s))
@@ -251,8 +250,7 @@ def _reference_value(obj, mu: float, x0, geom, L, iters, tuned, reports):
     for m in ("hasd", "agd"):
         if m in reports:
             try:
-                with np.errstate(all="ignore"):
-                    ext = run_method(m, obj, x0, geom, L, 4 * iters, tuned[m])
+                ext = run_method(m, obj, x0, geom, L, 4 * iters, tuned[m])
                 ext_best = min(tr.f for tr in ext.traces)
                 if math.isfinite(ext_best):
                     best = min(best, ext_best)
@@ -304,13 +302,11 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
                 best = 1.0 if m in ("hasd", "lc") else 1.0 / L
                 all_div = False
             tuned[m] = best
-            with np.errstate(all="ignore"):
-                try:
-                    reports[m] = run_method(m, obj, x0, geom, L, cfg.iters,
-                                            best)
-                except CouplingSearchError as exc:
-                    raise ValueError("method %r at mu=%g: coupling search "
-                                     "failed: %s" % (m, mu, exc)) from exc
+            try:
+                reports[m] = run_method(m, obj, x0, geom, L, cfg.iters, best)
+            except CouplingSearchError as exc:
+                raise ValueError("method %r at mu=%g: coupling search "
+                                 "failed: %s" % (m, mu, exc)) from exc
             if all_div:
                 block["methods"][m] = {"all_divergent": True}
         f_ref, ref_kind = _reference_value(obj, mu, x0, geom, L, cfg.iters,

@@ -9,7 +9,7 @@ import pytest
 
 from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, INVARIANTS,
                        REFERENCE_CHECKS, CouplingResult,
-                       CouplingSearchError, FirstStepError, HasdConfig,
+                       CouplingSearchError, HasdConfig,
                        HasdState, _run, NonFiniteProbeError, a_from_rho,
                        find_coupling, iterate, rate_bounds, run,
                        run_restarting, step, zeta_eval)
@@ -347,6 +347,38 @@ def test_zeta_is_nan_where_a_squared_norm_underflows(entry, p):
     cfg = HasdConfig(L=1.0, geom=LpGeometry(p))
     zeta, _, _, _, dual, l2 = zeta_eval(0.5, state, Linear(3), cfg)
     assert math.isnan(zeta) and l2 == 0.0 and dual > 0.0
+
+
+class ConstantGradient(SmoothObjective):
+    """f(x) = <g, x> in 100 coordinates, g the constant 1e153: ||g||_2^2 =
+    1e308 is finite, but ||g||_{p*}^2 overflows at p = 4 (1e309) and at
+    p = inf (1e310)."""
+
+    def __init__(self):
+        super().__init__(100)
+        self.g = np.full(100, 1e153)
+
+    def value(self, x):
+        return float(self.g.dot(self._check(x)))
+
+    def gradient(self, x):
+        self._check(x)
+        return self.g.copy()
+
+
+@pytest.mark.parametrize("p", [4.0, INF])
+def test_zeta_is_nan_where_a_squared_norm_overflows(p):
+    # the quotient of the squares is 0, which would read as Hoelder's lower
+    # end (zeta 0.9 at p = 4, 0.09 at p = inf), but a square that overflows
+    # leaves no ratio: zeta is NaN and the search raises at that probe
+    state = HasdState(np.zeros(100))
+    state.A = 1.0
+    cfg = HasdConfig(L=1.0, geom=LpGeometry(p))
+    zeta, _, _, _, dual, l2 = zeta_eval(0.5, state, ConstantGradient(), cfg)
+    assert math.isnan(zeta) and l2 * l2 < INF and dual * dual == INF
+    with pytest.raises(NonFiniteProbeError) as exc:
+        find_coupling(state, ConstantGradient(), cfg)
+    assert exc.value.calls == 2 and exc.value.theta == pytest.approx(0.5)
 
 
 def jump(theta, state, obj, cfg):
@@ -693,15 +725,26 @@ def test_a_first_step_whose_rho_overflows_is_a_typed_search_error():
     # a_from_rho's ValueError, and run attaches row 0 as its traces
     obj, cfg = quad_cfg([0.5, 1.0, 2.0, 4.0, 1.5], p=INF, max_iters=50)
     x0 = np.array([2.0, -1.0, 0.5, 1.0, -2.0])
-    with np.errstate(over="ignore"), pytest.raises(FirstStepError) as exc:
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteProbeError) as exc:
         run(obj, x0, replace(cfg, step_scale=1e200))
     assert isinstance(exc.value, CouplingSearchError)
     assert str(exc.value).startswith("first step: rho_0 = nan at x_1")
-    assert math.isnan(exc.value.rho) and exc.value.calls == 1
+    assert exc.value.theta is None and exc.value.calls == 1
     assert [tr.iter for tr in exc.value.traces] == [0]
-    with pytest.raises(FirstStepError):  # a rows-off run as well
+    with pytest.raises(NonFiniteProbeError):  # a rows-off run as well
         with np.errstate(over="ignore"):
             _run(obj, x0, replace(cfg, step_scale=1e200), rows=False)
+    # the probes' overflow case: ||grad f(x_1)||_{p*}^2 overflows while
+    # ||.||_2^2 does not, so rho_0 has no ratio either
+    for p in (4.0, INF):
+        cfg = HasdConfig(L=1.0, geom=LpGeometry(p))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteProbeError) as exc:
+            run(ConstantGradient(), np.zeros(100), cfg)
+        assert str(exc.value).startswith("first step: rho_0 = nan")
+        assert exc.value.theta is exc.value.bracket is None
+        assert exc.value.last_zeta is None and exc.value.calls == 1
+        assert [tr.iter for tr in exc.value.traces] == [0]
 
 
 def test_an_overflowing_square_in_a_row_is_inf_not_an_error():
