@@ -55,9 +55,8 @@ def _drive(method: str, obj, cfg: BaselineConfig, points,
                 g = obj.gradient(x)
                 calls += 1
             traces.append(_row_head(obj, t, x, g, cfg.geom))
-    return RunReport(method=method, final_x=x, final_f=traces[-1].f,
-                     gap=traces[-1].gap, iters=cfg.iters, grad_calls=calls,
-                     traces=traces)
+    return RunReport(method=method, final_x=x, iters=cfg.iters,
+                     grad_calls=calls, traces=traces)
 
 
 def _descent(obj, x0, update):

@@ -38,7 +38,7 @@ final one, and an f value only where the stop needs it.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,7 +146,8 @@ class HasdState:
     whenever grad_accum changes, so coupling probes read it without
     recomputing it.  A point folded in without its f value leaves c_t, and
     so psi, undefined: psi and psi_min then raise ValueError.  grad_calls
-    counts the gradient evaluations the run has spent; R = ||x0 - x*||_2.
+    counts the gradient evaluations the run has spent; R = ||x0 - x*||_2
+    with a reference optimum attached (iterate sets it), else None.
     """
 
     def __init__(self, x0):
@@ -246,14 +247,13 @@ class IterationTrace:
 
 @dataclass
 class RunReport:
-    """Summary of one optimizer run."""
+    """Summary of one optimizer run; final_f and gap are its last row's."""
 
     method: str
     final_x: np.ndarray
-    final_f: float
-    gap: float | None
     iters: int
     grad_calls: int
+    traces: list
     G_mean: float | None = None
     R: float | None = None
     certificate: float | None = None
@@ -261,7 +261,14 @@ class RunReport:
     converged_early: bool = False
     restart_gaps: list | None = None
     restart_G: list | None = None
-    traces: list = field(default_factory=list)
+
+    @property
+    def final_f(self) -> float:
+        return self.traces[-1].f
+
+    @property
+    def gap(self) -> float | None:
+        return self.traces[-1].gap
 
 
 def a_from_rho(A_t: float, L: float, rho: float) -> float:
@@ -438,12 +445,6 @@ REFERENCE_CHECKS = ("psi_at_opt", "v_distance", "gap_model_bound",
 INVARIANT_TOL = 1e-8
 
 
-def _reference_R(state: HasdState, x_star) -> float:
-    if state.R is None:  # once per run
-        state.R = _l2(state.x0 - x_star)
-    return state.R
-
-
 def _ends_run(cfg: HasdConfig, t: int, converged: bool) -> bool:
     """The stop rule: a converged step, or t steps folded in with
     t >= cfg.max_iters."""
@@ -535,7 +536,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     }
     if ref is not None:
         x_star, f_star = ref
-        R = _reference_R(state, x_star)
+        R = state.R
         psi_bound = 0.5 * R * R + state.A * f_star
         u = state.v - x_star
         model_bound = R * R / (2.0 * state.A)
@@ -571,7 +572,7 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     attached an iterate folded in with gap at most cfg.eps) or state.t
     reaches cfg.max_iters.  Only row 0 is yielded when cfg.max_iters is 0
     or the gradient at x0 is exactly zero.  The same state object is
-    yielded each time, updated in place.
+    yielded each time, updated in place, its R set before row 0.
 
     With rows off only the final row is built and yielded, from the
     gradient and norms in hand at the last point, and without violations;
@@ -580,6 +581,8 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     when a reference is attached, for the stop.
     """
     state = HasdState(x0)
+    if obj.reference_optimum is not None:
+        state.R = _l2(state.x0 - obj.reference_optimum[0])
     g0 = obj.gradient(state.x)
     state.grad_calls = 1
     stop = cfg.max_iters == 0 or not np.count_nonzero(g0)
@@ -605,7 +608,6 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
     """run, or with rows off the same report from iterate's final row only:
     traces holds that row and invariants is None.  A CouplingSearchError
     is re-raised with the rows built before it as its traces."""
-    ref = obj.reference_optimum
     traces = []
     fails = dict.fromkeys(INVARIANTS, 0)
     try:
@@ -622,14 +624,13 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
     # with no step taken, the run converged iff x0 is stationary
     converged = last.converged if last.iter > 0 else cfg.max_iters > 0
     G_mean = state.G_sum / state.t if state.t > 0 else None
-    R = None if ref is None else _reference_R(state, ref[0])
-    cert = (rate_bounds(cfg.L, R, G_mean, state.t)[0]
-            if ref is not None and G_mean else None)
-    return RunReport(method="hasd", final_x=state.x, final_f=last.f,
-                     gap=_gap(last.f, ref), iters=state.t,
-                     grad_calls=state.grad_calls, G_mean=G_mean, R=R,
-                     certificate=cert, invariants=fails if rows else None,
-                     converged_early=converged, traces=traces)
+    cert = (rate_bounds(cfg.L, state.R, G_mean, state.t)[0]
+            if state.R is not None and G_mean else None)
+    return RunReport(method="hasd", final_x=state.x, iters=state.t,
+                     grad_calls=state.grad_calls, traces=traces, G_mean=G_mean,
+                     R=state.R, certificate=cert,
+                     invariants=fails if rows else None,
+                     converged_early=converged)
 
 
 def run(obj, x0, cfg: HasdConfig) -> RunReport:
@@ -645,9 +646,11 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
     with the lower model re-centered at the round's start, which at least
     halves the optimality gap; K = ceil(log2(gap_0 / eps)) rounds reach
     gap <= eps.  K is derived from the reference optimum when available,
-    otherwise it must be supplied.  With K = 0 (x0 already within eps, or
-    as supplied) no round runs: the report holds row 0 at x0, as run
-    builds it, and a copy of x0.
+    otherwise it must be supplied.  The report is the last round's with
+    the fields that span rounds replaced (R is the first round's, the
+    invariants are summed, certificate is None), so final_f and gap are
+    its last row's.  With K = 0 (x0 already within eps, or as supplied) no
+    round runs: the report is run's at max_iters 0, with invariants None.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -657,8 +660,7 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
         raise ValueError("eps must be positive")
     x0 = np.asarray(x0, dtype=float)
     ref = obj.reference_optimum
-    f_start = obj.value(x0)
-    gap0 = _gap(f_start, ref)
+    gap0 = _gap(obj.value(x0), ref)
     if K is None:
         if ref is None:
             raise ValueError("run_restarting needs a reference optimum or K")
@@ -672,30 +674,24 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
         x = rounds[-1].final_x
         if rounds[-1].gap is not None and rounds[-1].gap <= eps:
             break
-    if rounds:
-        traces = rounds[0].traces[:1]  # row 0 of round 0
-        grad_calls = sum(r.grad_calls for r in rounds)
-    else:  # no round ran: row 0 at x0 as run builds it, and a copy of x0
-        traces = [_row_head(obj, 0, x0, obj.gradient(x0), cfg.geom)]
-        x, grad_calls = x0.copy(), 1
+    gaps = None if gap0 is None else [gap0] + [r.gap for r in rounds]
+    if not rounds:
+        return replace(_run(obj, x0, replace(cfg, max_iters=0), rows=True),
+                       method="hasd+restart", invariants=None,
+                       restart_gaps=gaps, restart_G=[])
+    traces = rounds[0].traces[:1]  # row 0 of round 0
     for rep in rounds:
         offset = traces[-1].iter
         for tr in rep.traces[1:]:
             tr.iter += offset
             traces.append(tr)
-    last = rounds[-1] if rounds else None
-    return RunReport(method="hasd+restart", final_x=x,
-                     final_f=last.final_f if last else f_start,
-                     gap=last.gap if last else gap0,
-                     iters=traces[-1].iter, grad_calls=grad_calls,
-                     G_mean=last.G_mean if last else None,
-                     R=None if ref is None else _l2(x0 - ref[0]),
-                     invariants={key: sum(r.invariants[key] for r in rounds)
-                                 for key in INVARIANTS} if last else None,
-                     converged_early=bool(last and last.converged_early),
-                     restart_gaps=(None if gap0 is None
-                                   else [gap0] + [r.gap for r in rounds]),
-                     restart_G=[r.G_mean for r in rounds], traces=traces)
+    return replace(rounds[-1], method="hasd+restart", iters=traces[-1].iter,
+                   grad_calls=sum(r.grad_calls for r in rounds),
+                   R=rounds[0].R, certificate=None,
+                   invariants={key: sum(r.invariants[key] for r in rounds)
+                               for key in INVARIANTS},
+                   restart_gaps=gaps, restart_G=[r.G_mean for r in rounds],
+                   traces=traces)
 
 
 def rate_bounds(L: float, R: float, G: float, T: int):
