@@ -285,8 +285,13 @@ def a_from_rho(A_t: float, L: float, rho: float) -> float:
 
 
 def _l2(u) -> float:
-    """||u||_2 by np.linalg.norm's own formula, minus its dispatch."""
-    return math.sqrt(u.dot(u))
+    """||u||_2 by np.linalg.norm's own formula, minus its dispatch; where
+    that square overflows from finite entries, lp_norm's scaled one.  An
+    infinite entry gives inf, a NaN gives NaN, and an underflow 0."""
+    sq = u.dot(u)
+    if sq == math.inf and np.isfinite(u).all():
+        return lp_norm(u, 2.0)
+    return math.sqrt(sq)
 
 
 def _grad_norms(g, geom: LpGeometry | None):
@@ -369,8 +374,8 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     """Bisection for a (theta, x_next) pair inside the acceptance window.
 
     Maintains a bracket on theta in (0, 1); zeta blows up as theta -> 0
-    and vanishes as theta -> 1, so a probe above the 5/4 target moves the
-    lower end up and one below moves the upper end down.  Returns the
+    and vanishes as theta -> 1, so a probe above the window moves the
+    lower end up and one below it moves the upper end down.  Returns the
     first probe whose zeta lands in [1/2, 2], which is all the downstream
     guarantees use, or whose gradient is exactly zero (zeta None, which
     _fold takes as convergence).  Raises CouplingSearchError when the
@@ -419,7 +424,7 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
         if math.isnan(zeta):
             raise NonFiniteProbeError(th, (lo, hi), calls)
         last_zeta = zeta
-        if zeta > 1.25:
+        if zeta > 2.0:
             lo = th
         else:
             hi = th

@@ -10,7 +10,7 @@ import pytest
 from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, INVARIANTS,
                        REFERENCE_CHECKS, CouplingResult,
                        CouplingSearchError, HasdConfig,
-                       HasdState, _run, NonFiniteProbeError, a_from_rho,
+                       HasdState, _l2, _run, NonFiniteProbeError, a_from_rho,
                        find_coupling, iterate, rate_bounds, run,
                        run_restarting, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
@@ -154,6 +154,31 @@ def test_rows_and_zeta_use_numpys_l2_norm_bit_for_bit():
         assert (dual_got, l2_got) == (dual, l2)
         assert zeta == ((18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th)
                         * (l2 * l2) / (dual * dual))
+
+
+def test_l2_scales_where_the_square_overflows():
+    # sqrt(u @ u) is inf once ||u||_2 passes about 1.34e154; finite entries
+    # then take lp_norm's scaled formula, so at p = 2 one gradient's l2 and
+    # dual norms read one value.  An infinite entry stays inf (lp_norm
+    # gives NaN there), a NaN stays NaN, and an underflow stays 0
+    big = np.full(3, 1e160)
+    with np.errstate(over="ignore"):
+        assert _l2(big) == lp_norm(big, 2.0) < INF
+        assert _l2(np.array([INF, 1.0])) == INF
+        assert math.isnan(_l2(np.array([math.nan, 1e200])))
+    assert _l2(np.full(3, 1e-170)) == 0.0
+
+
+def test_row_0_carries_R_with_a_reference_attached():
+    # iterate takes R = ||x0 - x*||_2 once, before it yields row 0; with
+    # no reference R stays None
+    obj, cfg = quad_cfg([1.0, 2.0, 4.0])
+    x0 = np.array([2.0, -1.0, 0.5])
+    state, row0 = next(iterate(obj, x0, cfg))
+    assert row0.iter == 0
+    assert state.R == float(np.linalg.norm(x0 - obj.reference_optimum[0]))
+    obj.reference_optimum = None
+    assert next(iterate(obj, x0, cfg))[0].R is None
 
 
 def test_state_rejects_matrix_start():

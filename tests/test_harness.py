@@ -588,6 +588,18 @@ def test_check_invariants_at_an_overflowing_l_scale_fails_its_cells():
                for line in report.failed_searches)
 
 
+def test_check_invariants_reports_an_l2_norm_whose_square_overflows(capsys):
+    # at 1e-160 of the certified L the p = 2 quadratic cell's first
+    # gradient has a finite l2 norm whose square overflows: its failed
+    # first step reports that norm, the dual norm at p = 2, not inf
+    assert main(["check-invariants", "--seeds", "0", "--l-scale",
+                 "1e-160"]) == 1
+    line, = [s for s in capsys.readouterr().out.splitlines()
+             if "p=2, Quadratic" in s]
+    assert ("||grad f(x_1)||_2 = 3.402406574642281e+160, ||.||_{p*} = "
+            "3.402406574642281e+160" in line)
+
+
 def test_check_invariants_fails_a_bound_that_underflows_to_zero(capsys):
     # at 1e-300 of the certified L the min_grad_cubic bound, 8748 L^2 R^2 /
     # (G^2 T^3), underflows to 0 on the cells that complete: a failed
