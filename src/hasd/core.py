@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import LpGeometry, lp_norm, steepest_step
+from .geometry import _TINY, LpGeometry, lp_norm, steepest_step
 
 
 class CouplingSearchError(RuntimeError):
@@ -284,30 +284,20 @@ def a_from_rho(A_t: float, L: float, rho: float) -> float:
     return (1.0 + math.sqrt(1.0 + 72.0 * L * rho * A_t)) / (36.0 * L * rho)
 
 
-def _l2(u) -> float:
-    """||u||_2 by np.linalg.norm's own formula, minus its dispatch; where
-    that square overflows from finite entries, lp_norm's scaled one.  An
-    infinite entry gives inf, a NaN gives NaN, and an underflow 0."""
-    sq = u.dot(u)
-    if sq == math.inf and np.isfinite(u).all():
-        return lp_norm(u, 2.0)
-    return math.sqrt(sq)
-
-
 def _grad_norms(g, geom: LpGeometry | None):
     """(||g||_{p*}, ||g||_2); the dual norm is None without a geometry."""
-    return (None if geom is None else lp_norm(g, geom.p_dual)), _l2(g)
+    return (None if geom is None else lp_norm(g, geom.p_dual)), lp_norm(g, 2.0)
 
 
 def _norm_ratio(dual: float, l2: float, d: int, p: float):
     """(dual_sq, l2_sq, q, r) of a gradient g in d coordinates, from
     dual = ||g||_{p*} and l2 = ||g||_2: the two squares as products,
     q = l2_sq / dual_sq as computed, and r, q clamped to Hoelder's
-    interval [d^-(1-2/p), 1].  At p = 2 the interval is the point 1, so a
-    step never hinges on the last ulp of q.  q and r are NaN (no ratio)
-    where a square underflows to 0 or overflows to inf, NaN included."""
+    interval [d^-(1-2/p), 1].  At p = 2 both norms are lp_norm(g, 2), so
+    q is exactly 1.  q and r are NaN (no ratio) where a square is below
+    the smallest normal float (0 too) or is inf or NaN."""
     dual_sq, l2_sq = dual * dual, l2 * l2
-    if not (0.0 < l2_sq < math.inf and 0.0 < dual_sq < math.inf):
+    if not (_TINY <= l2_sq < math.inf and _TINY <= dual_sq < math.inf):
         return dual_sq, l2_sq, math.nan, math.nan
     q = l2_sq / dual_sq
     lo = d ** (2.0 / p - 1.0)
@@ -358,12 +348,13 @@ _THETA_MIN = 1e-12
 # c(theta) alone.  By Hoelder, r = ||g||_2^2 / ||g||_{p*}^2 lies in
 # [d^-(1-2/p), 1], but the computed r can leave that interval by an ulp
 # where r sits at an end (1/d for a uniform g at p = inf, 1 for a
-# one-hot g).  The computed r (sqrt(g.dot(g)) squared over lp_norm squared)
-# carries the rounding of two sums of d nonnegative terms, at most d ulps
-# each, plus a few ulps from the powers, the square root and the
-# squares: under 3d + 20 ulps in all.  d ** (1-2/p) is off by under
-# 1 + ln(d) ulps and zeta takes two more roundings.  At d = 10^9 the
-# total is about 3.3e-7, below the margin, so a probe with
+# one-hot g).  The computed r (lp_norm(g, 2) squared over lp_norm(g, p*)
+# squared, the first sqrt(g.dot(g)) wherever that square is normal; r is
+# exactly 1 at p = 2) carries the rounding of two sums of d nonnegative
+# terms, at most d ulps each, plus a few ulps from the powers, the square
+# root and the squares: under 3d + 20 ulps in all.  d ** (1-2/p) is off
+# by under 1 + ln(d) ulps and zeta takes two more roundings.  At d = 10^9
+# the total is about 3.3e-7, below the margin, so a probe with
 # c > 2 (1 + margin) d^(1-2/p) measures zeta > 2 and one with
 # c < (1 - margin) / 2 measures zeta < 1/2.  A gradient with a square that
 # overflows or underflows has no ratio: its probe measures a NaN zeta.
@@ -548,7 +539,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         conv = 2.0 * L * max(gap, 0.0)
         v["psi_at_opt"] = ((state.psi(x_star) - psi_bound)
                            / max(abs(psi_bound), 1.0))
-        v["v_distance"] = (_l2(u) - R) / max(R, 1e-30)
+        v["v_distance"] = (lp_norm(u, 2.0) - R) / max(R, 1e-30)
         v["gap_model_bound"] = (gap - model_bound) / max(model_bound, 1e-30)
         v["grad_conversion"] = (dual_sq - conv) / max(dual_sq, conv, 1e-20)
     return tr
@@ -587,7 +578,7 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     """
     state = HasdState(x0)
     if obj.reference_optimum is not None:
-        state.R = _l2(state.x0 - obj.reference_optimum[0])
+        state.R = lp_norm(state.x0 - obj.reference_optimum[0], 2.0)
     g0 = obj.gradient(state.x)
     state.grad_calls = 1
     stop = cfg.max_iters == 0 or not np.count_nonzero(g0)

@@ -16,16 +16,25 @@ import math
 
 import numpy as np
 
+_TINY = float(np.finfo(float).tiny)
+
 
 def lp_norm(x, p: float) -> float:
     """l_p norm for p in [1, inf] of x, its entries taken as one vector.
 
-    Rescales by the max absolute entry before powering so that large or
-    tiny inputs do not overflow/underflow.  The empty vector has norm 0.
+    At p = 2 it is sqrt(x . x), np.linalg.norm's formula, where that square
+    is a normal float or an entry is inf or NaN.  Otherwise it rescales by
+    the max absolute entry before powering so that large or tiny inputs do
+    not overflow/underflow.  The empty vector has norm 0.
     """
     if not (p >= 1.0):
         raise ValueError("lp_norm requires p >= 1, got %r" % (p,))
     x = np.asarray(x, dtype=float)
+    if p == 2.0:
+        v = x if x.ndim == 1 else x.ravel()
+        sq = float(v.dot(v))
+        if _TINY <= sq < math.inf or not np.isfinite(v).all():
+            return math.sqrt(sq)
     # ufunc reduces over all axes are what a.max()/a.sum()/np.sum run,
     # without their wrappers: the same bits at a fraction of the call cost
     if p == 1.0:  # an empty sum is 0.0

@@ -443,7 +443,7 @@ def solve_reference(obj: SmoothObjective):
     # |f| is large.  The shift keeps the system definite where H is nearly
     # singular, and the gradient of an accepted trial serves the next step
     g = jac(x)
-    gn = start_gn = float(np.linalg.norm(g))
+    gn = start_gn = lp_norm(g, 2.0)
     seen = {x.tobytes()}  # every point differentiated so far
     eye = np.eye(obj.dim)
     M = 1.0
@@ -466,7 +466,7 @@ def solve_reference(obj: SmoothObjective):
             if new_key not in seen:
                 seen.add(new_key)
                 g_new = jac(x_new)
-                gn_new = float(np.linalg.norm(g_new))
+                gn_new = lp_norm(g_new, 2.0)
                 if gn_new < gn:
                     x, g, gn, improved = x_new, g_new, gn_new, True
                     M /= 4.0
@@ -482,8 +482,7 @@ def solve_reference(obj: SmoothObjective):
     eps_mach = float(np.finfo(float).eps)
     h_norm = float(np.linalg.norm(obj.hessian(x), 2))
     f_x = float(obj.value(x))
-    floor = 32.0 * eps_mach * (1.0 + abs(f_x)
-                               + h_norm * float(np.linalg.norm(x)))
+    floor = 32.0 * eps_mach * (1.0 + abs(f_x) + h_norm * lp_norm(x, 2.0))
     cap = 1e-6 * max(1.0, start_gn)
     if gn > max(tol, min(floor, cap)):
         raise RuntimeError("reference solve stalled at ||grad||_2 = %.3e" % gn)

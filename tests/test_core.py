@@ -10,7 +10,7 @@ import pytest
 from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, INVARIANTS,
                        REFERENCE_CHECKS, CouplingResult,
                        CouplingSearchError, HasdConfig,
-                       HasdState, _l2, _run, NonFiniteProbeError, a_from_rho,
+                       HasdState, _run, NonFiniteProbeError, a_from_rho,
                        find_coupling, iterate, rate_bounds, run,
                        run_restarting, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
@@ -156,17 +156,29 @@ def test_rows_and_zeta_use_numpys_l2_norm_bit_for_bit():
                         * (l2 * l2) / (dual * dual))
 
 
+def test_a_p2_row_reads_one_value_for_one_norm():
+    # at p = 2 the dual norm is the l2 norm, and both columns are
+    # lp_norm(g, 2): every row carries one value in both
+    obj = make_logsumexp_instance(200, 50, 0.0, 0)
+    geom = LpGeometry(2.0)
+    rep = run(obj, np.zeros(50), HasdConfig(L=smoothness_bound(obj, geom),
+                                            geom=geom, max_iters=30))
+    assert len(rep.traces) == 31
+    assert [tr.iter for tr in rep.traces
+            if not tr.grad_dual == tr.grad_l2] == []
+
+
 def test_l2_scales_where_the_square_overflows():
-    # sqrt(u @ u) is inf once ||u||_2 passes about 1.34e154; finite entries
-    # then take lp_norm's scaled formula, so at p = 2 one gradient's l2 and
-    # dual norms read one value.  An infinite entry stays inf (lp_norm
-    # gives NaN there), a NaN stays NaN, and an underflow stays 0
+    # u @ u overflows once ||u||_2 passes about 1.34e154 and is subnormal
+    # or 0 below about 1.49e-154; lp_norm(u, 2) then takes its scaled
+    # formula, so finite entries give a finite, nonzero norm.  An infinite
+    # entry gives inf and a NaN gives NaN, through the dot formula
     big = np.full(3, 1e160)
     with np.errstate(over="ignore"):
-        assert _l2(big) == lp_norm(big, 2.0) < INF
-        assert _l2(np.array([INF, 1.0])) == INF
-        assert math.isnan(_l2(np.array([math.nan, 1e200])))
-    assert _l2(np.full(3, 1e-170)) == 0.0
+        assert lp_norm(big, 2.0) == 1e160 * math.sqrt(3.0) < INF
+        assert lp_norm(np.array([INF, 1.0]), 2.0) == INF
+        assert math.isnan(lp_norm(np.array([math.nan, 1e200]), 2.0))
+    assert lp_norm(np.full(3, 1e-170), 2.0) == 1.7320508075688772e-170
 
 
 def test_row_0_carries_R_with_a_reference_attached():
@@ -359,10 +371,11 @@ def test_find_coupling_raises_at_first_non_finite_probe(bad):
 @pytest.mark.parametrize("p", [2.0, INF])
 @pytest.mark.parametrize("entry", [1.4e-162, 1e-170])
 def test_zeta_is_nan_where_a_squared_norm_underflows(entry, p):
-    # g = (e, e, e) does not vanish, but g @ g underflows to 0, so
-    # ||g||_2 = 0: at e = 1.4e-162 ||g||_{p*}^2 stays positive (a ratio of
-    # 0 that would read as Hoelder's lower end), at 1e-170 it underflows too
-    # (a division by 0); either way the probe has no ratio and zeta is NaN
+    # g = (e, e, e) does not vanish, but its squared norms fall below the
+    # smallest normal float: at e = 1.4e-162 they are subnormal (a ratio
+    # read from a few bits), at 1e-170 they underflow to 0 (a division by
+    # 0); either way the probe has no ratio and zeta is NaN, and ||g||_2 is
+    # still the accurate scaled norm
     class Linear(SmoothObjective):
         def gradient(self, x):
             return np.full(3, entry)
@@ -371,7 +384,8 @@ def test_zeta_is_nan_where_a_squared_norm_underflows(entry, p):
     state.A = 1.0
     cfg = HasdConfig(L=1.0, geom=LpGeometry(p))
     zeta, _, _, _, dual, l2 = zeta_eval(0.5, state, Linear(3), cfg)
-    assert math.isnan(zeta) and l2 == 0.0 and dual > 0.0
+    assert math.isnan(zeta) and l2 == lp_norm(np.full(3, entry), 2.0) > 0.0
+    assert dual > 0.0
 
 
 class ConstantGradient(SmoothObjective):

@@ -62,6 +62,10 @@ def _wrapped_lp_norm(x, p):
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return 0.0
+    if p == 2.0:  # np.linalg.norm's formula wherever its square is normal
+        sq = np.vdot(x, x)
+        if np.finfo(float).tiny <= sq < math.inf or not np.all(np.isfinite(x)):
+            return float(np.linalg.norm(x))
     a = np.abs(x)
     m = float(a.max())
     if m == 0.0 or math.isinf(p):

@@ -154,9 +154,10 @@ def test_tune_ranks_non_finite_probe_as_divergent():
 
 def test_a_probe_whose_squared_norms_underflow_is_a_non_finite_probe():
     # from 1e-150 the run closes in on the quadratic's minimizer at 0 until
-    # a probe's gradient, nonzero, has squared norms that underflow to 0:
-    # zeta is NaN and the search stops there with its rows attached,
-    # instead of dividing by the zero square, and a sweep ranks it +inf
+    # a probe's gradient, nonzero, has squared norms below the smallest
+    # normal float (||g||_2 = 1.45e-154 here): zeta is NaN and the search
+    # stops there with its rows attached, instead of reading a ratio from
+    # subnormal squares or dividing by a zero one, and a sweep ranks it +inf
     obj = Quadratic([1.0, 2.0, 3.0])
     obj.reference_optimum = None
     x0 = np.array([1e-150, -2e-150, 3e-150])
@@ -164,7 +165,7 @@ def test_a_probe_whose_squared_norms_underflow_is_a_non_finite_probe():
     with pytest.raises(NonFiniteProbeError) as exc:
         run(obj, x0, HasdConfig(L=3.0, geom=geom, max_iters=400))
     assert "underflow" in str(exc.value)
-    assert len(exc.value.traces) == 364  # row 0 and 363 steps
+    assert len(exc.value.traces) == 122  # row 0 and 121 steps
     _, all_div, finals = tune_method("hasd", obj, x0, geom, 3.0, 400, (1.0,))
     assert all_div and finals == {1.0: math.inf}
 
