@@ -2,11 +2,14 @@
 
 These deliberately avoid the closed forms under test: the step oracle is
 a general-purpose constrained/quasi-Newton minimizer applied to the raw
-subproblem, the reference-optimum oracle is scipy's L-BFGS-B, and
-derivatives are checked by central finite differences.
+subproblem, the reference-optimum oracle is scipy's L-BFGS-B, derivatives
+are checked by central finite differences, and HASD on a quadratic is
+rerun in exact rational arithmetic.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy import optimize
@@ -143,3 +146,123 @@ def fd_hessian(f, x, h=1e-4):
                        - f(x - ei + ej) + f(x - ei - ej)) / (4 * h * h)
             H[j, i] = H[i, j]
     return H
+
+
+def exact_hasd_quadratic(h, center, x0, p, iters):
+    """core.iterate on Quadratic(h, center) with no reference attached, at
+    p in {2, inf} and L = obj.smoothness_for(LpGeometry(p)), in exact
+    rational arithmetic.
+
+    h, center and x0 are floats, read exactly.  Every quantity is then a
+    rational except the bisection midpoints, which stay the float run's
+    0.5 * (lo + hi), and the gain G_t = sum ||g_i||_{p*} / ||g_i||_2,
+    which takes square roots (the growth check reads it in decimal at 50
+    digits).  A probe is settled without measuring it where c(theta)
+    alone decides zeta = c(theta) r, r in [d^-(1-2/p), 1], and measured
+    otherwise; it is accepted at 1/2 <= zeta <= 2.  Returns one dict per
+    row, x_0 first: theta (the accepted float midpoint, None on rows 0
+    and 1), f, A and x, and on every row after row 0 the violations as
+    signed shortfalls, each <= 0 where its guarantee holds: window,
+    recurrence (its absolute defect), progress, potential and growth
+    (a Decimal).  Raises ValueError at a zero gradient or a collapsed
+    bracket.
+    """
+    h = [Fraction(v) for v in h]
+    c = [Fraction(v) for v in center]
+    x0 = [Fraction(v) for v in x0]
+    d = len(h)
+    L = max(h) if p == 2 else sum(h)
+    hoelder = 1 if p == 2 else d  # 1 / (the least r), d^(1-2/p)
+
+    def grad(x):
+        return [hi * (xi - ci) for hi, xi, ci in zip(h, x, c)]
+
+    def value(x):
+        return sum(hi * (xi - ci) ** 2 for hi, xi, ci in zip(h, x, c)) / 2
+
+    def dot(u, w):
+        return sum(a * b for a, b in zip(u, w))
+
+    def dual_sq(g):  # ||g||_{p*}^2
+        return dot(g, g) if p == 2 else sum(abs(gi) for gi in g) ** 2
+
+    def steepest(y, g):
+        if p == 2:
+            return [yi - gi / (2 * L) for yi, gi in zip(y, g)]
+        s = sum(abs(gi) for gi in g) / (2 * L)
+        return [yi - s * ((gi > 0) - (gi < 0)) for yi, gi in zip(y, g)]
+
+    def ratio(g):  # r = ||g||_2^2 / ||g||_{p*}^2
+        if not any(g):
+            raise ValueError("zero gradient")
+        return dot(g, g) / dual_sq(g)
+
+    half = Fraction(1, 2)
+    A = B = psi_c = Fraction(0)
+    u = [Fraction(0)] * d
+    gains = []  # (||g||_{p*}^2, ||g||_2^2) of each folded point
+    x = x0
+    rows = [{"theta": None, "f": value(x0), "A": A, "x": x0}]
+    for t in range(iters):
+        if t == 0:
+            theta, y = None, x0
+            x_new = steepest(y, grad(y))
+            g = grad(x_new)
+            rho = ratio(g)
+            a = 1 / (18 * L * rho)
+        else:
+            v = [x0i - ui for x0i, ui in zip(x0, u)]
+            lo, hi = 1e-12, 1.0 - 1e-12
+            while True:
+                if not hi - lo > 4e-12:
+                    raise ValueError("bracket collapsed at step %d" % (t + 1))
+                theta = 0.5 * (lo + hi)
+                th = Fraction(theta)
+                c_th = 18 * L * (1 - th) ** 2 * A / th
+                if c_th > 2 * hoelder:  # zeta > 2
+                    lo = theta
+                    continue
+                if c_th < half:  # zeta < 1/2
+                    hi = theta
+                    continue
+                y = [th * xi + (1 - th) * vi for xi, vi in zip(x, v)]
+                x_new = steepest(y, grad(y))
+                g = grad(x_new)
+                zeta = c_th * ratio(g)
+                if half <= zeta <= 2:
+                    break
+                if zeta > 2:
+                    lo = theta
+                else:
+                    hi = theta
+            rho = 1 / c_th
+            a = A * (1 - th) / th
+        l2_sq, d_sq = dot(g, g), dual_sq(g)
+        r = l2_sq / d_sq
+        A += a
+        B += A / (18 * L) * d_sq
+        u = [ui + a * gi for ui, gi in zip(u, g)]
+        f = value(x_new)
+        psi_c += a * (f - dot(g, x_new))
+        gains.append((d_sq, l2_sq))
+        dx = [xi - yi for xi, yi in zip(x_new, y)]
+        model = L * (dot(dx, dx) if p == 2 else max(abs(e) for e in dx) ** 2)
+        inner = -dot(g, dx)
+        psi_min = dot(u, x0) - dot(u, u) / 2 + psi_c
+        with localcontext() as ctx:
+            ctx.prec = 50
+
+            def dec(q):
+                return Decimal(q.numerator) / Decimal(q.denominator)
+
+            G_sum = sum((dec(ds) / dec(ls)).sqrt() for ds, ls in gains)
+            growth = G_sum / (18 * dec(L).sqrt()) - dec(A).sqrt()
+        x = x_new
+        rows.append({
+            "theta": theta, "f": f, "A": A, "x": x,
+            "window": max(half - rho / r, rho / r - 2),
+            "recurrence": abs(18 * L * rho * a * a - A),
+            "progress": max(model - inner, d_sq / (9 * L) - model),
+            "potential": A * f + B - psi_min,
+            "growth": growth})
+    return rows
