@@ -192,6 +192,9 @@ def exact_hasd_quadratic(h, center, x0, p, iters):
         s = sum(abs(gi) for gi in g) / (2 * L)
         return [yi - s * ((gi > 0) - (gi < 0)) for yi, gi in zip(y, g)]
 
+    def dec(q):  # rounded to the context's precision
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
     def ratio(g):  # r = ||g||_2^2 / ||g||_{p*}^2
         if not any(g):
             raise ValueError("zero gradient")
@@ -251,10 +254,6 @@ def exact_hasd_quadratic(h, center, x0, p, iters):
         psi_min = dot(u, x0) - dot(u, u) / 2 + psi_c
         with localcontext() as ctx:
             ctx.prec = 50
-
-            def dec(q):
-                return Decimal(q.numerator) / Decimal(q.denominator)
-
             G_sum = sum((dec(ds) / dec(ls)).sqrt() for ds, ls in gains)
             growth = G_sum / (18 * dec(L).sqrt()) - dec(A).sqrt()
         x = x_new
