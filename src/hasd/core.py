@@ -5,11 +5,12 @@ and the next iterate x_{t+1} are chosen *simultaneously*: the scalar rho_t
 tying them together must land within a factor 2 of the squared l2/l_{p*}
 gradient-norm ratio measured at the resulting point.  The pair is found by
 a bisection over the interpolation parameter theta = A_t / A_{t+1}, at
-most 38 probes.  Only part of zeta needs the oracle: the factor
-18 L (1-theta)^2 A_t / theta is known up front and the norm ratio lies in
-[d^-(1-2/p), 1], so the search settles the probes those bounds already
-decide without measuring their zeta.  Such a probe costs no oracle call;
-every other probe costs two.  A measured gradient with no ratio to read
+most 38 probes.  zeta is one product c(theta) r: the factor c(theta) =
+18 L (1-theta)^2 A_t / theta is known up front, and the norm ratio r is
+clamped to Hoelder's interval [d^-(1-2/p), 1].  Rounding is monotone, so
+c d^-(1-2/p) > 2 proves zeta > 2 and c < 1/2 proves zeta < 1/2: the
+search settles such a probe exactly, with no oracle call, and every
+other probe costs two.  A measured gradient with no ratio to read
 (a non-finite entry, or a square that overflows or underflows) raises
 NonFiniteProbeError, at a probe or at the first step.
 
@@ -289,24 +290,32 @@ def _grad_norms(g, geom: LpGeometry | None):
     return (None if geom is None else lp_norm(g, geom.p_dual)), lp_norm(g, 2.0)
 
 
+def _holder_lo(d: int, p: float) -> float:
+    """d^-(1-2/p), Hoelder's lower end of ||g||_2^2 / ||g||_{p*}^2 in d
+    coordinates (1.0 at p = 2).  _norm_ratio clamps to it and find_coupling
+    settles probes on it: the settle rule holds because both read this
+    one float."""
+    return d ** (2.0 / p - 1.0)
+
+
 def _norm_ratio(dual: float, l2: float, d: int, p: float):
-    """(dual_sq, l2_sq, q, r) of a gradient g in d coordinates, from
-    dual = ||g||_{p*} and l2 = ||g||_2: the two squares as products,
-    q = l2_sq / dual_sq as computed, and r, q clamped to Hoelder's
-    interval [d^-(1-2/p), 1].  At p = 2 both norms are lp_norm(g, 2), so
-    q is exactly 1.  q and r are NaN (no ratio) where a square is below
-    the smallest normal float (0 too) or is inf or NaN."""
+    """(dual_sq, r) of a gradient g in d coordinates, from dual =
+    ||g||_{p*} and l2 = ||g||_2: dual_sq = dual * dual, and r the quotient
+    l2 * l2 / dual_sq clamped to Hoelder's interval [_holder_lo(d, p), 1],
+    so the float r lies in that interval.  At p = 2 both norms are
+    lp_norm(g, 2), so r is exactly 1.  r is NaN (no ratio) where a square
+    is below the smallest normal float (0 too) or is inf or NaN."""
     dual_sq, l2_sq = dual * dual, l2 * l2
     if not (_TINY <= l2_sq < math.inf and _TINY <= dual_sq < math.inf):
-        return dual_sq, l2_sq, math.nan, math.nan
+        return dual_sq, math.nan
     q = l2_sq / dual_sq
-    lo = d ** (2.0 / p - 1.0)
-    return dual_sq, l2_sq, q, lo if q < lo else 1.0 if q > 1.0 else q
+    lo = _holder_lo(d, p)
+    return dual_sq, lo if q < lo else 1.0 if q > 1.0 else q
 
 
 def _coupling_factor(theta: float, A_t: float, L: float) -> float:
     """c(theta) = 18 L (1-theta)^2 A_t / theta, the factor of zeta that
-    needs no oracle call: zeta(theta) = c(theta) * ||g||_2^2 / ||g||_{p*}^2."""
+    needs no oracle call: zeta(theta) = c(theta) * r (see zeta_eval)."""
     return 18.0 * L * (1.0 - theta) ** 2 * A_t / theta
 
 
@@ -315,13 +324,12 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
 
     Forms y_theta = theta x_t + (1-theta) v_t, takes the steepest step to
     x_theta, and returns (zeta, y_theta, x_theta, g, ||g||_{p*}, ||g||_2),
-    g = grad f(x_theta), with
+    g = grad f(x_theta), with zeta the one product
 
-        zeta = 18 L (1-theta)^2 A_t / theta * ||g||_2^2 / ||g||_{p*}^2.
+        zeta = c(theta) * r,   c(theta) = 18 L (1-theta)^2 A_t / theta,
 
-    The ratio is read through _norm_ratio: a computed ratio outside
-    Hoelder's interval is replaced by the end it left, and one inside
-    keeps the product above, rounded as written.  Costs exactly two
+    where r = ||g||_2^2 / ||g||_{p*}^2 is read through _norm_ratio,
+    clamped to Hoelder's interval [d^-(1-2/p), 1].  Costs exactly two
     gradient evaluations.  zeta is None when g vanishes identically
     (x_theta is then an exact optimum), and NaN where g gives no ratio: a
     non-finite g, or a square that overflows or underflows.
@@ -336,29 +344,11 @@ def zeta_eval(theta: float, state: HasdState, obj, cfg: HasdConfig):
     dual, l2 = _grad_norms(gx, cfg.geom)
     if dual == 0.0:
         return None, y, x, gx, dual, l2
-    dual_sq, l2_sq, q, r = _norm_ratio(dual, l2, x.size, cfg.geom.p)
-    c = _coupling_factor(theta, state.A, cfg.L)
-    zeta = c * l2_sq / dual_sq if r == q else c * r  # NaN fails r == q
-    return zeta, y, x, gx, dual, l2
+    _, r = _norm_ratio(dual, l2, x.size, cfg.geom.p)
+    return _coupling_factor(theta, state.A, cfg.L) * r, y, x, gx, dual, l2
 
 
 _THETA_MIN = 1e-12
-
-# Relative margin beyond which find_coupling settles a probe from
-# c(theta) alone.  By Hoelder, r = ||g||_2^2 / ||g||_{p*}^2 lies in
-# [d^-(1-2/p), 1], but the computed r can leave that interval by an ulp
-# where r sits at an end (1/d for a uniform g at p = inf, 1 for a
-# one-hot g).  The computed r (lp_norm(g, 2) squared over lp_norm(g, p*)
-# squared, the first sqrt(g.dot(g)) wherever that square is normal; r is
-# exactly 1 at p = 2) carries the rounding of two sums of d nonnegative
-# terms, at most d ulps each, plus a few ulps from the powers, the square
-# root and the squares: under 3d + 20 ulps in all.  d ** (1-2/p) is off
-# by under 1 + ln(d) ulps and zeta takes two more roundings.  At d = 10^9
-# the total is about 3.3e-7, below the margin, so a probe with
-# c > 2 (1 + margin) d^(1-2/p) measures zeta > 2 and one with
-# c < (1 - margin) / 2 measures zeta < 1/2.  A gradient with a square that
-# overflows or underflows has no ratio: its probe measures a NaN zeta.
-_SETTLE_MARGIN = 1e-6
 
 
 def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
@@ -380,30 +370,31 @@ def find_coupling(state: HasdState, obj, cfg: HasdConfig) -> CouplingResult:
     invariant checker (seeds 0-79, at half the certified L too), above
     the 38 the bracket allows.
 
-    zeta(theta) = c(theta) r, where c(theta) = 18 L (1-theta)^2 A_t / theta
-    needs no oracle call and r lies in [d^-(1-2/p), 1].  A probe whose c
-    alone puts zeta above 2 or below 1/2 (beyond _SETTLE_MARGIN) is
-    decided: it moves the bracket as its measured zeta would have, with no
-    oracle call, so every measured probe, and the returned one, is the
-    probe a search measuring every theta makes.  Only a measured probe
-    costs calls (two gradient evaluations), sets last_zeta and can raise
-    NonFiniteProbeError.
+    zeta_eval measures zeta as the float product c * r, where c =
+    _coupling_factor(theta, A_t, L) needs no oracle call and the float r
+    lies in [r_lo, 1], r_lo = _holder_lo(d, p).  Rounding is monotone, so
+    a computed c * r_lo > 2 proves the measured zeta > 2, and c < 1/2
+    proves it < 1/2, for every d.  A probe that passes either test is
+    settled: it moves the bracket as its measured zeta would have, with
+    no oracle call, so every measured probe, and the returned one, is the
+    probe a search measuring every theta makes.  At p = 2, r_lo = r = 1,
+    so only a probe whose zeta = c lies in the window is measured.  Only
+    a measured probe costs calls (two gradient evaluations), sets
+    last_zeta and can raise NonFiniteProbeError.
     """
     if state.A <= 0.0:
         raise ValueError("coupling search requires A_t > 0 (after the first step)")
-    # c > above means zeta > 2 and c < below means zeta < 1/2
-    above = 2.0 * (1.0 + _SETTLE_MARGIN) * state.x.size ** (1.0 - 2.0 / cfg.geom.p)
-    below = 0.5 * (1.0 - _SETTLE_MARGIN)
+    r_lo = _holder_lo(state.x.size, cfg.geom.p)
     calls = 0
     last_zeta = None
     lo, hi = _THETA_MIN, 1.0 - _THETA_MIN
     while hi - lo > 4.0 * _THETA_MIN:
         th = 0.5 * (lo + hi)
         c = _coupling_factor(th, state.A, cfg.L)
-        if c > above:
+        if c * r_lo > 2.0:  # zeta = c * r >= c * r_lo
             lo = th
             continue
-        if c < below:
+        if c < 0.5:  # zeta = c * r <= c
             hi = th
             continue
         calls += 2
@@ -492,7 +483,7 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
                               search_calls=res.oracle_calls, A=A, B=B,
                               converged=True)
     # r = ||g||_2^2 / ||g||_{p*}^2, once: rho_0 and the window read it
-    dual_sq, _, _, r = _norm_ratio(dual, l2, x_new.size, cfg.geom.p)
+    dual_sq, r = _norm_ratio(dual, l2, x_new.size, cfg.geom.p)
     if first:
         if math.isnan(r):
             raise NonFiniteProbeError.at_first_step(l2, dual)

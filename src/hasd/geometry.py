@@ -23,17 +23,20 @@ def lp_norm(x, p: float) -> float:
     """l_p norm for p in [1, inf] of x, its entries taken as one vector.
 
     At p = 2 it is sqrt(x . x), np.linalg.norm's formula, where that square
-    is a normal float or an entry is inf or NaN.  Otherwise it rescales by
-    the max absolute entry before powering so that large or tiny inputs do
-    not overflow/underflow.  The empty vector has norm 0.
+    is a normal float or an entry is inf or NaN.  The square is
+    np.vdot(x, x), which raises no float warning where it overflows; on a
+    contiguous x (every caller in this package passes one) it has the bits
+    of x.dot(x), while a strided or reversed view may sum in another order.
+    Otherwise it rescales by the max absolute entry before powering so that
+    large or tiny inputs do not overflow/underflow.  The empty vector has
+    norm 0.
     """
     if not (p >= 1.0):
         raise ValueError("lp_norm requires p >= 1, got %r" % (p,))
     x = np.asarray(x, dtype=float)
     if p == 2.0:
-        v = x if x.ndim == 1 else x.ravel()
-        sq = float(v.dot(v))
-        if _TINY <= sq < math.inf or not np.isfinite(v).all():
+        sq = float(np.vdot(x, x))
+        if _TINY <= sq < math.inf or not np.isfinite(x).all():
             return math.sqrt(sq)
     # ufunc reduces over all axes are what a.max()/a.sum()/np.sum run,
     # without their wrappers: the same bits at a fraction of the call cost

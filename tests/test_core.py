@@ -7,10 +7,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from hasd.core import (_SETTLE_MARGIN, INVARIANT_TOL, INVARIANTS,
+from hasd.core import (INVARIANT_TOL, INVARIANTS,
                        REFERENCE_CHECKS, CouplingResult,
                        CouplingSearchError, HasdConfig,
-                       HasdState, _run, NonFiniteProbeError, a_from_rho,
+                       HasdState, _holder_lo, _norm_ratio, _run,
+                       NonFiniteProbeError, a_from_rho,
                        find_coupling, iterate, rate_bounds, run,
                        run_restarting, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
@@ -135,7 +136,9 @@ def test_state_v_is_refreshed_on_every_accumulate():
 
 def test_rows_and_zeta_use_numpys_l2_norm_bit_for_bit():
     # the loop computes ||g||_2 as sqrt(g @ g); the rows and every probe's
-    # zeta must carry exactly what np.linalg.norm gives
+    # zeta must carry exactly what np.linalg.norm gives, and zeta is the
+    # one product c * r, r the quotient of the squares clamped to
+    # Hoelder's [40^-1/2, 1]
     obj = make_logsumexp_instance(60, 40, 1e-3, seed=4)
     geom = LpGeometry(4)
     cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom, max_iters=12)
@@ -152,8 +155,9 @@ def test_rows_and_zeta_use_numpys_l2_norm_bit_for_bit():
         zeta, _, _, gx, dual_got, l2_got = zeta_eval(th, state, obj, cfg)
         l2, dual = float(np.linalg.norm(gx)), lp_norm(gx, geom.p_dual)
         assert (dual_got, l2_got) == (dual, l2)
-        assert zeta == ((18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th)
-                        * (l2 * l2) / (dual * dual))
+        c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
+        r = min(max((l2 * l2) / (dual * dual), 40 ** -0.5), 1.0)
+        assert zeta == c * r
 
 
 def test_a_p2_row_reads_one_value_for_one_norm():
@@ -463,9 +467,9 @@ def test_a_search_that_never_accepts_stops_after_38_probes(monkeypatch):
 
 def search_every_probe(state, obj, cfg):
     """The coupling search that evaluates every probe it bisects on; its
-    last entry counts the rejected probes c(theta) decides."""
-    above = 2.0 * (1.0 + _SETTLE_MARGIN) * state.x.size ** (1.0 - 2.0 / cfg.geom.p)
-    below = 0.5 * (1.0 - _SETTLE_MARGIN)
+    last entry counts the rejected probes c(theta) decides: c r_lo > 2 or
+    c < 1/2, r_lo = d^-(1-2/p) Hoelder's lower end of the norm ratio."""
+    r_lo = state.x.size ** (2.0 / cfg.geom.p - 1.0)
     calls = decided = 0
     lo, hi = 1e-12, 1.0 - 1e-12
     while hi - lo > 4e-12:
@@ -475,7 +479,7 @@ def search_every_probe(state, obj, cfg):
         if 0.5 <= zeta <= 2.0:
             return th, zeta, y, x, gx, calls, decided
         c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
-        decided += c > above or c < below
+        decided += c * r_lo > 2.0 or c < 0.5
         if zeta > 1.25:
             lo = th
         else:
@@ -544,7 +548,7 @@ def decided_reference_state():
     cfg = HasdConfig(L=4.0, geom=LpGeometry(2), max_iters=12)
     state, _ = list(iterate(obj, np.array([2.0, -1.0, 0.5, 1.0, -2.0]), cfg))[-1]
     assert state.t == 12
-    assert 18.0 * cfg.L * 0.25 * state.A / 0.5 > 2.0 * (1.0 + _SETTLE_MARGIN)
+    assert 18.0 * cfg.L * 0.25 * state.A / 0.5 > 2.0
     obj.grad_points.clear()
     _counting_value(obj)
     return obj, state, cfg
@@ -610,25 +614,40 @@ def test_run_with_reference_matches_a_run_evaluating_every_probe(p, monkeypatch)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, INF])
-def test_settle_margin_covers_the_computed_norm_ratio(p):
-    # the ratio as zeta_eval computes it stays within _SETTLE_MARGIN of
-    # Hoelder's interval [d^-(1-2/p), 1], including where r sits at an end;
-    # entries lie in [e^-5, 1] times the scale, so every squared norm stays
-    # finite and normal up to d = 10^4
+def test_a_settled_probe_takes_the_verdict_of_its_measured_zeta(p):
+    # the ratio as zeta_eval reads it lies in [r_lo, 1], r_lo Hoelder's
+    # lower end d^-(1-2/p), also where the true ratio sits at an end
+    # (uniform and one-hot g); so at each settle threshold, c r_lo = 2 and
+    # c = 1/2, and one float either side, a probe find_coupling settles
+    # (c r_lo > 2: above the window, c < 1/2: below it) has the verdict
+    # of zeta = c * r.  Entries lie in [e^-5, 1] times the scale, so
+    # every squared norm stays finite and normal up to d = 10^4
     geom = LpGeometry(p)
     rng = np.random.default_rng(0)
+    settled = 0
     for d in (1, 2, 3, 10, 100, 1000, 10000):
-        r_min = d ** -(1.0 - 2.0 / p)
+        r_lo = _holder_lo(d, p)
         one_hot = np.zeros(d)
         one_hot[d // 2] = 1.0
         signed = rng.choice([-1.0, 1.0], d) * np.exp(rng.uniform(-5.0, 0.0, d))
+        cs = []
+        for edge in (2.0 / r_lo, 0.5):
+            cs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, INF)]
         for g in (np.ones(d), one_hot, signed):
             for scale in (1e-150, 1e-50, 1e-5, 1.0, 3e7, 1e50, 1e150):
                 gs = scale * g
-                l2 = math.sqrt(gs @ gs)
-                dual = lp_norm(gs, geom.p_dual)
-                r = (l2 * l2) / (dual * dual)
-                assert r_min * (1.0 - _SETTLE_MARGIN) <= r <= 1.0 + _SETTLE_MARGIN
+                _, r = _norm_ratio(lp_norm(gs, geom.p_dual), lp_norm(gs, 2.0),
+                                   d, p)
+                assert r_lo <= r <= 1.0, (d, scale, r)
+                for c in cs:
+                    zeta = c * r
+                    if c * r_lo > 2.0:
+                        assert zeta > 2.0, (d, scale, c, r)
+                        settled += 1
+                    elif c < 0.5:
+                        assert zeta < 0.5, (d, scale, c, r)
+                        settled += 1
+    assert settled > 0
 
 
 # ------------------------------------------------------- invariant chains
