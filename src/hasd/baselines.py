@@ -9,7 +9,8 @@ of its iterates; one driver takes the first iters + 1 of them and builds
 the rows and the report.  With rows off a run builds only its final row,
 which is all a stepsize sweep ranks, and evaluates no gradient that only
 an unbuilt row would use: agd and lc then make iters + 1 gradient calls
-instead of 2 iters.  lc and sd_p refuse a config without a geometry.
+instead of 2 iters.  Every config names its geometry: each row's
+||grad f||_{p*} is taken in it, and so is each step of lc and sd_p.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from .geometry import LpGeometry, steepest_step
 class BaselineConfig:
     stepsize: float
     iters: int
-    geom: LpGeometry | None = None
+    geom: LpGeometry  # of each row's dual norm and of lc's and sd_p's steps
 
     def __post_init__(self):
         if not 0 < self.stepsize < math.inf:  # NaN fails too
@@ -115,8 +116,6 @@ def lc_run(obj, x0, cfg: BaselineConfig, rows: bool = True) -> RunReport:
     sequence is traced and returned.  At p = 2 this matches the classical
     three-sequence accelerated scheme step for step.
     """
-    if cfg.geom is None:
-        raise ValueError("lc requires a geometry")
     geom = cfg.geom
     alpha = cfg.stepsize
 
@@ -141,8 +140,6 @@ def sdp_run(obj, x0, cfg: BaselineConfig, rows: bool = True) -> RunReport:
 
     At p = 2 this is gradient descent with stepsize alpha.
     """
-    if cfg.geom is None:
-        raise ValueError("sd_p requires a geometry")
     weight = 1.0 / (2.0 * cfg.stepsize)
     return _drive("sd_p", obj, cfg, _descent(
         obj, x0, lambda x, g: steepest_step(x, g, weight, cfg.geom)), rows)

@@ -248,7 +248,8 @@ class IterationTrace:
 
 @dataclass
 class RunReport:
-    """Summary of one optimizer run; final_f and gap are its last row's."""
+    """Summary of one optimizer run; final_f, gap and whether the run
+    converged (trace.converged) are its last row's."""
 
     method: str
     final_x: np.ndarray
@@ -259,7 +260,6 @@ class RunReport:
     R: float | None = None
     certificate: float | None = None
     invariants: dict | None = None
-    converged_early: bool = False
     restart_gaps: list | None = None
     restart_G: list | None = None
 
@@ -285,9 +285,9 @@ def a_from_rho(A_t: float, L: float, rho: float) -> float:
     return (1.0 + math.sqrt(1.0 + 72.0 * L * rho * A_t)) / (36.0 * L * rho)
 
 
-def _grad_norms(g, geom: LpGeometry | None):
-    """(||g||_{p*}, ||g||_2); the dual norm is None without a geometry."""
-    return (None if geom is None else lp_norm(g, geom.p_dual)), lp_norm(g, 2.0)
+def _grad_norms(g, geom: LpGeometry):
+    """(||g||_{p*}, ||g||_2)."""
+    return lp_norm(g, geom.p_dual), lp_norm(g, 2.0)
 
 
 def _holder_lo(d: int, p: float) -> float:
@@ -417,9 +417,9 @@ def _gap(f: float, ref) -> float | None:
     return None if ref is None else f - ref[1]
 
 
-def _row_head(obj, t: int, x, g, geom: LpGeometry | None) -> IterationTrace:
-    """Trace row t at x, g being grad f(x): f, gap, ||g||_2 and ||g||_{p*}
-    (no dual norm without a geometry); the coupling columns stay empty."""
+def _row_head(obj, t: int, x, g, geom: LpGeometry) -> IterationTrace:
+    """Trace row t at x, g being grad f(x): f, gap, ||g||_2 and ||g||_{p*};
+    the coupling columns stay empty."""
     f = obj.value(x)
     dual, l2 = _grad_norms(g, geom)
     return IterationTrace(iter=t, f=f, gap=_gap(f, obj.reference_optimum),
@@ -558,8 +558,9 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     trace is converged (a zero gradient, or with a reference optimum
     attached an iterate folded in with gap at most cfg.eps) or state.t
     reaches cfg.max_iters.  Only row 0 is yielded when cfg.max_iters is 0
-    or the gradient at x0 is exactly zero.  The same state object is
-    yielded each time, updated in place, its R set before row 0.
+    or the gradient at x0 is exactly zero, marked converged in the second
+    case when cfg.max_iters > 0.  The same state object is yielded each
+    time, updated in place, its R set before row 0.
 
     With rows off only the final row is built and yielded, from the
     gradient and norms in hand at the last point, and without violations;
@@ -574,7 +575,9 @@ def iterate(obj, x0, cfg: HasdConfig, rows: bool = True):
     state.grad_calls = 1
     stop = cfg.max_iters == 0 or not np.count_nonzero(g0)
     if rows or stop:
-        yield state, _row_head(obj, 0, state.x, g0, cfg.geom)
+        tr = _row_head(obj, 0, state.x, g0, cfg.geom)
+        tr.converged = stop and cfg.max_iters > 0  # g0 == 0
+        yield state, tr
     if stop:
         return
     x1 = steepest_step(state.x, g0, cfg.step_L, cfg.geom)
@@ -607,17 +610,13 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
     except CouplingSearchError as exc:
         exc.traces = traces
         raise
-    last = traces[-1]
-    # with no step taken, the run converged iff x0 is stationary
-    converged = last.converged if last.iter > 0 else cfg.max_iters > 0
     G_mean = state.G_sum / state.t if state.t > 0 else None
     cert = (rate_bounds(cfg.L, state.R, G_mean, state.t)[0]
             if state.R is not None and G_mean else None)
     return RunReport(method="hasd", final_x=state.x, iters=state.t,
                      grad_calls=state.grad_calls, traces=traces, G_mean=G_mean,
                      R=state.R, certificate=cert,
-                     invariants=fails if rows else None,
-                     converged_early=converged)
+                     invariants=fails if rows else None)
 
 
 def run(obj, x0, cfg: HasdConfig) -> RunReport:

@@ -165,7 +165,9 @@ def default_x0(obj):
 @np.errstate(all="ignore")  # a divergent run overflows; its report says so
 def run_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
                stepsize: float, rows: bool = True):
-    """One report for one method.
+    """One report for one method, run in geom (each row's ||grad f||_{p*}
+    too): tuning, recorded runs and the checker's cells build a run's
+    config and silence numpy here and nowhere else.
 
     Stepsize semantics: gd and agd take the grid value as their literal
     stepsize alpha (their natural knob).  hasd and lc have no absolute
@@ -464,18 +466,18 @@ def _seed_cells(seed: int):
             (soft, rng.standard_normal(8)), (lse, rng.standard_normal(8))]
 
 
-@np.errstate(all="ignore")  # a violated L can overflow; the checks say so
 def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
                      report: InvariantReport, search_counts: list):
-    """Run core.run from the float array x0 and record each folded row's
-    violations (REFERENCE_CHECKS skip without a reference), its search
-    calls from t = 2 on, and the report's end-of-run bounds.  A failed
-    coupling search fails the coupling_search row, the rows built before
-    it (the error's traces) stand, and its message is returned.
+    """Run hasd at step scale 1 from the float array x0 through run_method
+    (a violated L can overflow; the checks say so) and record each folded
+    row's violations (REFERENCE_CHECKS skip without a reference), its
+    search calls from t = 2 on, and the report's end-of-run bounds.  A
+    failed coupling search fails the coupling_search row, the rows built
+    before it (the error's traces) stand, and its message is returned.
     """
     row = report.row
     try:
-        rep = run(obj, x0, HasdConfig(L=L, geom=geom, max_iters=iters))
+        rep = run_method("hasd", obj, x0, geom, L, iters, 1.0)
         traces, failed = rep.traces, None
     except CouplingSearchError as exc:
         traces, failed = exc.traces, str(exc)

@@ -7,40 +7,63 @@ import pytest
 
 from hasd.baselines import (BaselineConfig, agd_run, gd_run, lc_run, sdp_run)
 from hasd.core import HasdConfig, iterate
-from hasd.geometry import LpGeometry, steepest_step
+from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import Quadratic, make_logsumexp_instance
 
 INF = math.inf
+L2 = LpGeometry(2)
+RUNNERS = (("gd", gd_run), ("agd", agd_run), ("lc", lc_run),
+           ("sd_p", sdp_run))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        BaselineConfig(0.0, 5)
+        BaselineConfig(0.0, 5, L2)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            BaselineConfig(bad, 5)
+            BaselineConfig(bad, 5, L2)
     with pytest.raises(ValueError):
-        BaselineConfig(0.1, -1)
+        BaselineConfig(0.1, -1, L2)
 
 
-def test_lc_and_sd_p_refuse_a_config_without_a_geometry():
-    obj = Quadratic(np.array([1.0, 2.0]))
-    cfg = BaselineConfig(0.1, 5)  # geometry optional for gd and agd
-    for method, runner in (("lc", lc_run), ("sd_p", sdp_run)):
-        with pytest.raises(ValueError, match="^%s requires a geometry$"
-                           % method):
-            runner(obj, np.ones(2), cfg)
-    for runner in (gd_run, agd_run):
-        assert runner(obj, np.ones(2), cfg).iters == 5
+def test_a_config_without_a_geometry_is_refused():
+    # every method's rows take ||grad f||_{p*} in the config's geometry
+    with pytest.raises(TypeError, match="geom"):
+        BaselineConfig(0.1, 5)
+
+
+@pytest.mark.parametrize("method,runner", RUNNERS)
+@pytest.mark.parametrize("p", [2.0, 3.0, INF])
+def test_every_row_carries_its_dual_norm(method, runner, p):
+    # finite on every row, and at p = 2 the l2 norm itself
+    obj = make_logsumexp_instance(15, 4, 1e-2, seed=4)
+    geom = LpGeometry(p)
+    grads = []
+    gradient = obj.gradient
+
+    def recording_gradient(x):
+        grads.append((np.array(x), gradient(x)))
+        return grads[-1][1]
+
+    obj.gradient = recording_gradient
+    rep = runner(obj, np.zeros(4), BaselineConfig(0.05, 6, geom))
+    assert len(rep.traces) == 7
+    for tr in rep.traces:
+        assert tr.grad_dual is not None and math.isfinite(tr.grad_dual)
+        if p == 2.0:
+            assert tr.grad_dual == tr.grad_l2
+    g_final = [g for x, g in grads if x.tobytes() == rep.final_x.tobytes()]
+    assert rep.traces[-1].grad_dual == lp_norm(g_final[-1], geom.p_dual)
 
 
 def test_gd_one_step():
     obj = Quadratic(np.array([1.0, 2.0]))
-    rep = gd_run(obj, np.array([1.0, 1.0]), BaselineConfig(0.5, 1))
+    rep = gd_run(obj, np.array([1.0, 1.0]), BaselineConfig(0.5, 1, L2))
     np.testing.assert_allclose(rep.final_x, [0.5, 0.0], rtol=1e-15)
     assert rep.iters == 1 and rep.grad_calls == 2
     assert rep.traces[0].f == pytest.approx(1.5)
-    assert rep.traces[0].grad_dual is None  # no geometry given
+    # grad f(x0) = (1, 2), and at p = 2 its dual norm is its l2 norm
+    assert rep.traces[0].grad_dual == rep.traces[0].grad_l2 == math.sqrt(5.0)
 
 
 def test_rows_use_numpys_l2_norm_bit_for_bit():
@@ -54,7 +77,7 @@ def test_rows_use_numpys_l2_norm_bit_for_bit():
         return grads[-1]
 
     obj.gradient = recording_gradient
-    rep = gd_run(obj, np.zeros(8), BaselineConfig(0.05, 15))
+    rep = gd_run(obj, np.zeros(8), BaselineConfig(0.05, 15, L2))
     assert len(grads) == len(rep.traces) == 16
     for g, tr in zip(grads, rep.traces):
         assert tr.grad_l2 == float(np.linalg.norm(g))
@@ -78,8 +101,8 @@ def test_agd_warmup_matches_gd():
     # iterate that can differ from plain gradient descent
     obj = make_logsumexp_instance(12, 5, 1e-2, seed=0)
     x0 = np.zeros(5)
-    agd = agd_run(obj, x0, BaselineConfig(0.05, 4))
-    gd = gd_run(obj, x0, BaselineConfig(0.05, 4))
+    agd = agd_run(obj, x0, BaselineConfig(0.05, 4, L2))
+    gd = gd_run(obj, x0, BaselineConfig(0.05, 4, L2))
     for t in (1, 2, 3):
         assert agd.traces[t].f == pytest.approx(gd.traces[t].f, rel=1e-15)
     assert np.abs(agd.final_x - gd.final_x).max() > 1e-6
@@ -93,7 +116,7 @@ def test_agd_classical_rate(h, x0):
     obj = Quadratic(np.array(h))
     L = max(h)
     x0 = np.array(x0)
-    rep = agd_run(obj, x0, BaselineConfig(1.0 / L, 80))
+    rep = agd_run(obj, x0, BaselineConfig(1.0 / L, 80, L2))
     R2 = float(x0 @ x0)
     for tr in rep.traces[1:]:
         assert tr.gap <= 2.0 * L * R2 / (tr.iter + 1.0) ** 2 * (1 + 1e-9)
@@ -101,7 +124,7 @@ def test_agd_classical_rate(h, x0):
 
 def test_agd_call_accounting():
     obj = Quadratic(np.array([1.0, 2.0]))
-    rep = agd_run(obj, np.ones(2), BaselineConfig(0.1, 10))
+    rep = agd_run(obj, np.ones(2), BaselineConfig(0.1, 10, L2))
     assert rep.grad_calls == 20  # one fresh point per update after warmup
     assert len(rep.traces) == 11
 
@@ -204,9 +227,7 @@ def test_final_row_only_runs_equal_full_runs():
     obj.gradient = counting_gradient
     geom = LpGeometry(3.0)
     x0 = np.random.default_rng(10).standard_normal(4)
-    runners = (("gd", gd_run), ("agd", agd_run), ("lc", lc_run),
-               ("sd_p", sdp_run))
-    for method, runner in runners:
+    for method, runner in RUNNERS:
         for iters in (0, 1, 7):
             calls.clear()
             full = runner(obj, x0, BaselineConfig(0.05, iters, geom=geom))

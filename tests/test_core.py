@@ -582,7 +582,7 @@ def test_a_run_stops_at_its_first_iterate_within_eps():
     assert tr.search_calls == len(obj.grad_points) == 2
     assert obj.values == 1 and tr.f == obj.value(state.x)
     report = run(obj, state.x0, replace(cfg, max_iters=30, eps=eps))
-    assert report.iters == t_before + 1 and report.converged_early
+    assert report.iters == t_before + 1 and report.traces[-1].converged
     assert report.traces[-1] == tr
 
 
@@ -876,15 +876,18 @@ def test_run_zero_iterations():
     report = run(obj, np.array([2.0, 0.0]), cfg)
     assert report.iters == 0 and len(report.traces) == 1
     assert report.G_mean is None and report.certificate is None
-    assert report.grad_calls == 1 and not report.converged_early
+    assert report.grad_calls == 1 and not report.traces[-1].converged
 
 
 def test_run_stationary_start():
     obj, cfg = quad_cfg([1.0, 2.0])
     report = run(obj, np.zeros(2), cfg)
-    assert report.converged_early and report.iters == 0
+    assert report.traces[-1].converged and report.iters == 0
     assert report.grad_calls == 1 and len(report.traces) == 1
     assert report.final_f == pytest.approx(0.0)
+    # with no step allowed, a stationary start is no convergence
+    start = run(obj, np.zeros(2), replace(cfg, max_iters=0))
+    assert not start.traces[-1].converged
 
 
 def test_softmax_gain_is_sqrt_dim():
@@ -1016,7 +1019,7 @@ def test_rows_off_runs_equal_core_run():
             continue
         assert fast.final_x.tobytes() == full.final_x.tobytes(), label
         for key in ("final_f", "gap", "iters", "grad_calls", "G_mean", "R",
-                    "certificate", "converged_early"):
+                    "certificate"):
             assert getattr(fast, key) == getattr(full, key), (label, key)
         assert fast.invariants is None and full.invariants is not None
         assert fast.traces == [replace(full.traces[-1], violations=None)], label
@@ -1025,10 +1028,11 @@ def test_rows_off_runs_equal_core_run():
         last = full.traces[-1]
         kinds.add("stopped at iters" if fast.iters == cfg.max_iters
                   else "zero gradient at x_1" if last.iter == 1 > fast.iters
+                  else "row 0 only" if last.iter == 0
                   else "gap stop at an iterate" if (
                       last.converged and last.violations is not None)
                   else "exact optimum" if last.converged and last.zeta is None
-                  else "row 0 only" if last.iter == 0 else "unexplained stop")
+                  else "unexplained stop")
     assert kinds == {"stopped at iters", "zero gradient at x_1",
                      "gap stop at an iterate", "exact optimum", "row 0 only",
                      "NonFiniteProbeError"}, kinds
@@ -1141,9 +1145,8 @@ def _restart_aggregate_inline(obj, x0, cfg, rounds, gap0):
                 grad_calls=grad_calls,
                 G_mean=report.G_mean if report else None,
                 R=None if ref is None else float(np.linalg.norm(x0 - ref[0])),
-                invariants=fails,
-                converged_early=bool(report and report.converged_early),
-                restart_gaps=gaps, restart_G=round_G, traces=traces)
+                invariants=fails, restart_gaps=gaps, restart_G=round_G,
+                traces=traces)
 
 
 def test_restarting_report_is_built_from_its_rounds(monkeypatch):
@@ -1192,6 +1195,30 @@ def test_restarting_report_is_built_from_its_rounds(monkeypatch):
         assert want.pop("final_x").tobytes() == rep.final_x.tobytes()
         assert want == {key: getattr(rep, key) for key in want}
     assert 0 in round_counts and max(round_counts) > 2
+
+
+@pytest.mark.parametrize("p", [2.0, INF])
+def test_a_restart_run_maps_no_point_twice(p):
+    # gap0 and round 0's row 0 both take f(x0), and each round starts at
+    # the point the last one ended on: the oracle memo answers every repeat,
+    # so every _map call is at a new point (x0 once)
+    obj = make_logsumexp_instance(24, 8, 0.1, seed=0, declare_smoothness=True)
+    solve_reference(obj)
+    geom = LpGeometry(p)
+    cfg = HasdConfig(L=smoothness_bound(obj, geom), geom=geom)
+    x0 = np.random.default_rng(1000).standard_normal(8)
+    mapped = []
+    map_ = obj._map
+
+    def recording_map(x):
+        mapped.append(x.tobytes())
+        return map_(x)
+
+    obj._map = recording_map
+    rep = run_restarting(obj, x0, mu=0.1, eps=1e-3, cfg=cfg, G_hat=16.0)
+    assert len(rep.restart_G) == 14  # K = ceil(log2(gap0 / eps)) rounds
+    assert mapped[0] == x0.tobytes()
+    assert len(set(mapped)) == len(mapped) > 1000
 
 
 def test_restarting_with_no_round_reports_row_0_and_a_copy_of_x0():
