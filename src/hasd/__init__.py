@@ -8,14 +8,7 @@ acceleration, linear coupling, plain steepest descent) and a benchmark /
 invariant-checking harness.
 """
 
-from .geometry import (
-    LpGeometry,
-    lp_norm,
-    lp_sq_hessian,
-    lp_sq_hessian_split,
-    steepest_step,
-    subproblem_value,
-)
+from .geometry import LpGeometry, lp_norm, steepest_step
 from .objectives import (
     LogSumExpAffine,
     Quadratic,
@@ -50,13 +43,12 @@ from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
 
 __version__ = "0.1.0"
 
+# a name is public when a src module, a CLI verb, a perfbench workload or
+# the README's library documentation reaches it
 __all__ = [
     "LpGeometry",
     "lp_norm",
-    "lp_sq_hessian",
-    "lp_sq_hessian_split",
     "steepest_step",
-    "subproblem_value",
     "SmoothObjective",
     "Quadratic",
     "LogSumExpAffine",

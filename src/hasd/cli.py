@@ -11,10 +11,11 @@ from pathlib import Path
 
 from .geometry import LpGeometry
 from .harness import (_ALL_METHODS, _OBJECTIVES, ExperimentConfig,
-                      check_invariants, default_x0, make_objective,
-                      run_bench, run_experiment, tune_method, write_json)
-from .objectives import (_object, save_instance, smoothness_bound,
-                         solve_reference)
+                      at_grid_edge, check_invariants, default_x0,
+                      make_objective, run_bench, run_experiment, tune_method,
+                      write_json)
+from .objectives import (SmoothnessUnavailable, _object, save_instance,
+                         smoothness_bound, solve_reference)
 
 
 def _list_of(convert):
@@ -129,10 +130,14 @@ def _given(args) -> dict:
                         if name in _CFG_DEFAULTS and val is not None})
 
 
-def _warn_all_divergent(summary):
-    """One stderr line per (method, mu) whose every grid point diverged."""
+def _report_tuning(summary):
+    """One stdout line per tuned (method, mu) whose stepsize is a grid edge,
+    one stderr line per (method, mu) whose every grid point diverged."""
     for mu, block in sorted(summary["mus"].items(), key=lambda kv: float(kv[0])):
         for m, entry in sorted(block["methods"].items()):
+            if entry.get("at_grid_edge"):
+                print("%s at mu=%s: tuned stepsize %g is at the grid's edge"
+                      % (m, mu, entry["stepsize"]))
             if entry.get("all_divergent"):
                 print("every stepsize diverged for %s at mu=%s; ran the "
                       "smallest grid point" % (m, mu), file=sys.stderr)
@@ -146,7 +151,7 @@ def cmd_run(args) -> int:
             print("mu=%-8s %-5s stepsize=%-8g final_f=%.10g gap=%.4e  -> %s"
                   % (mu, m, entry["stepsize"], entry["final_f"],
                      entry["final_gap"], entry["csv"]))
-    _warn_all_divergent(summary)
+    _report_tuning(summary)
     print("outputs in %s (config %s)" % (cfg.out_dir, summary["config_hash"][:12]))
     fails = summary.get("invariant_failures_total", 0)
     if fails:
@@ -167,11 +172,12 @@ def cmd_tune(args) -> int:
         best, all_div, finals = tune_method(m, obj, x0, geom, L, cfg.iters,
                                             cfg.grid)
         result[m] = {"stepsize": best, "all_divergent": all_div,
+                     "at_grid_edge": at_grid_edge(best, cfg.grid),
                      "final_f": finals[best]}
         flag = "  (all grid points diverged)" if all_div else ""
         print("%-5s stepsize=%-10g final_f=%.10g%s"
               % (m, best, finals[best], flag))
-    _warn_all_divergent({"mus": {"%g" % cfg.mu: {"methods": result}}})
+    _report_tuning({"mus": {"%g" % cfg.mu: {"methods": result}}})
     if "out_dir" in given:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -186,7 +192,7 @@ def cmd_bench(args) -> int:
                 for m in summary["config"]["methods"]]
         print("  ".join(["mu=%-8s" % mu] + gaps))
     print("bench written to %s" % args.out_dir)
-    _warn_all_divergent(summary)
+    _report_tuning(summary)
     return 0
 
 
@@ -218,7 +224,7 @@ def main(argv=None) -> int:
                 "gen-instance": cmd_gen_instance}
     try:
         return handlers[args.verb](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, SmoothnessUnavailable) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -5,11 +5,9 @@ The elementary subproblem throughout the package is
     min_x  <g, x - y> + L * ||x - y||_p^2,       p in [2, inf],
 
 whose minimizer has a closed form in terms of the dual norm ||g||_{p*},
-p* = p/(p-1).  This module also provides the Hessian of ||.||_p^2 and
-its split into two positive semidefinite pieces, for curvature analysis;
-nothing in the optimizer or the invariant checker calls them, and the
-test suite checks their identities (finite differences, the split, the
-norm lower bound).
+p* = p/(p-1).  The method is first order: the subproblem's value and the
+Hessian of ||.||_p^2 are test references (tests/oracles.py), not library
+code.
 """
 
 import math
@@ -117,64 +115,3 @@ def steepest_step(y, grad, L: float, geom: LpGeometry):
     # sign(g)*|g|^{1/(p-1)} equals g/|g|^{(p-2)/(p-1)} with 0 -> 0
     direction = np.sign(g) * np.abs(g) ** (1.0 / (p - 1.0))
     return y - (0.5 / L) * dual ** ((p - 2.0) / (p - 1.0)) * direction
-
-
-def subproblem_value(y, grad, L: float, geom: LpGeometry, x) -> float:
-    """Objective <grad, x - y> + L * ||x - y||_p^2 of the step subproblem."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(grad, dtype=float)
-    d = x - y
-    return float(g @ d) + L * lp_norm(d, geom.p) ** 2
-
-
-def lp_sq_hessian(z, p: float):
-    """Hessian of z -> ||z||_p^2 at z != 0, for finite p >= 2.
-
-    With s(z)_i = |z_i|^{p-2} z_i,
-
-        H = 2(p-1) ||z||_p^{2-p} Diag(|z_i|^{p-2})
-            + 2(2-p) ||z||_p^{2(1-p)} s(z) s(z)^T.
-
-    The second term is negative semidefinite for p > 2, yet H as a whole
-    dominates the rank-one matrix 2 ||z||_p^{2(1-p)} s(z) s(z)^T.
-    """
-    p = float(p)
-    if math.isinf(p):
-        raise ValueError("lp_sq_hessian requires finite p")
-    if not (p >= 2.0):
-        raise ValueError("lp_sq_hessian requires p >= 2, got %r" % (p,))
-    z = np.asarray(z, dtype=float)
-    if not np.any(z):
-        raise ValueError("lp_sq_hessian undefined at z = 0")
-    a = np.abs(z)
-    nrm = lp_norm(z, p)
-    s = a ** (p - 2.0) * z
-    H = 2.0 * (p - 1.0) * nrm ** (2.0 - p) * np.diag(a ** (p - 2.0))
-    H += 2.0 * (2.0 - p) * nrm ** (2.0 * (1.0 - p)) * np.outer(s, s)
-    return H
-
-
-def lp_sq_hessian_split(z, p: float):
-    """lp_sq_hessian(z, p) as a sum of two positive semidefinite pieces.
-
-        M1 = 2(p-1) ||z||_p^{2(1-p)} (||z||_p^p Diag(|z_i|^{p-2}) - s s^T)
-        M2 = 2 ||z||_p^{2(1-p)} s s^T
-
-    M1 is PSD by Cauchy-Schwarz (sum |z_i|^p majorizes the s-weighted
-    square), M2 is a scaled Gram matrix, and M1 + M2 = lp_sq_hessian.
-    In particular the Hessian dominates M2.
-    """
-    p = float(p)
-    if math.isinf(p) or not (p >= 2.0):
-        raise ValueError("lp_sq_hessian_split requires finite p >= 2")
-    z = np.asarray(z, dtype=float)
-    if not np.any(z):
-        raise ValueError("lp_sq_hessian_split undefined at z = 0")
-    a = np.abs(z)
-    nrm = lp_norm(z, p)
-    s = a ** (p - 2.0) * z
-    scale = nrm ** (2.0 * (1.0 - p))
-    M1 = 2.0 * (p - 1.0) * scale * (nrm ** p * np.diag(a ** (p - 2.0)) - np.outer(s, s))
-    M2 = 2.0 * scale * np.outer(s, s)
-    return M1, M2

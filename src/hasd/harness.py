@@ -214,6 +214,12 @@ def tune_method(method: str, obj, x0, geom: LpGeometry, L: float, iters: int,
     return float(best), all_divergent, finals
 
 
+def at_grid_edge(stepsize: float, grid) -> bool:
+    """Whether a tuned stepsize is the grid's smallest or largest point: a
+    winner there may lie outside the grid."""
+    return stepsize in (min(grid), max(grid))
+
+
 def _fmt(v) -> str:
     # integers (iter, search_calls) print as str prints them
     return "" if v is None else "%.17g" % float(v)
@@ -295,22 +301,23 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
         x0 = default_x0(obj)
         tuned, reports, block = {}, {}, {"L": L, "methods": {}}
         for m in cfg.methods:
+            entry = block["methods"][m] = {}
             if tune_first:
                 best, all_div, _ = tune_method(m, obj, x0, geom, L,
                                                cfg.iters, cfg.grid)
+                entry["at_grid_edge"] = at_grid_edge(best, cfg.grid)
+                if all_div:
+                    entry["all_divergent"] = True
             elif cfg.stepsize is not None:
-                best, all_div = float(cfg.stepsize), False
+                best = float(cfg.stepsize)
             else:
                 best = 1.0 if m in ("hasd", "lc") else 1.0 / L
-                all_div = False
             tuned[m] = best
             try:
                 reports[m] = run_method(m, obj, x0, geom, L, cfg.iters, best)
             except CouplingSearchError as exc:
                 raise ValueError("method %r at mu=%g: coupling search "
                                  "failed: %s" % (m, mu, exc)) from exc
-            if all_div:
-                block["methods"][m] = {"all_divergent": True}
         f_ref, ref_kind = _reference_value(obj, mu, x0, geom, L, cfg.iters,
                                            tuned, reports)
         block["f_ref"] = f_ref
@@ -324,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
                 plot_lines.append("%g,%s,%d,%s"
                                   % (mu, m, tr.iter,
                                      _fmt(math.log10(max(gap, 1e-300)))))
-            entry = block["methods"].setdefault(m, {})
+            entry = block["methods"][m]
             entry.update({"stepsize": tuned[m], "final_f": rep.final_f,
                           "final_gap": gaps[-1], "iters": rep.iters,
                           "grad_calls": rep.grad_calls, "csv": name})

@@ -388,8 +388,13 @@ def smoothness_bound(obj: SmoothObjective, geom: LpGeometry) -> float:
 
     Preference order: a declared constant (converted between exponents as
     needed), an analytic class-specific bound, then an empirical estimate
-    for LogSumExpAffine.  Raises SmoothnessUnavailable otherwise.
+    for LogSumExpAffine.  Raises SmoothnessUnavailable otherwise, and for a
+    constant LogSumExpAffine (A = 0, mu = 0), declared or not.
     """
+    if isinstance(obj, LogSumExpAffine) and obj.mu == 0.0 and not obj.A.any():
+        raise SmoothnessUnavailable("the LogSumExpAffine objective is constant "
+                                    "(A = 0 and mu = 0): it has no "
+                                    "smoothness constant to step by")
     if obj.smoothness is not None:
         L, g0 = obj.smoothness
         return convert_smoothness(L, g0.p, geom.p, obj.dim)

@@ -4,7 +4,10 @@ These deliberately avoid the closed forms under test: the step oracle is
 a general-purpose constrained/quasi-Newton minimizer applied to the raw
 subproblem, the reference-optimum oracle is scipy's L-BFGS-B, derivatives
 are checked by central finite differences, and HASD on a quadratic is
-rerun in exact rational arithmetic.
+rerun in exact rational arithmetic.  The step subproblem's value and the
+Hessian of ||.||_p^2 (with its split into two PSD pieces) are references
+the optimizer never calls: the tests check the closed-form step and the
+squared norm's curvature against them.
 """
 
 import math
@@ -13,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import optimize
+
+from hasd.geometry import LpGeometry, lp_norm
 
 
 def numeric_steepest_step(y, g, L, p, seed=0):
@@ -81,6 +86,67 @@ def numeric_steepest_step(y, g, L, p, seed=0):
         if v < best_val:
             best, best_val = r.x, v
     return y + best
+
+
+def subproblem_value(y, grad, L: float, geom: LpGeometry, x) -> float:
+    """Objective <grad, x - y> + L * ||x - y||_p^2 of the step subproblem."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(grad, dtype=float)
+    d = x - y
+    return float(g @ d) + L * lp_norm(d, geom.p) ** 2
+
+
+def lp_sq_hessian(z, p: float):
+    """Hessian of z -> ||z||_p^2 at z != 0, for finite p >= 2.
+
+    With s(z)_i = |z_i|^{p-2} z_i,
+
+        H = 2(p-1) ||z||_p^{2-p} Diag(|z_i|^{p-2})
+            + 2(2-p) ||z||_p^{2(1-p)} s(z) s(z)^T.
+
+    The second term is negative semidefinite for p > 2, yet H as a whole
+    dominates the rank-one matrix 2 ||z||_p^{2(1-p)} s(z) s(z)^T.
+    """
+    p = float(p)
+    if math.isinf(p):
+        raise ValueError("lp_sq_hessian requires finite p")
+    if not (p >= 2.0):
+        raise ValueError("lp_sq_hessian requires p >= 2, got %r" % (p,))
+    z = np.asarray(z, dtype=float)
+    if not np.any(z):
+        raise ValueError("lp_sq_hessian undefined at z = 0")
+    a = np.abs(z)
+    nrm = lp_norm(z, p)
+    s = a ** (p - 2.0) * z
+    H = 2.0 * (p - 1.0) * nrm ** (2.0 - p) * np.diag(a ** (p - 2.0))
+    H += 2.0 * (2.0 - p) * nrm ** (2.0 * (1.0 - p)) * np.outer(s, s)
+    return H
+
+
+def lp_sq_hessian_split(z, p: float):
+    """lp_sq_hessian(z, p) as a sum of two positive semidefinite pieces.
+
+        M1 = 2(p-1) ||z||_p^{2(1-p)} (||z||_p^p Diag(|z_i|^{p-2}) - s s^T)
+        M2 = 2 ||z||_p^{2(1-p)} s s^T
+
+    M1 is PSD by Cauchy-Schwarz (sum |z_i|^p majorizes the s-weighted
+    square), M2 is a scaled Gram matrix, and M1 + M2 = lp_sq_hessian.
+    In particular the Hessian dominates M2.
+    """
+    p = float(p)
+    if math.isinf(p) or not (p >= 2.0):
+        raise ValueError("lp_sq_hessian_split requires finite p >= 2")
+    z = np.asarray(z, dtype=float)
+    if not np.any(z):
+        raise ValueError("lp_sq_hessian_split undefined at z = 0")
+    a = np.abs(z)
+    nrm = lp_norm(z, p)
+    s = a ** (p - 2.0) * z
+    scale = nrm ** (2.0 * (1.0 - p))
+    M1 = 2.0 * (p - 1.0) * scale * (nrm ** p * np.diag(a ** (p - 2.0)) - np.outer(s, s))
+    M2 = 2.0 * scale * np.outer(s, s)
+    return M1, M2
 
 
 def lbfgsb_reference(obj, grad_tol=1e-10, max_iter=500):

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from hasd.core import HasdConfig, run, run_restarting
-from hasd.geometry import (LpGeometry, lp_norm, lp_sq_hessian,
-                           lp_sq_hessian_split, steepest_step,
-                           subproblem_value)
+from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.harness import check_invariants, run_bench
 from hasd.objectives import (Quadratic, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound,
                              solve_reference)
-from oracles import fd_hessian, numeric_steepest_step
+from oracles import (fd_hessian, lp_sq_hessian, lp_sq_hessian_split,
+                     numeric_steepest_step, subproblem_value)
 
 VERDICTS = []
 

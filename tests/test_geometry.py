@@ -1,14 +1,13 @@
-"""Norms, steepest step, and the squared-norm Hessian."""
+"""Norms, the steepest step, and the squared-norm Hessian of the oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hasd.geometry import (LpGeometry, lp_norm, lp_sq_hessian,
-                           lp_sq_hessian_split, steepest_step,
-                           subproblem_value)
-from oracles import fd_hessian, numeric_steepest_step
+from hasd.geometry import LpGeometry, lp_norm, steepest_step
+from oracles import (fd_hessian, lp_sq_hessian, lp_sq_hessian_split,
+                     numeric_steepest_step, subproblem_value)
 
 P_VALUES = [2.0, 2.5, 3.0, 4.0, 8.0, math.inf]
 

@@ -1,5 +1,6 @@
 """Harness tests: tuning, CSV emission, determinism, bench matrix, CLI."""
 
+import csv
 import inspect
 import json
 import math
@@ -16,13 +17,14 @@ from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig,
                        NonFiniteProbeError, iterate, run)
 from hasd.geometry import LpGeometry
 from hasd.harness import (STEPSIZE_GRID, CheckRow, ExperimentConfig,
-                          _reference_value, attach_reference,
+                          _reference_value, at_grid_edge, attach_reference,
                           check_invariants, config_hash,
                           default_invariant_matrix, default_x0,
                           make_objective, run_bench, run_experiment,
                           run_method, tune_method, write_json,
                           write_trace_csv)
-from hasd.objectives import (Quadratic, SymmetricSoftmax, load_instance,
+from hasd.objectives import (Quadratic, SmoothnessUnavailable,
+                             SymmetricSoftmax, load_instance,
                              make_logsumexp_instance, save_instance,
                              smoothness_bound, solve_reference)
 
@@ -364,6 +366,18 @@ def test_reference_value_falls_back_when_the_solve_fails(monkeypatch):
         raise RuntimeError("no convergence")
 
     monkeypatch.setattr("hasd.harness.solve_reference", unsolvable)
+    assert _reference_value(*args) == (_margined(min(best.values())),
+                                       "best_found")
+
+
+def test_reference_value_falls_back_when_the_solve_has_no_smoothness(
+        monkeypatch):
+    args, best = _best_found_case(1e-2)
+
+    def unavailable(obj):
+        raise SmoothnessUnavailable("reference solve needs a Hessian oracle")
+
+    monkeypatch.setattr("hasd.harness.solve_reference", unavailable)
     assert _reference_value(*args) == (_margined(min(best.values())),
                                        "best_found")
 
@@ -1011,7 +1025,8 @@ def test_cli_outputs_are_strict_json_when_a_run_diverges(tmp_path, capsys):
                  "--methods", "gd", "--grid", "10,100",
                  "--out", str(tuned)]) == 0
     assert _strict_load(tuned / "tune.json")["gd"] == {
-        "all_divergent": True, "final_f": "inf", "stepsize": 10.0}
+        "all_divergent": True, "at_grid_edge": True, "final_f": "inf",
+        "stepsize": 10.0}
     # the one stderr line run and bench print for an all-divergent grid
     assert capsys.readouterr().err == (
         "every stepsize diverged for gd at mu=0; ran the smallest grid point\n")
@@ -1150,6 +1165,94 @@ def test_cli_run_tuned_over_an_all_divergent_grid(tmp_path, capsys):
                  "--out", str(tmp_path / "bench")]) == 0
     assert capsys.readouterr().err == (
         "every stepsize diverged for gd at mu=1; ran the smallest grid point\n")
+
+
+def test_at_grid_edge_is_the_grids_smallest_or_largest_point():
+    assert at_grid_edge(1.0, STEPSIZE_GRID)
+    assert at_grid_edge(1e-10, STEPSIZE_GRID)
+    assert not at_grid_edge(0.5, STEPSIZE_GRID)
+    assert at_grid_edge(0.5, (0.5,))
+    assert at_grid_edge(0.1, (0.5, 0.1, 0.2))  # an unsorted grid
+
+
+def test_tuned_winners_at_a_grid_edge_are_flagged_and_printed(tmp_path,
+                                                              capsys):
+    # gd on a quadratic wins inside the grid, hasd at its top point; the
+    # flag rides in summary.json and tune.json, one stdout line per edge
+    # winner, and the config hash (so every CSV) does not move
+    argv = ["--objective", "quadratic", "--d", "4", "--p", "2", "--iters",
+            "20", "--methods", "gd,hasd", "--grid", "0.01,0.1,0.3,1,10"]
+    assert main(["run", "--tune", "--out", str(tmp_path / "run")] + argv) == 0
+    out = capsys.readouterr().out
+    summary = _strict_load(tmp_path / "run" / "summary.json")
+    entries = summary["mus"]["0"]["methods"]
+    assert entries["gd"]["stepsize"] == 0.3
+    assert entries["gd"]["at_grid_edge"] is False
+    assert entries["hasd"]["stepsize"] == 1.0
+    assert entries["hasd"]["at_grid_edge"] is False
+    assert "grid's edge" not in out
+    edge = ["--grid", "0.3,1"]
+    assert main(["run", "--tune", "--out", str(tmp_path / "edge")]
+                + argv + edge) == 0
+    out = capsys.readouterr().out
+    entries = _strict_load(tmp_path / "edge" / "summary.json")["mus"]["0"][
+        "methods"]
+    assert [entries[m]["at_grid_edge"] for m in ("gd", "hasd")] == [True, True]
+    assert [line for line in out.splitlines() if "grid's edge" in line] == [
+        "gd at mu=0: tuned stepsize 0.3 is at the grid's edge",
+        "hasd at mu=0: tuned stepsize 1 is at the grid's edge"]
+    assert main(["tune", "--out", str(tmp_path / "tune")] + argv + edge) == 0
+    out = capsys.readouterr().out
+    doc = _strict_load(tmp_path / "tune" / "tune.json")
+    assert [doc[m]["at_grid_edge"] for m in ("gd", "hasd")] == [True, True]
+    assert out.count("is at the grid's edge") == 2
+    # an untuned run carries no flag
+    assert main(["run", "--out", str(tmp_path / "plain")] + argv) == 0
+    capsys.readouterr()
+    plain = _strict_load(tmp_path / "plain" / "summary.json")
+    assert all("at_grid_edge" not in e
+               for e in plain["mus"]["0"]["methods"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--objective", "logsumexp", "--n", "2", "--d", "1", "--mu", "0",
+     "--seed", "1689", "--iters", "5"],
+    ["tune", "--objective", "logsumexp", "--n", "2", "--d", "1", "--mu", "0",
+     "--seed", "1689"],
+    ["bench", "--n", "2", "--d", "1", "--seed", "1689", "--mus", "0"],
+])
+def test_cli_a_constant_objective_is_one_error_line(tmp_path, capsys, argv):
+    # seed 1689 draws an all-zero 2 x 1 A: at mu = 0 the objective is
+    # constant, which is a configuration error (exit 2, one line naming the
+    # objective and the cause, no output directory), not a traceback
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "LogSumExpAffine objective is constant" in err
+    assert not out.exists()
+
+
+def test_cli_p2_rows_carry_one_l2_norm_and_zeta_is_c_theta(tmp_path, capsys):
+    # at p = 2 the dual norm is the l2 norm, so grad_l2 and grad_dual are
+    # one string, and r = 1, so each searched row's zeta = c(theta) * r is
+    # c(theta) = 18 L (1 - theta)^2 A_prev / theta to the bit
+    out = tmp_path / "p2"
+    assert main(["run", "--p", "2", "--methods", "hasd", "--iters", "30",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    L = _strict_load(out / "summary.json")["mus"]["0"]["L"]
+    with open(out / "hasd_mu0.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+    assert len(rows) == 31
+    assert [r["iter"] for r in rows if r["grad_l2"] != r["grad_dual"]] == []
+    searched = [(r, prev) for r, prev in zip(rows[1:], rows) if r["theta"]]
+    assert len(searched) == 29
+    bad = [r["iter"] for r, prev in searched
+           if float(r["zeta"]) != 18.0 * L * (1.0 - float(r["theta"])) ** 2
+           * float(prev["A"]) / float(r["theta"])]
+    assert bad == []
 
 
 @pytest.mark.parametrize("verb,settings,key", [

@@ -407,6 +407,18 @@ def test_smoothness_bound_dispatch():
         smoothness_bound(SmoothObjective(3), LpGeometry(2))
 
 
+@pytest.mark.parametrize("declare", [False, True])
+def test_a_constant_logsumexp_has_no_smoothness_bound(declare):
+    # an all-zero A at mu = 0, sampled or declared (smoothness_upper = 0):
+    # the refusal names the objective and the cause
+    obj = make_logsumexp_instance(2, 1, 0.0, 1689, declare_smoothness=declare)
+    assert not obj.A.any()
+    for p in (2.0, math.inf):
+        with pytest.raises(SmoothnessUnavailable,
+                           match="LogSumExpAffine objective is constant"):
+            smoothness_bound(obj, LpGeometry(p))
+
+
 def test_solve_reference_reaches_tolerance():
     obj = make_logsumexp_instance(25, 6, 1e-2, seed=18)
     xs, fs = solve_reference(obj)
