@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms under test: the step oracle is
 a general-purpose constrained/quasi-Newton minimizer applied to the raw
 subproblem, the reference-optimum oracle is scipy's L-BFGS-B, derivatives
-are checked by central finite differences, and HASD on a quadratic is
+are checked by central finite differences, the coupling search is rerun
+measuring every probe, and HASD and the four baselines on a quadratic are
 rerun in exact rational arithmetic.  The step subproblem's value and the
 Hessian of ||.||_p^2 (with its split into two PSD pieces) are references
 the optimizer never calls: the tests check the closed-form step and the
@@ -17,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
+from hasd.core import zeta_eval
 from hasd.geometry import LpGeometry, lp_norm
 
 
@@ -147,6 +149,29 @@ def lp_sq_hessian_split(z, p: float):
     M1 = 2.0 * (p - 1.0) * scale * (nrm ** p * np.diag(a ** (p - 2.0)) - np.outer(s, s))
     M2 = 2.0 * scale * np.outer(s, s)
     return M1, M2
+
+
+def search_every_probe(state, obj, cfg):
+    """The coupling search that evaluates every probe it bisects on: (theta,
+    zeta, y, x_next, grad f(x_next), gradient calls, rejected probes that
+    c(theta) decides: c r_lo > 2 or c < 1/2, r_lo = d^-(1-2/p) Hoelder's
+    lower end of the norm ratio)."""
+    r_lo = state.x.size ** (2.0 / cfg.geom.p - 1.0)
+    calls = decided = 0
+    lo, hi = 1e-12, 1.0 - 1e-12
+    while hi - lo > 4e-12:
+        th = 0.5 * (lo + hi)
+        calls += 2
+        zeta, y, x, gx, _, _ = zeta_eval(th, state, obj, cfg)
+        if 0.5 <= zeta <= 2.0:
+            return th, zeta, y, x, gx, calls, decided
+        c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
+        decided += c * r_lo > 2.0 or c < 0.5
+        if zeta > 1.25:
+            lo = th
+        else:
+            hi = th
+    raise AssertionError("reference search failed")
 
 
 def lbfgsb_reference(obj, grad_tol=1e-10, max_iter=500):
@@ -331,3 +356,62 @@ def exact_hasd_quadratic(h, center, x0, p, iters):
             "potential": A * f + B - psi_min,
             "growth": growth})
     return rows
+
+
+def exact_baseline_quadratic(method, h, center, x0, p, alpha, iters,
+                             signs=None):
+    """The points baselines' method traces on Quadratic(h, center) at
+    stepsize alpha, p in {2, inf}, in exact rational arithmetic: x_0 and the
+    iters points after it (agd's and lc's y sequence).
+
+    h, center, x0 and alpha are floats, read exactly, and every quantity
+    is then rational: agd's beta_t = max(0, (t-1)/(t+2)), lc's 2/(t+2) and
+    (t+1) alpha / 2, and the steepest step of lc and sd_p, x - alpha g at
+    p = 2 and x - alpha ||g||_1 sign(g) at p = inf.  At p = inf signs[t]
+    is the float run's sign(g) at its step t, as exact_hasd_quadratic
+    takes the float run's midpoints: an entry that is 0 in one arithmetic
+    and not in the other moves its coordinate in one run only.  Returns
+    one dict per row, x_0 first: f and x.
+    """
+    h = [Fraction(v) for v in h]
+    c = [Fraction(v) for v in center]
+    x0 = [Fraction(v) for v in x0]
+    alpha = Fraction(alpha)
+
+    def grad(x):
+        return [hi * (xi - ci) for hi, xi, ci in zip(h, x, c)]
+
+    def value(x):
+        return sum(hi * (xi - ci) ** 2 for hi, xi, ci in zip(h, x, c)) / 2
+
+    def descend(x, g, scale):  # x - scale * g
+        return [xi - scale * gi for xi, gi in zip(x, g)]
+
+    def steepest(x, g, t):
+        if p == 2:
+            return descend(x, g, alpha)
+        sign = [int(si) for si in signs[t]]
+        return descend(x, sign, alpha * sum(abs(gi) for gi in g))
+
+    points = [x0]
+    x = y = z = x0
+    for t in range(iters):
+        if method == "gd":
+            x = descend(x, grad(x), alpha)
+        elif method == "sd_p":
+            x = steepest(x, grad(x), t)
+        elif method == "agd":
+            y_new = descend(x, grad(x), alpha)
+            beta = max(Fraction(0), Fraction(t - 1, t + 2))
+            x = [yn + beta * (yn - yo) for yn, yo in zip(y_new, y)]
+            y = y_new
+        elif method == "lc":
+            beta = Fraction(2, t + 2)
+            x = [beta * zi + (1 - beta) * yi for zi, yi in zip(z, y)]
+            g = grad(x)
+            y = steepest(x, g, t)
+            z = descend(z, g, (t + 1) * alpha / 2)
+        else:
+            raise ValueError("no exact run of method %r" % (method,))
+        points.append(x if method in ("gd", "sd_p") else y)
+    return [{"f": value(x), "x": x} for x in points]

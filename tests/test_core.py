@@ -19,6 +19,8 @@ from hasd.objectives import (Quadratic, SmoothObjective, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound,
                              solve_reference)
 
+from oracles import search_every_probe
+
 INF = math.inf
 
 
@@ -463,28 +465,6 @@ def test_a_search_that_never_accepts_stops_after_38_probes(monkeypatch):
     assert len(probes) == 38 and exc.value.calls == 76
     lo, hi = exc.value.bracket
     assert lo < 0.3 <= hi and hi - lo <= 4e-12
-
-
-def search_every_probe(state, obj, cfg):
-    """The coupling search that evaluates every probe it bisects on; its
-    last entry counts the rejected probes c(theta) decides: c r_lo > 2 or
-    c < 1/2, r_lo = d^-(1-2/p) Hoelder's lower end of the norm ratio."""
-    r_lo = state.x.size ** (2.0 / cfg.geom.p - 1.0)
-    calls = decided = 0
-    lo, hi = 1e-12, 1.0 - 1e-12
-    while hi - lo > 4e-12:
-        th = 0.5 * (lo + hi)
-        calls += 2
-        zeta, y, x, gx, _, _ = zeta_eval(th, state, obj, cfg)
-        if 0.5 <= zeta <= 2.0:
-            return th, zeta, y, x, gx, calls, decided
-        c = 18.0 * cfg.L * (1.0 - th) ** 2 * state.A / th
-        decided += c * r_lo > 2.0 or c < 0.5
-        if zeta > 1.25:
-            lo = th
-        else:
-            hi = th
-    raise AssertionError("reference search failed")
 
 
 def coupling_states(p):

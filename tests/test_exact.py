@@ -1,10 +1,12 @@
-"""HASD on a quadratic against its exact-arithmetic transcription.
+"""HASD and the baselines on a quadratic against exact transcriptions.
 
 At p in {2, inf} every quantity a HASD run on a quadratic with rational
 data computes is rational, except the gain's square roots; the oracle
 (oracles.exact_hasd_quadratic) takes the float run's bisection midpoints
 and computes the rest exactly, so it shows whether the float run takes
-the decisions exact arithmetic takes.
+the decisions exact arithmetic takes.  oracles.exact_baseline_quadratic
+does the same for gd, agd, lc and sd_p, taking the float run's sign
+pattern at p = inf.
 """
 
 import math
@@ -12,11 +14,12 @@ import math
 import numpy as np
 import pytest
 
+from hasd.baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
 from hasd.core import HasdConfig, run
 from hasd.geometry import LpGeometry
 from hasd.objectives import Quadratic
 
-from oracles import exact_hasd_quadratic
+from oracles import exact_baseline_quadratic, exact_hasd_quadratic
 
 ITERS = 20
 # the largest relative distances from the exact run over these six runs:
@@ -56,3 +59,47 @@ def test_float_run_takes_the_exact_runs_decisions(seed, p):
         for name in ("window", "recurrence", "progress", "potential",
                      "growth"):
             assert row[name] <= 0, (name, row[name])
+
+
+BASELINE_ITERS = 40
+# the largest distance from the exact run, as a share of f(x_0) - f*, over
+# seeds 0-39 at both stepsizes: 9.8e-17 at p = 2 and 1.1e-16 at p = inf
+BASELINE_TOL = 1e-15
+_RUNNERS = {"gd": gd_run, "agd": agd_run, "lc": lc_run, "sd_p": sdp_run}
+
+
+def _step_signs(method, obj, x0, cfg):
+    """sign(g) at each step of the float run: with rows off, a baseline's
+    first cfg.iters gradient calls are the ones its steps take."""
+    calls = []
+    gradient = obj.gradient
+
+    def recorded(x):
+        calls.append(gradient(x))
+        return calls[-1]
+
+    obj.gradient = recorded
+    _RUNNERS[method](obj, x0, cfg, rows=False)
+    return [np.sign(g) for g in calls[:cfg.iters]]
+
+
+@pytest.mark.parametrize("method,p", [("gd", 2.0), ("agd", 2.0), ("lc", 2.0),
+                                      ("lc", math.inf), ("sd_p", math.inf)])
+@pytest.mark.parametrize("seed", range(8))
+def test_baseline_runs_stay_within_their_exact_runs(seed, method, p):
+    # at alpha = 1/L and at the largest power of two below it, every row's
+    # f stays within BASELINE_TOL (f(x_0) - f*) of the exact run's
+    h, center, x0 = _instance(seed)
+    geom = LpGeometry(p)
+    L = Quadratic(h, center).smoothness_for(geom)
+    for alpha in (1.0 / L, 2.0 ** -math.ceil(math.log2(L))):
+        cfg = BaselineConfig(alpha, BASELINE_ITERS, geom)
+        signs = _step_signs(method, Quadratic(h, center), x0, cfg)
+        rep = _RUNNERS[method](Quadratic(h, center), x0, cfg)
+        exact = exact_baseline_quadratic(method, h, center, x0, p, alpha,
+                                         BASELINE_ITERS, signs)
+        assert len(rep.traces) == len(exact) == BASELINE_ITERS + 1
+        scale = float(exact[0]["f"])  # f(x_0) - f*, as f* = 0
+        for tr, row in zip(rep.traces, exact):
+            assert abs(tr.f - float(row["f"])) <= BASELINE_TOL * scale, (
+                alpha, tr.iter, tr.f, float(row["f"]))

@@ -321,9 +321,12 @@ def test_plot_data_long_format(tmp_path):
     assert float(final[0].split(",")[3]) == pytest.approx(math.log10(gap))
 
 
-def test_bench_small_matrix_file_count(tmp_path):
+def test_bench_small_matrix_file_count(tmp_path, capsys):
     out = tmp_path / "bench"
-    summary = run_bench(n=16, d=5, iters=10, out_dir=str(out))
+    assert main(["bench", "--n", "16", "--d", "5", "--iters", "10",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = _strict_load(out / "summary.json")
     csvs = sorted(p.name for p in out.iterdir() if p.name.endswith(".csv"))
     assert len(csvs) == 17  # 4 methods x 4 mus + plot_data
     assert "hasd_mu1e-06.csv" in csvs and "lc_mu0.0001.csv" in csvs
@@ -578,7 +581,8 @@ def test_cli_run_whose_step_square_overflows_exits_without_traceback(
         "mus"]["0"]["methods"]["hasd"]["iters"] == 50
 
 
-def test_tune_ranks_a_grid_point_whose_first_step_overflows_inf(capsys):
+def test_tune_ranks_a_grid_point_whose_first_step_overflows_inf(tmp_path,
+                                                               capsys):
     # one overflowing grid point ranks +inf instead of aborting the sweep
     obj = make_objective(ExperimentConfig(objective="quadratic", d=5))
     geom = LpGeometry(math.inf)
@@ -587,9 +591,10 @@ def test_tune_ranks_a_grid_point_whose_first_step_overflows_inf(capsys):
                                         (1.0, 1e200))
     assert (best, all_div, finals[1e200]) == (1.0, False, math.inf)
     assert main(["tune", "--objective", "quadratic", "--d", "5", "--grid",
-                 "1,1e200", "--methods", "hasd"]) == 0
+                 "1,1e200", "--methods", "hasd", "--out", str(tmp_path)]) == 0
     seen = capsys.readouterr()
     assert seen.err == "" and "stepsize=1 " in seen.out
+    assert _strict_load(tmp_path / "tune.json")["hasd"]["stepsize"] == 1.0
 
 
 def test_check_invariants_at_an_overflowing_l_scale_fails_its_cells():
@@ -609,8 +614,13 @@ def test_check_invariants_reports_an_l2_norm_whose_square_overflows(capsys):
     # first step reports that norm, the dual norm at p = 2, not inf
     assert main(["check-invariants", "--seeds", "0", "--l-scale",
                  "1e-160"]) == 1
-    line, = [s for s in capsys.readouterr().out.splitlines()
-             if "p=2, Quadratic" in s]
+    seen = capsys.readouterr()
+    assert seen.err == ""
+    failed = [s for s in seen.out.splitlines()
+              if "coupling search failed" in s]
+    assert len(failed) == 8
+    assert all("first step: rho_0 = nan" in s for s in failed)
+    line, = [s for s in failed if "p=2, Quadratic" in s]
     assert ("||grad f(x_1)||_2 = 3.402406574642281e+160, ||.||_{p*} = "
             "3.402406574642281e+160" in line)
 
@@ -628,7 +638,8 @@ def test_check_invariants_fails_a_bound_that_underflows_to_zero(capsys):
 
 
 @pytest.mark.parametrize("l_scale", [1e150, 1e200])
-def test_check_invariants_passes_a_value_under_a_bound_that_overflows(l_scale):
+def test_check_invariants_passes_a_value_under_a_bound_that_overflows(
+        capsys, l_scale):
     # any L above the certified one is a valid smoothness constant, so every
     # check holds; at 1e150 of it the min_grad_cubic bound, 8748 L^2 R^2 /
     # (G^2 T^3), overflows to inf on some cells (at 1e200 on all), and a
@@ -637,6 +648,9 @@ def test_check_invariants_passes_a_value_under_a_bound_that_overflows(l_scale):
     cubic = report.row("min_grad_cubic")
     assert cubic.samples == 12 and cubic.failures == 0 and cubic.worst == 0.0
     assert report.ok
+    assert main(["check-invariants", "--seeds", "0", "--l-scale",
+                 repr(l_scale)]) == 0
+    assert capsys.readouterr().out == report.render() + "\n"
 
 
 def test_check_invariants_rejects_empty_budget(capsys):
@@ -746,9 +760,13 @@ def test_cli_check_invariants_exit_codes(capsys):
                   "--iters", "12"])
     rc_bad = main(["check-invariants", "--p", "inf", "--seeds", "0",
                    "--iters", "20", "--l-scale", "0.5"])
+    assert (rc_ok, rc_bad) == (0, 1)
+    # half the certified L must still be caught (exit 1, not 0 or 2) on a
+    # small matrix and on the default one
+    assert main(["check-invariants", "--p", "2,inf", "--seeds", "0",
+                 "--iters", "10", "--l-scale", "0.5"]) == 1
+    assert main(["check-invariants", "--l-scale", "0.5"]) == 1
     capsys.readouterr()
-    assert rc_ok == 0
-    assert rc_bad == 1
 
 
 def test_cli_gen_instance_roundtrip(tmp_path, capsys):
@@ -945,6 +963,7 @@ def test_cli_rejects_a_value_of_the_wrong_type(tmp_path, capsys, instance,
 
 
 @pytest.mark.parametrize("argv", [
+    ["check-invariants", "--l-scale", "nan"],
     ["check-invariants", "--p", "2", "--seeds", "0", "--iters", "2",
      "--l-scale", "nan"],
     ["check-invariants", "--p", "2", "--seeds", "0", "--iters", "2",
@@ -955,8 +974,8 @@ def test_cli_rejects_a_value_of_the_wrong_type(tmp_path, capsys, instance,
     ["run", "--n", "6", "--d", "3", "--mu", "inf"],
     ["run", "--objective", "quadratic", "--d", "3", "--tune",
      "--grid", "0.5,nan"],
-], ids=["l_scale_nan", "l_scale_inf", "stepsize_nan", "alpha_nan", "mu_nan",
-        "mu_inf", "grid_nan"])
+], ids=["l_scale_nan_default", "l_scale_nan", "l_scale_inf", "stepsize_nan",
+        "alpha_nan", "mu_nan", "mu_inf", "grid_nan"])
 def test_cli_refuses_a_non_finite_setting(tmp_path, capsys, argv):
     # NaN passes an `x <= 0` guard; every setting refuses it (and an
     # infinite L, step, mu or alpha) as a configuration error: exit 2 and
@@ -1294,8 +1313,8 @@ def test_cli_flag_and_config_file_refuse_a_bad_setting_alike(
     for argv in argvs:
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert key in err
+        assert err.startswith("error: config key %r: " % key)
+        assert err.count("\n") == 1
         assert not out.exists()
         errs.append(err)
     assert len(set(errs)) == 1

@@ -451,18 +451,21 @@ def test_newton_reference_matches_lbfgsb_oracle_on_other_shapes(n, d, mu, seed):
     assert np.linalg.norm(x - want_x) <= 1e-8 * np.linalg.norm(want_x)
 
 
-def test_solve_reference_does_not_stall_on_sharp_logits():
-    # a stacked regression instance [A; -A] at logit scale 3: the softmax
-    # at the origin sits on two rows, so the Hessian there is singular to
-    # rounding, and a halved Newton step stalls at ||grad||_2 = 19.44
-    d, s = 64, 3.0
+def _stacked_regression(d=64, s=3.0):
+    """A and b of a stacked regression instance [A; -A] at logit scale s."""
     rng = np.random.default_rng(d)
     A = rng.standard_normal((2 * d, d))
     b = A @ rng.standard_normal(d) + 0.1 * rng.standard_normal(2 * d)
+    return s * np.vstack([A, -A]), s * np.concatenate([b, -b])
+
+
+def test_solve_reference_does_not_stall_on_sharp_logits():
+    # at logit scale 3 the softmax at the origin sits on two rows, so the
+    # Hessian there is singular to rounding, and a halved Newton step stalls
+    # at ||grad||_2 = 19.44
 
     def build():
-        return LogSumExpAffine(s * np.vstack([A, -A]),
-                               s * np.concatenate([b, -b]))
+        return LogSumExpAffine(*_stacked_regression())
 
     want_x, want_f = lbfgsb_reference(build())
     obj = build()
@@ -520,7 +523,9 @@ def test_solve_reference_refuses_unbounded_objective_at_once():
 def test_runtime_needs_no_scipy(tmp_path):
     # numpy is the only runtime dependency: with scipy unimportable the
     # package imports, the checker runs, the bench's farthest reference
-    # (||x*|| ~ 4.9e6 at mu = 1e-6) solves, and mu = 0 is still refused
+    # (||x*|| ~ 4.9e6 at mu = 1e-6) and the stacked regression's solve
+    # from an instance file, and mu = 0 is still refused (seeds 0 and 1),
+    # each within the minute
     import hasd
     env = {**os.environ,
            "PYTHONPATH": str(Path(hasd.__file__).resolve().parent.parent)}
@@ -529,7 +534,7 @@ def test_runtime_needs_no_scipy(tmp_path):
 
     def cli(*argv):
         return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=60)
 
     assert cli().returncode == 0
     assert cli("check-invariants", "--p", "2,inf", "--seeds", "0",
@@ -538,10 +543,20 @@ def test_runtime_needs_no_scipy(tmp_path):
            "--solve-reference", "--out"]
     assert cli(*gen, str(tmp_path / "ref.json"), "--mu", "1e-6").returncode == 0
     assert "ref_optimum" in json.loads((tmp_path / "ref.json").read_text())
-    refused = cli(*gen, str(tmp_path / "none.json"), "--mu", "0")
-    assert refused.returncode == 2, refused.stderr
-    assert refused.stderr.startswith("error: no reference optimum")
-    assert not (tmp_path / "none.json").exists()
+    A, b = _stacked_regression()
+    inst = tmp_path / "stacked.json"
+    inst.write_text(json.dumps({"kind": "logsumexp", "A": A.tolist(),
+                                "b": b.tolist()}))
+    assert cli("gen-instance", "--instance", str(inst), "--solve-reference",
+               "--out", str(tmp_path / "stacked_ref.json")).returncode == 0
+    assert "ref_optimum" in json.loads(
+        (tmp_path / "stacked_ref.json").read_text())
+    for seed in ("0", "1"):
+        gen[gen.index("--seed") + 1] = seed
+        refused = cli(*gen, str(tmp_path / "none.json"), "--mu", "0")
+        assert refused.returncode == 2, refused.stderr
+        assert refused.stderr.startswith("error: no reference optimum")
+        assert not (tmp_path / "none.json").exists()
 
 
 def test_solve_reference_rejects_unbounded_objective():

@@ -1,8 +1,10 @@
-"""Properties of the steepest step and the norm ratio on generated inputs.
+"""Properties of the steepest step, the norm ratio and HASD runs on
+generated inputs.
 
 hypothesis draws gradients in d = 1-40 coordinates at scales 2^-150 to
-2^150 under one fixed profile: derandomized, with no example database, so
-every run of the suite tries the same examples.
+2^150, and quadratics and LogSumExp instances of shapes the invariant
+checker never builds, under one fixed profile: derandomized, with no
+example database, so every run of the suite tries the same examples.
 """
 
 import math
@@ -11,8 +13,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hasd.core import _holder_lo, _norm_ratio
+from hasd.core import (INVARIANTS, HasdConfig, _holder_lo, _norm_ratio,
+                       find_coupling, iterate, run)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
+from hasd.objectives import (Quadratic, make_logsumexp_instance,
+                             smoothness_bound)
+
+from oracles import search_every_probe
 
 FIXED = settings(derandomize=True, database=None, deadline=None,
                  max_examples=800)
@@ -74,3 +81,63 @@ def test_norm_ratio_lies_in_holders_interval(g, p):
         return
     assert _holder_lo(d, p) <= r <= 1.0
     assert math.isclose(r, l2_sq / dual_sq, rel_tol=1e-13, abs_tol=0.0)
+
+
+@st.composite
+def quadratics(draw):
+    """Quadratic(h, center) in d 1-12, h spread over up to six decades
+    anywhere in [1e-6, 1e12], the centre on quarters in [-10, 10]."""
+    d = draw(st.integers(1, 12))
+    low = draw(st.floats(-6.0, 12.0))
+    width = draw(st.floats(0.0, min(6.0, 12.0 - low)))
+    exps = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+    quarters = draw(st.lists(st.integers(-40, 40), min_size=d, max_size=d))
+    return Quadratic(10.0 ** (low + width * np.array(exps)),
+                     np.array(quarters) / 4.0)
+
+
+@st.composite
+def logsumexps(draw):
+    """make_logsumexp_instance, n 2-30, d 1-10, mu in {1e-4, 1e-2, 1}, with
+    its analytic bound declared."""
+    return make_logsumexp_instance(draw(st.integers(2, 30)),
+                                   draw(st.integers(1, 10)),
+                                   draw(st.sampled_from((1e-4, 1e-2, 1.0))),
+                                   draw(st.integers(0, 2**32 - 1)),
+                                   declare_smoothness=True)
+
+
+instances = st.one_of(quadratics(), logsumexps())
+RUN_P = (2.0, 3.0, 4.0, math.inf)
+
+
+def _certified(obj, p, iters):
+    geom = LpGeometry(p)
+    return HasdConfig(L=smoothness_bound(obj, geom), geom=geom,
+                      max_iters=iters)
+
+
+@settings(FIXED, max_examples=150)
+@given(instances, st.sampled_from(RUN_P))
+def test_a_run_at_the_certified_l_holds_every_invariant(obj, p):
+    rep = run(obj, np.zeros(obj.dim), _certified(obj, p, 40))
+    assert rep.invariants == dict.fromkeys(INVARIANTS, 0)
+
+
+@settings(FIXED, max_examples=60)
+@given(instances, st.sampled_from(RUN_P))
+def test_find_coupling_measures_the_probes_a_full_search_measures(obj, p):
+    # along a run, each search returns the theta, zeta and bits of a search
+    # measuring every probe, two gradient calls fewer per probe it settles
+    cfg = _certified(obj, p, 12)
+    for state, tr in iterate(obj, np.zeros(obj.dim), cfg):
+        if state.t < 1 or tr.converged:
+            continue
+        th, zeta, y, x, gx, calls, settled = search_every_probe(state, obj,
+                                                                cfg)
+        res = find_coupling(state, obj, cfg)
+        assert (res.theta, res.zeta) == (th, zeta)
+        assert res.y.tobytes() == y.tobytes()
+        assert res.x_next.tobytes() == x.tobytes()
+        assert res.grad_x_next.tobytes() == gx.tobytes()
+        assert res.oracle_calls == calls - 2 * settled
