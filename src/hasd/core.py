@@ -258,7 +258,6 @@ class RunReport:
     traces: list
     G_mean: float | None = None
     R: float | None = None
-    certificate: float | None = None
     invariants: dict | None = None
     restart_gaps: list | None = None
     restart_G: list | None = None
@@ -611,12 +610,9 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
         exc.traces = traces
         raise
     G_mean = state.G_sum / state.t if state.t > 0 else None
-    cert = (rate_bounds(cfg.L, state.R, G_mean, state.t)[0]
-            if state.R is not None and G_mean else None)
     return RunReport(method="hasd", final_x=state.x, iters=state.t,
                      grad_calls=state.grad_calls, traces=traces, G_mean=G_mean,
-                     R=state.R, certificate=cert,
-                     invariants=fails if rows else None)
+                     R=state.R, invariants=fails if rows else None)
 
 
 def run(obj, x0, cfg: HasdConfig) -> RunReport:
@@ -634,9 +630,9 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
     gap <= eps.  K is derived from the reference optimum when available,
     otherwise it must be supplied.  The report is the last round's with
     the fields that span rounds replaced (R is the first round's, the
-    invariants are summed, certificate is None), so final_f and gap are
-    its last row's.  With K = 0 (x0 already within eps, or as supplied) no
-    round runs: the report is run's at max_iters 0, with invariants None.
+    invariants are summed), so final_f and gap are its last row's.  With
+    K = 0 (x0 already within eps, or as supplied) no round runs: the
+    report is run's at max_iters 0, with invariants None.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -673,7 +669,7 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
             traces.append(tr)
     return replace(rounds[-1], method="hasd+restart", iters=traces[-1].iter,
                    grad_calls=sum(r.grad_calls for r in rounds),
-                   R=rounds[0].R, certificate=None,
+                   R=rounds[0].R,
                    invariants={key: sum(r.invariants[key] for r in rounds)
                                for key in INVARIANTS},
                    restart_gaps=gaps, restart_G=[r.G_mean for r in rounds],

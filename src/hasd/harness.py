@@ -478,7 +478,8 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
     """Run hasd at step scale 1 from the float array x0 through run_method
     (a violated L can overflow; the checks say so) and record each folded
     row's violations (REFERENCE_CHECKS skip without a reference), its
-    search calls from t = 2 on, and the report's end-of-run bounds.  A
+    search calls from t = 2 on, and the end-of-run bounds rate_bounds
+    gives from the report's R, G_mean and iters.  A
     failed coupling search fails the coupling_search row, the rows built
     before it (the error's traces) stand, and its message is returned.
     """
@@ -504,12 +505,11 @@ def _check_hasd_cell(obj, geom: LpGeometry, L: float, x0, iters: int,
     row("coupling_search").record(float(failed is not None))
     if failed is None and traces[-1].iter == 0:  # stationary start
         return None
-    cert = rep.certificate if failed is None else None  # None: no ref or step
-    if cert is None:
+    if failed is not None or rep.R is None or not rep.G_mean:  # no ref or step
         row("certificate").skip()
         row("min_grad_cubic").skip()
         return failed
-    cubic = rate_bounds(L, rep.R, rep.G_mean, rep.iters)[1]
+    cert, cubic = rate_bounds(L, rep.R, rep.G_mean, rep.iters)
     row("certificate").record(_excess(rep.gap, cert))
     min_dual_sq = min([math.inf] + [tr.grad_dual * tr.grad_dual
                                     for tr in traces[1:]])

@@ -1,4 +1,9 @@
-"""Smooth convex test objectives with value/gradient/Hessian oracles.
+"""Smooth convex test objectives with value and gradient oracles.
+
+The methods are first order.  Only LogSumExpAffine has a Hessian oracle,
+for solve_reference's Newton steps: the quadratic's and the symmetric
+softmax's optima are known in closed form, so no solve reads a Hessian
+of theirs, and they have none.
 
 An objective is l_p-smooth with constant L when
 
@@ -163,10 +168,6 @@ class Quadratic(SmoothObjective):
     def gradient(self, x):
         return self.h * self._at(x)[1]
 
-    def hessian(self, x):
-        self._check(x)
-        return np.diag(self.h)
-
     def smoothness_for(self, geom: LpGeometry) -> float:
         # operator norm of Diag(h): l_p -> l_{p*} is ||h||_{p/(p-2)}
         p = geom.p
@@ -203,11 +204,6 @@ class SymmetricSoftmax(SmoothObjective):
     def gradient(self, x):
         w = _softmax(self._at(x)[1])
         return w[: self.dim] - w[self.dim :]
-
-    def hessian(self, x):
-        w = _softmax(self._at(x)[1])
-        g = w[: self.dim] - w[self.dim :]
-        return (np.diag(w[: self.dim] + w[self.dim :]) - np.outer(g, g)) / self.alpha
 
 
 class LogSumExpAffine(SmoothObjective):
@@ -408,7 +404,8 @@ def smoothness_bound(obj: SmoothObjective, geom: LpGeometry) -> float:
 def solve_reference(obj: SmoothObjective):
     """High-accuracy reference optimum by regularized Newton from the origin.
 
-    Requires a Hessian oracle.  Dense steps
+    A Quadratic's or SymmetricSoftmax's optimum is returned in closed form;
+    any other objective needs a Hessian oracle.  Dense steps
     x+ = x - (H + sqrt(M ||g||_2) I)^-1 g from x = 0 (Mishchenko, SIAM J.
     Optim. 2023; Polyak, Math. Program. 2009) carry x to a gradient norm
     of tol / 100, tol = 1e-10, however far away the optimum sits.  A trial

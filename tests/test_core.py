@@ -805,9 +805,10 @@ def test_run_rate_certificate_and_call_accounting():
     geom = LpGeometry(2)
     cfg = HasdConfig(L=2.0, geom=geom, max_iters=20)
     report = run(obj, np.array([3.0, -1.0]), cfg)
-    assert report.certificate == pytest.approx(
+    cert = rate_bounds(cfg.L, report.R, report.G_mean, report.iters)[0]
+    assert cert == pytest.approx(
         324.0 * cfg.L * report.R ** 2 / (report.G_mean ** 2 * report.iters ** 2), rel=1e-12)
-    assert report.gap <= report.certificate
+    assert report.gap <= cert
     assert report.grad_calls == 1 + sum(tr.search_calls or 0 for tr in report.traces)
     assert report.iters == report.traces[-1].iter
 
@@ -855,7 +856,7 @@ def test_run_zero_iterations():
     obj, cfg = quad_cfg([1.0, 1.0], max_iters=0)
     report = run(obj, np.array([2.0, 0.0]), cfg)
     assert report.iters == 0 and len(report.traces) == 1
-    assert report.G_mean is None and report.certificate is None
+    assert report.G_mean is None
     assert report.grad_calls == 1 and not report.traces[-1].converged
 
 
@@ -998,8 +999,7 @@ def test_rows_off_runs_equal_core_run():
             kinds.add(type(full).__name__)
             continue
         assert fast.final_x.tobytes() == full.final_x.tobytes(), label
-        for key in ("final_f", "gap", "iters", "grad_calls", "G_mean", "R",
-                    "certificate"):
+        for key in ("final_f", "gap", "iters", "grad_calls", "G_mean", "R"):
             assert getattr(fast, key) == getattr(full, key), (label, key)
         assert fast.invariants is None and full.invariants is not None
         assert fast.traces == [replace(full.traces[-1], violations=None)], label
