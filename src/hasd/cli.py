@@ -14,8 +14,8 @@ from .harness import (_ALL_METHODS, _OBJECTIVES, ExperimentConfig,
                       at_grid_edge, check_invariants, default_x0,
                       make_objective, run_bench, run_experiment, tune_method,
                       write_json)
-from .objectives import (SmoothnessUnavailable, _object, save_instance,
-                         smoothness_bound, solve_reference)
+from .objectives import (LogSumExpAffine, SmoothnessUnavailable, _object,
+                         save_instance, smoothness_bound, solve_reference)
 
 
 def _list_of(convert):
@@ -130,17 +130,18 @@ def _given(args) -> dict:
                         if name in _CFG_DEFAULTS and val is not None})
 
 
-def _report_tuning(summary):
+def _report_tuning(summary, fallback="ran the smallest grid point"):
     """One stdout line per tuned (method, mu) whose stepsize is a grid edge,
-    one stderr line per (method, mu) whose every grid point diverged."""
+    one stderr line per (method, mu) whose every grid point diverged, ending
+    with what was done with the smallest grid point."""
     for mu, block in sorted(summary["mus"].items(), key=lambda kv: float(kv[0])):
         for m, entry in sorted(block["methods"].items()):
             if entry.get("at_grid_edge"):
                 print("%s at mu=%s: tuned stepsize %g is at the grid's edge"
                       % (m, mu, entry["stepsize"]))
             if entry.get("all_divergent"):
-                print("every stepsize diverged for %s at mu=%s; ran the "
-                      "smallest grid point" % (m, mu), file=sys.stderr)
+                print("every stepsize diverged for %s at mu=%s; %s"
+                      % (m, mu, fallback), file=sys.stderr)
 
 
 def cmd_run(args) -> int:
@@ -177,7 +178,9 @@ def cmd_tune(args) -> int:
         flag = "  (all grid points diverged)" if all_div else ""
         print("%-5s stepsize=%-10g final_f=%.10g%s"
               % (m, best, finals[best], flag))
-    _report_tuning({"mus": {"%g" % cfg.mu: {"methods": result}}})
+    mu = obj.mu if isinstance(obj, LogSumExpAffine) else cfg.mu
+    _report_tuning({"mus": {"%g" % mu: {"methods": result}}},
+                   "the smallest grid point is reported, not run")
     if "out_dir" in given:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

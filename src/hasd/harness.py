@@ -19,10 +19,11 @@ from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
 from .core import (INVARIANT_TOL, INVARIANTS, REFERENCE_CHECKS,
                    CouplingSearchError, HasdConfig, _run, rate_bounds, run)
 from .geometry import LpGeometry
-from .objectives import (Quadratic, SmoothnessUnavailable, SymmetricSoftmax,
-                         _field, _finite, _seed, attach_reference,
-                         load_instance, make_logsumexp_instance,
-                         smoothness_bound, solve_reference)
+from .objectives import (LogSumExpAffine, Quadratic, SmoothnessUnavailable,
+                         SymmetricSoftmax, _field, _finite, _seed,
+                         attach_reference, load_instance,
+                         make_logsumexp_instance, smoothness_bound,
+                         solve_reference)
 
 # the 31-point tuning ladder {1, 2, 5} x 10^{-10..-1} plus 1.0
 STEPSIZE_GRID = tuple(c * 10.0 ** e for e in range(-10, 0)
@@ -239,17 +240,18 @@ def write_trace_csv(path, traces, cfg_hash: str, gaps):
         raise OSError("failed writing trace CSV %s: %s" % (path, exc)) from exc
 
 
-def _reference_value(obj, mu: float, x0, geom, L, iters, tuned, reports):
+def _reference_value(obj, x0, geom, L, iters, tuned, reports):
     """Reference value used for the gap column of one (instance, mu) block.
 
-    Attached or analytically solvable references are exact.  Otherwise
+    Attached or analytically solvable references are exact, and so is the
+    solve of a LogSumExp instance whose own mu is positive.  Otherwise
     (weakly regularized instances can be unbounded below) the reference is
     the best value seen by any method, including extended runs of the two
     accelerated methods at 4x the budget, minus a small positive margin.
     """
     if obj.reference_optimum is not None:
         return float(obj.reference_optimum[1]), "attached"
-    if mu > 0:
+    if isinstance(obj, LogSumExpAffine) and obj.mu > 0:
         try:
             return float(solve_reference(obj)[1]), "exact"
         except (RuntimeError, SmoothnessUnavailable):
@@ -272,6 +274,11 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     """Run each configured method on each mu, writing one CSV per (method,
     mu), a plot-data file of log10(gap) vs iteration, and summary.json.
 
+    A LogSumExp instance's block, CSVs and plot rows are labelled with the
+    instance's own mu, so one loaded from a file is labelled with the mu it
+    was saved with; a sweep of more than one mu over an instance file is a
+    "config key 'mu_values':" ValueError.
+
     Without tuning, hasd runs at scale 1 and baselines at 1/L.  Nothing is
     written, and no directory made, until every objective, method config and
     run has been built, so a configuration error, an empty mu_values among
@@ -283,6 +290,10 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     mu_values = _field({"mu_values": [cfg.mu] if mu_values is None
                         else mu_values}, "mu_values", "config",
                        _each(_CONVERTERS["mu"]))
+    if len(mu_values) > 1 and cfg.instance_path:
+        raise ValueError("config key 'mu_values': an instance file has its "
+                         "own mu, so it takes one run, not a sweep of %d"
+                         % len(mu_values))
     if len(mu_values) > 1 and cfg.objective != "logsumexp":
         raise ValueError("a mu sweep needs the logsumexp objective")
     doc = cfg.to_dict()
@@ -297,6 +308,8 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
 
     for mu in mu_values:
         obj = make_objective(cfg, mu=mu)
+        if isinstance(obj, LogSumExpAffine):
+            mu = obj.mu  # a loaded instance's own
         L = smoothness_bound(obj, geom)
         x0 = default_x0(obj)
         tuned, reports, block = {}, {}, {"L": L, "methods": {}}
@@ -318,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
             except CouplingSearchError as exc:
                 raise ValueError("method %r at mu=%g: coupling search "
                                  "failed: %s" % (m, mu, exc)) from exc
-        f_ref, ref_kind = _reference_value(obj, mu, x0, geom, L, cfg.iters,
+        f_ref, ref_kind = _reference_value(obj, x0, geom, L, cfg.iters,
                                            tuned, reports)
         block["f_ref"] = f_ref
         block["ref_kind"] = ref_kind

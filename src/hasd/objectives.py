@@ -384,8 +384,10 @@ def smoothness_bound(obj: SmoothObjective, geom: LpGeometry) -> float:
 
     Preference order: a declared constant (converted between exponents as
     needed), an analytic class-specific bound, then an empirical estimate
-    for LogSumExpAffine.  Raises SmoothnessUnavailable otherwise, and for a
-    constant LogSumExpAffine (A = 0, mu = 0), declared or not.
+    for LogSumExpAffine.  Raises SmoothnessUnavailable otherwise, for a
+    constant LogSumExpAffine (A = 0, mu = 0), declared or not, and for an
+    affine one (mu = 0, every row of A equal) with none declared: its
+    gradient is one vector, so sampled pairs measure only rounding noise.
     """
     if isinstance(obj, LogSumExpAffine) and obj.mu == 0.0 and not obj.A.any():
         raise SmoothnessUnavailable("the LogSumExpAffine objective is constant "
@@ -397,6 +399,13 @@ def smoothness_bound(obj: SmoothObjective, geom: LpGeometry) -> float:
     if isinstance(obj, Quadratic):
         return obj.smoothness_for(geom)
     if isinstance(obj, LogSumExpAffine):
+        A = obj.A
+        if obj.mu == 0.0 and np.array_equal(np.maximum.reduce(A, axis=0),
+                                             np.minimum.reduce(A, axis=0)):
+            raise SmoothnessUnavailable(
+                "the LogSumExpAffine objective is affine (mu = 0 and every "
+                "row of A equal): sampled pairs measure no smoothness "
+                "constant, and none is declared")
         return empirical_smoothness(obj, geom)
     raise SmoothnessUnavailable("no smoothness information for %r" % (type(obj).__name__,))
 

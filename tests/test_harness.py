@@ -341,9 +341,10 @@ def test_bench_small_matrix_file_count(tmp_path, capsys):
 
 
 def _best_found_case(mu):
-    """(_reference_value's arguments at mu, the best value of each method's
-    own and 4x-budget runs) on an instance with no attached reference."""
-    obj = make_logsumexp_instance(16, 5, 1e-2, seed=0)
+    """(_reference_value's arguments on an instance of the given mu with no
+    attached reference, the best value of each method's own and 4x-budget
+    runs)."""
+    obj = make_logsumexp_instance(16, 5, mu, seed=0)
     geom = LpGeometry(math.inf)
     L = smoothness_bound(obj, geom)
     x0 = np.zeros(5)
@@ -353,7 +354,7 @@ def _best_found_case(mu):
     best = {m: min(tr.f for tr in reports[m].traces
                    + run_method(m, obj, x0, geom, L, 40, s).traces)
             for m, s in tuned.items()}
-    return (obj, mu, x0, geom, L, 10, tuned, reports), best
+    return (obj, x0, geom, L, 10, tuned, reports), best
 
 
 def _margined(best):
@@ -785,6 +786,47 @@ def test_cli_gen_instance_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_instance_file_keeps_its_own_mu(tmp_path, capsys):
+    # a saved mu = 0.05 instance runs under its own label, not the
+    # configured mu = 0, and takes the exact reference its mu > 0 allows
+    # (-13.338), not the best value found (-7.816)
+    path = tmp_path / "inst.json"
+    save_instance(make_logsumexp_instance(12, 4, 0.05, 3), path)
+    out = tmp_path / "run"
+    assert main(["run", "--instance", str(path), "--iters", "5",
+                 "--methods", "hasd,gd", "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = _strict_load(out / "summary.json")
+    assert list(summary["mus"]) == ["0.05"]
+    block = summary["mus"]["0.05"]
+    assert block["ref_kind"] == "exact"
+    assert block["f_ref"] == solve_reference(load_instance(path))[1]
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "gd_mu0.05.csv", "hasd_mu0.05.csv", "plot_data.csv"]
+    rows = (out / "plot_data.csv").read_text().splitlines()[2:]
+    assert rows and all(row.startswith("0.05,") for row in rows)
+    # tune labels its lines with the instance's mu too
+    assert main(["tune", "--instance", str(path), "--grid", "1e200",
+                 "--iters", "3", "--methods", "gd"]) == 0
+    assert capsys.readouterr().err == (
+        "every stepsize diverged for gd at mu=0.05; the smallest grid point "
+        "is reported, not run\n")
+
+
+def test_a_mu_sweep_over_an_instance_file_is_a_config_error(tmp_path):
+    # the file fixes mu: two labels would run one instance twice
+    path = tmp_path / "inst.json"
+    save_instance(make_logsumexp_instance(12, 4, 0.05, 3), path)
+    out = tmp_path / "bench"
+    with pytest.raises(ValueError, match="^config key 'mu_values': "):
+        run_bench(out_dir=str(out), instance_path=str(path),
+                  mu_values=(0.0, 0.5), iters=5)
+    assert not out.exists()
+    summary = run_bench(out_dir=str(out), instance_path=str(path),
+                        mu_values=(0.5,), iters=5, methods=("gd",))
+    assert list(summary["mus"]) == ["0.05"]
+
+
 def test_cli_gen_instance_without_reference_optimum_is_exit_2(tmp_path, capsys):
     path = tmp_path / "inst.json"
     rc = main(["gen-instance", "--objective", "logsumexp", "--n", "200",
@@ -1046,9 +1088,11 @@ def test_cli_outputs_are_strict_json_when_a_run_diverges(tmp_path, capsys):
     assert _strict_load(tuned / "tune.json")["gd"] == {
         "all_divergent": True, "at_grid_edge": True, "final_f": "inf",
         "stepsize": 10.0}
-    # the one stderr line run and bench print for an all-divergent grid
+    # tune's own stderr line for an all-divergent grid: it reports the
+    # smallest grid point and makes no recorded run
     assert capsys.readouterr().err == (
-        "every stepsize diverged for gd at mu=0; ran the smallest grid point\n")
+        "every stepsize diverged for gd at mu=0; the smallest grid point is "
+        "reported, not run\n")
 
 
 def test_write_json_spells_non_finite_floats_as_config_p_does(tmp_path):
@@ -1249,6 +1293,19 @@ def test_cli_a_constant_objective_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "LogSumExpAffine objective is constant" in err
+    assert not out.exists()
+
+
+def test_cli_an_affine_objective_is_one_error_line(tmp_path, capsys):
+    # seed 2 draws a 2 x 1 A of equal nonzero rows: at mu = 0 the objective
+    # is affine, and a sampled L would be rounding noise (1.98e-10)
+    out = tmp_path / "out"
+    assert main(["run", "--objective", "logsumexp", "--n", "2", "--d", "1",
+                 "--mu", "0", "--seed", "2", "--iters", "5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: the LogSumExpAffine objective is affine")
     assert not out.exists()
 
 

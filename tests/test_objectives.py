@@ -416,6 +416,40 @@ def test_a_constant_logsumexp_has_no_smoothness_bound(declare):
             smoothness_bound(obj, LpGeometry(p))
 
 
+def test_an_affine_logsumexp_has_no_sampled_smoothness_bound():
+    # of make_logsumexp_instance(2, 1, 0, seed), seeds 0-199, 131 draw equal
+    # rows: f is affine, and 12 of them (A = 0) constant.  Sampled pairs
+    # would read rounding noise as L (1.98e-10 at seed 2); the refusal
+    # names the objective and the cause, and a declared L stands (any L > 0
+    # is valid for an affine f)
+    geom = LpGeometry(math.inf)
+    counts = dict.fromkeys(("constant", "affine", "sampled"), 0)
+    for seed in range(200):
+        obj = make_logsumexp_instance(2, 1, 0.0, seed)
+        if obj.A[0, 0] != obj.A[1, 0]:
+            assert 0.37 < smoothness_bound(obj, geom) < 0.375, seed
+            counts["sampled"] += 1
+            continue
+        kind = "affine" if obj.A.any() else "constant"
+        with pytest.raises(SmoothnessUnavailable,
+                           match="LogSumExpAffine objective is " + kind):
+            smoothness_bound(obj, geom)
+        counts[kind] += 1
+        if kind == "affine":
+            obj = make_logsumexp_instance(2, 1, 0.0, seed,
+                                          declare_smoothness=True)
+            assert smoothness_bound(obj, geom) == obj.smoothness[0] > 0
+    assert counts == {"constant": 12, "affine": 119, "sampled": 69}
+    # equal rows in more columns; one entry apart, or mu > 0, is not affine
+    A = np.tile([1.0, 0.0, 2.0, -1.0], (3, 1))
+    b = np.array([0.5, -1.0, 2.0])
+    with pytest.raises(SmoothnessUnavailable, match="is affine"):
+        smoothness_bound(LogSumExpAffine(A, b), geom)
+    assert smoothness_bound(LogSumExpAffine(A, b, mu=1e-3), geom) > 0
+    A[2, 3] = -1.5
+    assert smoothness_bound(LogSumExpAffine(A, b), geom) > 0
+
+
 def test_solve_reference_reaches_tolerance():
     obj = make_logsumexp_instance(25, 6, 1e-2, seed=18)
     xs, fs = solve_reference(obj)

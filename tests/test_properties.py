@@ -8,16 +8,19 @@ example database, so every run of the suite tries the same examples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hasd.core import (INVARIANTS, HasdConfig, _holder_lo, _norm_ratio,
-                       find_coupling, iterate, run)
+from hasd import core
+from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig,
+                       _holder_lo, _norm_ratio, find_coupling, iterate, run,
+                       zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
-from hasd.objectives import (Quadratic, make_logsumexp_instance,
-                             smoothness_bound)
+from hasd.objectives import (LogSumExpAffine, Quadratic,
+                             make_logsumexp_instance, smoothness_bound)
 
 from oracles import search_every_probe
 
@@ -141,3 +144,93 @@ def test_find_coupling_measures_the_probes_a_full_search_measures(obj, p):
         assert res.x_next.tobytes() == x.tobytes()
         assert res.grad_x_next.tobytes() == gx.tobytes()
         assert res.oracle_calls == calls - 2 * settled
+
+
+def _traced_search(state, obj, cfg):
+    """find_coupling at state, and each probe it made as [theta, measured]:
+    _coupling_factor is called once a probe, and zeta_eval once a measured
+    one (its own _coupling_factor call is not a probe)."""
+    probes = []
+    factor, measure = core._coupling_factor, core.zeta_eval
+
+    def probe(theta, A_t, L):
+        probes.append([theta, False])
+        return factor(theta, A_t, L)
+
+    def measured(theta, *args):
+        n = len(probes)
+        out = measure(theta, *args)
+        del probes[n:]
+        probes[-1][1] = True
+        return out
+
+    with mock.patch.object(core, "_coupling_factor", probe), \
+            mock.patch.object(core, "zeta_eval", measured):
+        try:
+            result = find_coupling(state, obj, cfg)
+        except CouplingSearchError as exc:
+            result = exc
+    return result, probes
+
+
+# at p = 2 each search's first probe is theta = 1/2, and here c(1/2) is
+# exactly 0.5, 1.0 and 2.0 in the first three searches: the third one's is
+# measured at zeta = c r = 2.0, the window's edge, which a settle rule of
+# c r_lo >= 2 would settle as above it
+@settings(FIXED, max_examples=60)
+@given(instances, st.sampled_from(RUN_P))
+@example(Quadratic(np.array([1.0]), np.array([1.0])), 2.0)
+def test_a_settled_probe_takes_its_measured_zetas_verdict(obj, p):
+    # find_coupling settles a probe with no oracle call where c r_lo > 2
+    # proves zeta > 2 or c < 1/2 proves zeta < 1/2; measured, every such
+    # probe lies on the side of the window the bisection moved past
+    cfg = _certified(obj, p, 12)
+    for state, tr in iterate(obj, np.zeros(obj.dim), cfg):
+        if state.t < 1 or tr.converged:
+            continue
+        result, probes = _traced_search(state, obj, cfg)
+        for k, (theta, measured) in enumerate(probes):
+            if measured:
+                continue
+            if k + 1 < len(probes):
+                above = probes[k + 1][0] > theta  # the bracket's low end rose
+            else:  # the search ended on this probe: its bracket says where
+                above = theta == result.bracket[0]
+            zeta = zeta_eval(theta, state, obj, cfg)[0]
+            assert zeta is not None, (state.t, theta)
+            assert zeta > 2.0 if above else zeta < 0.5, (state.t, theta, zeta)
+
+
+def _signed_permutation(obj, rng):
+    """obj in the coordinates x' = s * x[perm], with no reference optimum,
+    and the map x -> x'."""
+    perm = rng.permutation(obj.dim)
+    s = rng.choice([-1.0, 1.0], obj.dim)
+    if isinstance(obj, Quadratic):
+        moved = Quadratic(obj.h[perm], center=s * obj.center[perm])
+    else:
+        moved = LogSumExpAffine(obj.A[:, perm] * s, obj.b, obj.mu)
+    moved.reference_optimum = None
+    return moved, (lambda x: s * x[perm])
+
+
+# a zero first gradient entry, moved to the third coordinate by seed 0: an
+# l_p norm that scaled by its first entry, not its largest, read 0 here
+@settings(FIXED, max_examples=60)
+@given(instances, st.sampled_from(RUN_P), st.integers(0, 2**32 - 1))
+@example(Quadratic(np.array([1.0, 4.0, 0.5]), np.array([0.0, -2.0, 0.25])),
+         4.0, 0)
+def test_a_signed_permutation_of_a_generated_instance_gives_the_same_run(
+        obj, p, seed):
+    # the permuted run's iterates are the run's, permuted; only the order
+    # of the sums in norms and products differs.  Both run at obj's L with
+    # no reference, so neither stops at an eps that rounding could cross
+    cfg = _certified(obj, p, 20)
+    obj.reference_optimum = None
+    moved, to_moved = _signed_permutation(obj, np.random.default_rng(seed))
+    base = run(obj, np.zeros(obj.dim), cfg)
+    perm = run(moved, np.zeros(obj.dim), cfg)
+    want = to_moved(base.final_x)
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(perm.final_x - want).max() <= 1e-12 * scale
+    assert perm.grad_calls == base.grad_calls
