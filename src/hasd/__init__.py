@@ -30,7 +30,6 @@ from .core import (
     IterationTrace,
     NonFiniteProbeError,
     RunReport,
-    a_from_rho,
     find_coupling,
     iterate,
     rate_bounds,
@@ -67,7 +66,6 @@ __all__ = [
     "NonFiniteProbeError",
     "IterationTrace",
     "RunReport",
-    "a_from_rho",
     "zeta_eval",
     "find_coupling",
     "step",

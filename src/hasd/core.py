@@ -248,15 +248,14 @@ class IterationTrace:
 
 @dataclass
 class RunReport:
-    """Summary of one optimizer run; final_f, gap and whether the run
-    converged (trace.converged) are its last row's."""
+    """Summary of one optimizer run; final_f, gap, G_mean and whether the
+    run converged (trace.converged) are its last row's."""
 
     method: str
     final_x: np.ndarray
     iters: int
     grad_calls: int
     traces: list
-    G_mean: float | None = None
     R: float | None = None
     invariants: dict | None = None
     restart_gaps: list | None = None
@@ -270,18 +269,10 @@ class RunReport:
     def gap(self) -> float | None:
         return self.traces[-1].gap
 
-
-def a_from_rho(A_t: float, L: float, rho: float) -> float:
-    """Positive root a of 18 L rho a^2 = A_t + a.
-
-    a = (1 + sqrt(1 + 72 L rho A_t)) / (36 L rho); at A_t = 0 this is
-    1/(18 L rho).
-    """
-    if not (L > 0 and rho > 0):  # NaN fails too
-        raise ValueError("a_from_rho needs L > 0 and rho > 0")
-    if not A_t >= 0:
-        raise ValueError("A_t must be nonnegative")
-    return (1.0 + math.sqrt(1.0 + 72.0 * L * rho * A_t)) / (36.0 * L * rho)
+    @property
+    def G_mean(self) -> float | None:
+        """The mean gain G over the folded steps; None before the first."""
+        return self.traces[-1].G_running
 
 
 def _grad_norms(g, geom: LpGeometry):
@@ -445,11 +436,12 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     passes its steepest step from x0 in the same form (theta and zeta None,
     one oracle call), and rho_0 is the gradient-norm ratio r at x_1, read
     through _norm_ratio as zeta reads it (NonFiniteProbeError where g has
-    no ratio); a later step's rho and a follow from its theta.  The window
-    check compares rho with the same clamped r, and every square of a norm
-    is the product x * x.  At a zero gradient the run has converged: x
-    moves to the point and nothing is folded in.  A
-    folded row carries the violation magnitudes of the five per-step
+    no ratio), and a_1 = 1/(18 L rho_0); a later step's rho and a follow
+    from its theta.  The window check compares rho with the same clamped r,
+    and every square of a norm is the product x * x.  At a zero gradient
+    the run has converged: x moves to the point and nothing is folded in,
+    so after the first step its row carries A, B and G_running as they
+    stand.  A folded row carries the violation magnitudes of the five per-step
     guarantees, keyed by INVARIANTS, and with a reference optimum attached
     the four REFERENCE_CHECKS; one above INVARIANT_TOL is a violation.
     Growth is an absolute shortfall, the others are relative to the
@@ -476,17 +468,18 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
         gap = _gap(f_new, ref)
     if converged:
         state.x = x_new
-        A, B = (None, None) if first else (state.A, state.B)
+        A, B, G = ((None,) * 3 if first
+                   else (state.A, state.B, state.G_sum / state.t))
         return IterationTrace(iter=state.t + 1, f=f_new, gap=gap, grad_l2=l2,
                               grad_dual=dual, theta=res.theta, zeta=res.zeta,
                               search_calls=res.oracle_calls, A=A, B=B,
-                              converged=True)
+                              G_running=G, converged=True)
     # r = ||g||_2^2 / ||g||_{p*}^2, once: rho_0 and the window read it
     dual_sq, r = _norm_ratio(dual, l2, x_new.size, cfg.geom.p)
     if first:
         if math.isnan(r):
             raise NonFiniteProbeError.at_first_step(l2, dual)
-        rho, a = r, a_from_rho(0.0, L, r)
+        rho, a = r, 1.0 / (18.0 * L * r)  # the root at A_0 = 0
     else:
         th = res.theta  # = A_t / A_{t+1}, which fixes rho_t and a_{t+1}
         rho = th / (18.0 * L * (1.0 - th) ** 2 * state.A)
@@ -609,10 +602,9 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
     except CouplingSearchError as exc:
         exc.traces = traces
         raise
-    G_mean = state.G_sum / state.t if state.t > 0 else None
     return RunReport(method="hasd", final_x=state.x, iters=state.t,
-                     grad_calls=state.grad_calls, traces=traces, G_mean=G_mean,
-                     R=state.R, invariants=fails if rows else None)
+                     grad_calls=state.grad_calls, traces=traces, R=state.R,
+                     invariants=fails if rows else None)
 
 
 def run(obj, x0, cfg: HasdConfig) -> RunReport:

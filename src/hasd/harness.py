@@ -226,14 +226,12 @@ def _fmt(v) -> str:
     return "" if v is None else "%.17g" % float(v)
 
 
-def write_trace_csv(path, traces, cfg_hash: str, gaps):
+def write_trace_csv(path, traces, cfg_hash: str):
     """Write one run's rows in the stable trace schema (17 significant
-    digits), with gaps[i] as row i's gap."""
+    digits)."""
     lines = ["# config_hash=%s" % cfg_hash, ",".join(TRACE_COLUMNS)]
-    for tr, gap in zip(traces, gaps):
-        row = {c: getattr(tr, c) for c in TRACE_COLUMNS}
-        row["gap"] = gap
-        lines.append(",".join(_fmt(v) for v in row.values()))
+    for tr in traces:
+        lines.append(",".join(_fmt(getattr(tr, c)) for c in TRACE_COLUMNS))
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -273,6 +271,8 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
                    tune_first: bool = False) -> dict:
     """Run each configured method on each mu, writing one CSV per (method,
     mu), a plot-data file of log10(gap) vs iteration, and summary.json.
+    Each recorded row's gap is set once, to its f minus the block's
+    reference value, and all three read it from the row.
 
     A LogSumExp instance's block, CSVs and plot rows are labelled with the
     instance's own mu, so one loaded from a file is labelled with the mu it
@@ -303,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     geom = LpGeometry(cfg.p)
     summary = {"config": doc, "config_hash": h, "mus": {}}
     plot_lines = ["# config_hash=%s" % h, "mu,method,iter,log10_gap"]
-    csvs = []  # (file name, rows, gaps) of each recorded run
+    csvs = []  # (file name, rows) of each recorded run
     invariant_failures = 0
 
     for mu in mu_values:
@@ -337,16 +337,16 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
         block["ref_kind"] = ref_kind
         for m in cfg.methods:
             rep = reports[m]
-            gaps = [tr.f - f_ref for tr in rep.traces]
             name = "%s_mu%g.csv" % (m, mu)
-            csvs.append((name, rep.traces, gaps))
-            for tr, gap in zip(rep.traces, gaps):
+            csvs.append((name, rep.traces))
+            for tr in rep.traces:
+                tr.gap = tr.f - f_ref
                 plot_lines.append("%g,%s,%d,%s"
                                   % (mu, m, tr.iter,
-                                     _fmt(math.log10(max(gap, 1e-300)))))
+                                     _fmt(math.log10(max(tr.gap, 1e-300)))))
             entry = block["methods"][m]
             entry.update({"stepsize": tuned[m], "final_f": rep.final_f,
-                          "final_gap": gaps[-1], "iters": rep.iters,
+                          "final_gap": rep.gap, "iters": rep.iters,
                           "grad_calls": rep.grad_calls, "csv": name})
             if rep.G_mean is not None:
                 entry["G_mean"] = rep.G_mean
@@ -359,8 +359,8 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
         summary["invariant_failures_total"] = invariant_failures
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, traces, gaps in csvs:
-        write_trace_csv(out / name, traces, h, gaps)
+    for name, traces in csvs:
+        write_trace_csv(out / name, traces, h)
     try:
         (out / "plot_data.csv").write_text("\n".join(plot_lines) + "\n")
         write_json(out / "summary.json", summary)

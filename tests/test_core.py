@@ -11,8 +11,7 @@ from hasd.core import (INVARIANT_TOL, INVARIANTS,
                        REFERENCE_CHECKS, CouplingResult,
                        CouplingSearchError, HasdConfig,
                        HasdState, _holder_lo, _norm_ratio, _run,
-                       NonFiniteProbeError, a_from_rho,
-                       find_coupling, iterate, rate_bounds, run,
+                       NonFiniteProbeError, find_coupling, iterate, rate_bounds, run,
                        run_restarting, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SmoothObjective, SymmetricSoftmax,
@@ -48,44 +47,6 @@ class CountingQuadratic(Quadratic):
 
 
 # ------------------------------------------------------------- utilities
-
-def test_a_from_rho_closed_form():
-    assert a_from_rho(0.0, 2.0, 3.0) == pytest.approx(1.0 / (18.0 * 2.0 * 3.0), rel=1e-15)
-    assert a_from_rho(1.0, 1.0, 1.0) == pytest.approx((1.0 + math.sqrt(73.0)) / 36.0, rel=1e-15)
-
-
-def test_a_from_rho_solves_recurrence():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        A = rng.uniform(0, 50)
-        L = 10.0 ** rng.uniform(-3, 3)
-        rho = 10.0 ** rng.uniform(-2, 2)
-        a = a_from_rho(A, L, rho)
-        assert 18.0 * L * rho * a * a == pytest.approx(A + a, rel=1e-12)
-
-
-def test_a_from_rho_matches_theta_parameterization():
-    # with rho = theta / (18 L (1-theta)^2 A), the root is A (1-theta)/theta
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        A = rng.uniform(1e-3, 20)
-        L = 10.0 ** rng.uniform(-2, 2)
-        th = rng.uniform(1e-4, 1 - 1e-4)
-        rho = th / (18.0 * L * (1 - th) ** 2 * A)
-        assert a_from_rho(A, L, rho) == pytest.approx(A * (1 - th) / th, rel=1e-10)
-
-
-def test_a_from_rho_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        a_from_rho(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        a_from_rho(1.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        a_from_rho(-1.0, 1.0, 1.0)
-    for args in ((1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (math.nan, 1.0, 1.0)):
-        with pytest.raises(ValueError):
-            a_from_rho(*args)
-
 
 def test_config_validation():
     geom = LpGeometry(2)
@@ -759,8 +720,8 @@ def test_the_first_steps_rho_is_exactly_1_at_p_2():
 def test_a_first_step_whose_rho_overflows_is_a_typed_search_error():
     # a step of 1e200/L from the quadratic's start makes ||grad f(x_1)||_2
     # overflow (p = inf: the dual l_1 norm stays finite), so rho_0 is NaN;
-    # the first step raises a CouplingSearchError naming itself, not
-    # a_from_rho's ValueError, and run attaches row 0 as its traces
+    # the first step raises a CouplingSearchError naming itself, not a
+    # bare ValueError, and run attaches row 0 as its traces
     obj, cfg = quad_cfg([0.5, 1.0, 2.0, 4.0, 1.5], p=INF, max_iters=50)
     x0 = np.array([2.0, -1.0, 0.5, 1.0, -2.0])
     with np.errstate(over="ignore"), pytest.raises(NonFiniteProbeError) as exc:
@@ -1123,7 +1084,6 @@ def _restart_aggregate_inline(obj, x0, cfg, rounds, gap0):
     return dict(final_x=x, final_f=final_f,
                 gap=None if ref is None else final_f - ref[1], iters=offset,
                 grad_calls=grad_calls,
-                G_mean=report.G_mean if report else None,
                 R=None if ref is None else float(np.linalg.norm(x0 - ref[0])),
                 invariants=fails, restart_gaps=gaps, restart_G=round_G,
                 traces=traces)

@@ -301,7 +301,9 @@ def test_trace_csv_rows_follow_the_column_tuple(tmp_path):
     for traces in (hasd, lc):
         for gaps in ([tr.gap for tr in traces],
                      [None] + [0.1 / 3 ** i for i in range(1, len(traces))]):
-            write_trace_csv(path, traces, "h", gaps)
+            for tr, gap in zip(traces, gaps):
+                tr.gap = gap
+            write_trace_csv(path, traces, "h")
             lines = path.read_text().splitlines()
             assert lines[2:] == _trace_lines_field_by_field(traces, gaps)
 
@@ -557,7 +559,7 @@ def test_cli_run_whose_search_fails_is_one_error_line(tmp_path, capsys):
 def test_cli_run_whose_first_step_overflows_is_one_error_line(tmp_path,
                                                               capsys):
     # at a step scale of 1e200 the gradient at x_1 overflows: the first
-    # step's typed error, not a_from_rho's, names what failed
+    # step's typed error, not a bare ValueError, names what failed
     out = tmp_path / "huge_step"
     rc = main(["run", "--objective", "quadratic", "--d", "5", "--stepsize",
                "1e200", "--methods", "hasd", "--iters", "50", "--out", str(out)])
@@ -601,7 +603,7 @@ def test_tune_ranks_a_grid_point_whose_first_step_overflows_inf(tmp_path,
 def test_check_invariants_at_an_overflowing_l_scale_fails_its_cells():
     # at 1e-160 of the certified L the first step's gradient overflows on
     # the quadratic and LogSumExp cells: each fails coupling_search with
-    # the first step named, where a_from_rho's ValueError ended the command
+    # the first step named, where a bare ValueError ended the command
     report = check_invariants(seeds=(0,), l_scale=1e-160)
     assert not report.ok and report.cells == 12
     assert report.row("coupling_search").failures == 8
