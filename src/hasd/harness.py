@@ -276,7 +276,8 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
 
     A LogSumExp instance's block, CSVs and plot rows are labelled with the
     instance's own mu, so one loaded from a file is labelled with the mu it
-    was saved with; a sweep of more than one mu over an instance file is a
+    was saved with, and the hashed config names that mu as its mu and
+    mu_values; a sweep of more than one mu over an instance file is a
     "config key 'mu_values':" ValueError.
 
     Without tuning, hasd runs at scale 1 and baselines at 1/L.  Nothing is
@@ -299,10 +300,9 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     doc = cfg.to_dict()
     doc["mu_values"] = list(mu_values)
     doc["tuned"] = bool(tune_first)
-    h = config_hash(doc)
     geom = LpGeometry(cfg.p)
-    summary = {"config": doc, "config_hash": h, "mus": {}}
-    plot_lines = ["# config_hash=%s" % h, "mu,method,iter,log10_gap"]
+    mus = {}
+    plot_lines = ["mu,method,iter,log10_gap"]
     csvs = []  # (file name, rows) of each recorded run
     invariant_failures = 0
 
@@ -310,6 +310,8 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
         obj = make_objective(cfg, mu=mu)
         if isinstance(obj, LogSumExpAffine):
             mu = obj.mu  # a loaded instance's own
+            if cfg.instance_path:
+                doc.update(mu=mu, mu_values=[mu])
         L = smoothness_bound(obj, geom)
         x0 = default_x0(obj)
         tuned, reports, block = {}, {}, {"L": L, "methods": {}}
@@ -353,8 +355,10 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
             if cfg.check_invariants and rep.invariants is not None:
                 entry["invariant_failures"] = rep.invariants
                 invariant_failures += sum(rep.invariants.values())
-        summary["mus"]["%g" % mu] = block
+        mus["%g" % mu] = block
 
+    h = config_hash(doc)
+    summary = {"config": doc, "config_hash": h, "mus": mus}
     if cfg.check_invariants:
         summary["invariant_failures_total"] = invariant_failures
     out = Path(cfg.out_dir)
@@ -362,7 +366,8 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     for name, traces in csvs:
         write_trace_csv(out / name, traces, h)
     try:
-        (out / "plot_data.csv").write_text("\n".join(plot_lines) + "\n")
+        (out / "plot_data.csv").write_text(
+            "\n".join(["# config_hash=%s" % h] + plot_lines) + "\n")
         write_json(out / "summary.json", summary)
     except OSError as exc:
         raise OSError("failed writing experiment outputs under %s: %s"

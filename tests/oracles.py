@@ -5,7 +5,8 @@ a general-purpose constrained/quasi-Newton minimizer applied to the raw
 subproblem, the reference-optimum oracle is scipy's L-BFGS-B, derivatives
 are checked by central finite differences, the coupling search is rerun
 measuring every probe, and HASD and the four baselines on a quadratic are
-rerun in exact rational arithmetic.  The step subproblem's value and the
+rerun in exact rational arithmetic, and a problem is restated in signed,
+permuted coordinates.  The step subproblem's value and the
 Hessian of ||.||_p^2 (with its split into two PSD pieces) are references
 the optimizer never calls: the tests check the closed-form step and the
 squared norm's curvature against them.
@@ -20,6 +21,7 @@ from scipy import optimize
 
 from hasd.core import zeta_eval
 from hasd.geometry import LpGeometry, lp_norm
+from hasd.objectives import LogSumExpAffine, Quadratic
 
 
 def numeric_steepest_step(y, g, L, p, seed=0):
@@ -149,6 +151,19 @@ def lp_sq_hessian_split(z, p: float):
     M1 = 2.0 * (p - 1.0) * scale * (nrm ** p * np.diag(a ** (p - 2.0)) - np.outer(s, s))
     M2 = 2.0 * scale * np.outer(s, s)
     return M1, M2
+
+
+def signed_permutation(obj, rng):
+    """A quadratic or LogSumExp obj in the coordinates x' = s * x[perm],
+    with no reference optimum, and the map x -> x'."""
+    perm = rng.permutation(obj.dim)
+    s = rng.choice([-1.0, 1.0], obj.dim)
+    if isinstance(obj, Quadratic):
+        moved = Quadratic(obj.h[perm], center=s * obj.center[perm])
+    else:
+        moved = LogSumExpAffine(obj.A[:, perm] * s, obj.b, obj.mu)
+    moved.reference_optimum = None
+    return moved, (lambda x: s * x[perm])
 
 
 def search_every_probe(state, obj, cfg):

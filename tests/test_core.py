@@ -1,8 +1,11 @@
 """Accelerated steepest-descent core: coupling search, state, invariants."""
 
+import ast
 import copy
 import math
+import re
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -967,13 +970,23 @@ def test_rows_off_runs_equal_core_run():
         if obj.reference_optimum is None:
             assert obj.values == 1, label  # the final row's f alone
         last = full.traces[-1]
-        kinds.add("stopped at iters" if fast.iters == cfg.max_iters
-                  else "zero gradient at x_1" if last.iter == 1 > fast.iters
-                  else "row 0 only" if last.iter == 0
-                  else "gap stop at an iterate" if (
-                      last.converged and last.violations is not None)
-                  else "exact optimum" if last.converged and last.zeta is None
-                  else "unexplained stop")
+        kind = ("stopped at iters" if fast.iters == cfg.max_iters
+                else "zero gradient at x_1" if last.iter == 1 > fast.iters
+                else "row 0 only" if last.iter == 0
+                else "gap stop at an iterate" if (
+                    last.converged and last.violations is not None)
+                else "exact optimum" if last.converged and last.zeta is None
+                else "unexplained stop")
+        kinds.add(kind)
+        if kind == "exact optimum":
+            # a probe's zero gradient after a folded step: the row folds
+            # nothing in, so it carries A, B and G_running as they stood
+            before = full.traces[-2]
+            assert before.iter == last.iter - 1 == full.iters, label
+            assert None not in (last.A, last.B, last.G_running), label
+            assert (last.A, last.B) == (before.A, before.B), label
+            assert last.G_running.hex() == before.G_running.hex(), label
+            assert full.G_mean == fast.G_mean == last.G_running, label
     assert kinds == {"stopped at iters", "zero gradient at x_1",
                      "gap stop at an iterate", "exact optimum", "row 0 only",
                      "NonFiniteProbeError"}, kinds
@@ -1185,3 +1198,24 @@ def test_every_name_in_all_resolves():
     namespace = {}
     exec("from hasd import *", namespace)  # AttributeError on a stale name
     assert set(hasd.__all__) <= set(namespace)
+
+
+def test_every_name_in_all_is_reached():
+    # the rule stated above __all__: a name is public only when a src
+    # module other than __init__ refers to it (an ast Name or Attribute),
+    # or a perfbench module or the README mentions it
+    import hasd
+    used = set()
+    for path in Path(hasd.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    root = Path(__file__).resolve().parents[1]
+    texts = [p.read_text() for p in (root / "perfbench").glob("*.py")]
+    texts.append((root / "README.md").read_text())
+    mentioned = {word for text in texts for word in re.findall(r"\w+", text)}
+    assert [name for name in hasd.__all__
+            if name not in used | mentioned] == []

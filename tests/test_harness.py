@@ -815,6 +815,33 @@ def test_an_instance_file_keeps_its_own_mu(tmp_path, capsys):
         "is reported, not run\n")
 
 
+def test_an_instance_file_hashes_the_mu_it_ran(tmp_path, capsys):
+    # --mu 0 and --mu 1 make the same run of a mu = 0.05 instance file, so
+    # its config names mu 0.05 both times and every output is the same
+    path = tmp_path / "inst.json"
+    save_instance(make_logsumexp_instance(12, 4, 0.05, 3), path)
+    outs = []
+    for mu in ("0", "1", "0.05"):
+        outs.append(tmp_path / ("mu" + mu))
+        assert main(["run", "--instance", str(path), "--iters", "5",
+                     "--methods", "hasd,gd", "--mu", mu,
+                     "--out", str(outs[-1])]) == 0
+    capsys.readouterr()
+    summary = _strict_load(outs[0] / "summary.json")
+    assert (summary["config"]["mu"], summary["config"]["mu_values"]) == (
+        0.05, [0.05])
+    names = sorted(p.name for p in outs[0].iterdir())
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+    # a generated instance's config keeps the mu it was asked for
+    gen = run_experiment(ExperimentConfig(n=12, d=4, mu=0.05, seed=3, iters=5,
+                                          methods=("gd",),
+                                          out_dir=str(tmp_path / "gen")))
+    assert gen["config"]["mu"] == 0.05 and gen["config"]["mu_values"] == [0.05]
+
+
 def test_a_mu_sweep_over_an_instance_file_is_a_config_error(tmp_path):
     # the file fixes mu: two labels would run one instance twice
     path = tmp_path / "inst.json"

@@ -13,8 +13,10 @@ import pytest
 
 from hasd.geometry import LpGeometry
 from hasd.harness import run_method
-from hasd.objectives import (LogSumExpAffine, Quadratic, SmoothObjective,
+from hasd.objectives import (Quadratic, SmoothObjective,
                              make_logsumexp_instance, smoothness_bound)
+
+from oracles import signed_permutation
 
 METHODS = ("hasd", "gd", "agd", "lc", "sd_p")
 ITERS = 60
@@ -75,18 +77,6 @@ def test_scaling_f_and_L_by_a_power_of_two_gives_the_same_run(problem, p):
                     b.f, b.theta, b.search_calls), (label, a.iter)
 
 
-def _signed_permutation(obj, x0, rng):
-    """The problem in coordinates x' = s * x[perm], and the map x -> x'."""
-    perm = rng.permutation(obj.dim)
-    s = rng.choice([-1.0, 1.0], obj.dim)
-    if isinstance(obj, Quadratic):
-        moved = Quadratic(obj.h[perm], center=s * obj.center[perm])
-        moved.reference_optimum = None
-    else:
-        moved = LogSumExpAffine(obj.A[:, perm] * s, obj.b, obj.mu)
-    return moved, (lambda x: s * x[perm])
-
-
 @pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_a_signed_permutation_of_the_coordinates_gives_the_same_run(problem,
@@ -94,7 +84,7 @@ def test_a_signed_permutation_of_the_coordinates_gives_the_same_run(problem,
     obj, x0 = PROBLEMS[problem]()
     geom = LpGeometry(p)
     L = smoothness_bound(obj, geom)
-    moved, to_moved = _signed_permutation(obj, x0, np.random.default_rng(11))
+    moved, to_moved = signed_permutation(obj, np.random.default_rng(11))
     for m in METHODS:
         base = run_method(m, obj, x0, geom, L, ITERS, _stepsize(m, L))
         perm = run_method(m, moved, to_moved(x0), geom, L, ITERS,

@@ -19,10 +19,10 @@ from hasd.core import (INVARIANTS, CouplingSearchError, HasdConfig,
                        _holder_lo, _norm_ratio, find_coupling, iterate, run,
                        zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
-from hasd.objectives import (LogSumExpAffine, Quadratic,
-                             make_logsumexp_instance, smoothness_bound)
+from hasd.objectives import (Quadratic, make_logsumexp_instance,
+                             smoothness_bound)
 
-from oracles import search_every_probe
+from oracles import search_every_probe, signed_permutation
 
 FIXED = settings(derandomize=True, database=None, deadline=None,
                  max_examples=800)
@@ -201,19 +201,6 @@ def test_a_settled_probe_takes_its_measured_zetas_verdict(obj, p):
             assert zeta > 2.0 if above else zeta < 0.5, (state.t, theta, zeta)
 
 
-def _signed_permutation(obj, rng):
-    """obj in the coordinates x' = s * x[perm], with no reference optimum,
-    and the map x -> x'."""
-    perm = rng.permutation(obj.dim)
-    s = rng.choice([-1.0, 1.0], obj.dim)
-    if isinstance(obj, Quadratic):
-        moved = Quadratic(obj.h[perm], center=s * obj.center[perm])
-    else:
-        moved = LogSumExpAffine(obj.A[:, perm] * s, obj.b, obj.mu)
-    moved.reference_optimum = None
-    return moved, (lambda x: s * x[perm])
-
-
 # a zero first gradient entry, moved to the third coordinate by seed 0: an
 # l_p norm that scaled by its first entry, not its largest, read 0 here
 @settings(FIXED, max_examples=60)
@@ -227,7 +214,7 @@ def test_a_signed_permutation_of_a_generated_instance_gives_the_same_run(
     # no reference, so neither stops at an eps that rounding could cross
     cfg = _certified(obj, p, 20)
     obj.reference_optimum = None
-    moved, to_moved = _signed_permutation(obj, np.random.default_rng(seed))
+    moved, to_moved = signed_permutation(obj, np.random.default_rng(seed))
     base = run(obj, np.zeros(obj.dim), cfg)
     perm = run(moved, np.zeros(obj.dim), cfg)
     want = to_moved(base.final_x)
