@@ -441,8 +441,8 @@ def _fold(state: HasdState, obj, cfg: HasdConfig, res: CouplingResult,
     and every square of a norm is the product x * x.  At a zero gradient
     the run has converged: x moves to the point and nothing is folded in,
     so after the first step its row carries A, B and G_running as they
-    stand.  A folded row carries the violation magnitudes of the five per-step
-    guarantees, keyed by INVARIANTS, and with a reference optimum attached
+    stand.  A folded row carries the violation magnitudes of the five
+    per-step guarantees, keyed by INVARIANTS, and with a reference optimum attached
     the four REFERENCE_CHECKS; one above INVARIANT_TOL is a violation.
     Growth is an absolute shortfall, the others are relative to the
     quantities compared.  With a reference optimum attached, a folded point

@@ -14,8 +14,8 @@ from hasd.core import (INVARIANT_TOL, INVARIANTS,
                        REFERENCE_CHECKS, CouplingResult,
                        CouplingSearchError, HasdConfig,
                        HasdState, _holder_lo, _norm_ratio, _run,
-                       NonFiniteProbeError, find_coupling, iterate, rate_bounds, run,
-                       run_restarting, step, zeta_eval)
+                       NonFiniteProbeError, find_coupling, iterate,
+                       rate_bounds, run, run_restarting, step, zeta_eval)
 from hasd.geometry import LpGeometry, lp_norm, steepest_step
 from hasd.objectives import (Quadratic, SmoothObjective, SymmetricSoftmax,
                              make_logsumexp_instance, smoothness_bound,
