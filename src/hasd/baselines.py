@@ -56,8 +56,7 @@ def _drive(method: str, obj, cfg: BaselineConfig, points,
                 g = obj.gradient(x)
                 calls += 1
             traces.append(_row_head(obj, t, x, g, cfg.geom))
-    return RunReport(method=method, final_x=x, iters=cfg.iters,
-                     grad_calls=calls, traces=traces)
+    return RunReport(method, x, calls, traces)
 
 
 def _descent(obj, x0, update):

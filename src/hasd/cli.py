@@ -14,8 +14,8 @@ from .harness import (_ALL_METHODS, _OBJECTIVES, ExperimentConfig,
                       at_grid_edge, check_invariants, default_x0,
                       make_objective, run_bench, run_experiment, tune_method,
                       write_json)
-from .objectives import (LogSumExpAffine, SmoothnessUnavailable, _object,
-                         save_instance, smoothness_bound, solve_reference)
+from .objectives import (SmoothnessUnavailable, _object, save_instance,
+                         smoothness_bound, solve_reference)
 
 
 def _list_of(convert):
@@ -178,8 +178,7 @@ def cmd_tune(args) -> int:
         flag = "  (all grid points diverged)" if all_div else ""
         print("%-5s stepsize=%-10g final_f=%.10g%s"
               % (m, best, finals[best], flag))
-    mu = obj.mu if isinstance(obj, LogSumExpAffine) else cfg.mu
-    _report_tuning({"mus": {"%g" % mu: {"methods": result}}},
+    _report_tuning({"mus": {"%g" % obj.mu: {"methods": result}}},
                    "the smallest grid point is reported, not run")
     if "out_dir" in given:
         out = Path(cfg.out_dir)

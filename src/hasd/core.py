@@ -248,18 +248,21 @@ class IterationTrace:
 
 @dataclass
 class RunReport:
-    """Summary of one optimizer run; final_f, gap, G_mean and whether the
-    run converged (trace.converged) are its last row's."""
+    """Summary of one optimizer run; iters, final_f, gap, G_mean and whether
+    the run converged (trace.converged) are its last row's."""
 
     method: str
     final_x: np.ndarray
-    iters: int
     grad_calls: int
     traces: list
     R: float | None = None
     invariants: dict | None = None
     restart_gaps: list | None = None
     restart_G: list | None = None
+
+    @property
+    def iters(self) -> int:
+        return self.traces[-1].iter
 
     @property
     def final_f(self) -> float:
@@ -602,8 +605,7 @@ def _run(obj, x0, cfg: HasdConfig, rows: bool) -> RunReport:
     except CouplingSearchError as exc:
         exc.traces = traces
         raise
-    return RunReport(method="hasd", final_x=state.x, iters=state.t,
-                     grad_calls=state.grad_calls, traces=traces, R=state.R,
+    return RunReport("hasd", state.x, state.grad_calls, traces, R=state.R,
                      invariants=fails if rows else None)
 
 
@@ -622,8 +624,8 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
     gap <= eps.  K is derived from the reference optimum when available,
     otherwise it must be supplied.  The report is the last round's with
     the fields that span rounds replaced (R is the first round's, the
-    invariants are summed), so final_f and gap are its last row's.  With
-    K = 0 (x0 already within eps, or as supplied) no round runs: the
+    invariants are summed), so iters, final_f and gap are its last row's.
+    With K = 0 (x0 already within eps, or as supplied) no round runs: the
     report is run's at max_iters 0, with invariants None.
     """
     if mu <= 0:
@@ -659,7 +661,7 @@ def run_restarting(obj, x0, mu: float, eps: float, cfg: HasdConfig,
         for tr in rep.traces[1:]:
             tr.iter += offset
             traces.append(tr)
-    return replace(rounds[-1], method="hasd+restart", iters=traces[-1].iter,
+    return replace(rounds[-1], method="hasd+restart",
                    grad_calls=sum(r.grad_calls for r in rounds),
                    R=rounds[0].R,
                    invariants={key: sum(r.invariants[key] for r in rounds)

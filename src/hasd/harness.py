@@ -19,11 +19,10 @@ from .baselines import BaselineConfig, agd_run, gd_run, lc_run, sdp_run
 from .core import (INVARIANT_TOL, INVARIANTS, REFERENCE_CHECKS,
                    CouplingSearchError, HasdConfig, _run, rate_bounds, run)
 from .geometry import LpGeometry
-from .objectives import (LogSumExpAffine, Quadratic, SmoothnessUnavailable,
-                         SymmetricSoftmax, _field, _finite, _seed,
-                         attach_reference, load_instance,
-                         make_logsumexp_instance, smoothness_bound,
-                         solve_reference)
+from .objectives import (Quadratic, SmoothnessUnavailable, SymmetricSoftmax,
+                         _field, _finite, _seed, attach_reference,
+                         load_instance, make_logsumexp_instance,
+                         smoothness_bound, solve_reference)
 
 # the 31-point tuning ladder {1, 2, 5} x 10^{-10..-1} plus 1.0
 STEPSIZE_GRID = tuple(c * 10.0 ** e for e in range(-10, 0)
@@ -242,14 +241,14 @@ def _reference_value(obj, x0, geom, L, iters, tuned, reports):
     """Reference value used for the gap column of one (instance, mu) block.
 
     Attached or analytically solvable references are exact, and so is the
-    solve of a LogSumExp instance whose own mu is positive.  Otherwise
+    solve of an objective whose own mu is positive.  Otherwise
     (weakly regularized instances can be unbounded below) the reference is
     the best value seen by any method, including extended runs of the two
     accelerated methods at 4x the budget, minus a small positive margin.
     """
     if obj.reference_optimum is not None:
         return float(obj.reference_optimum[1]), "attached"
-    if isinstance(obj, LogSumExpAffine) and obj.mu > 0:
+    if obj.mu > 0:
         try:
             return float(solve_reference(obj)[1]), "exact"
         except (RuntimeError, SmoothnessUnavailable):
@@ -274,11 +273,11 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
     Each recorded row's gap is set once, to its f minus the block's
     reference value, and all three read it from the row.
 
-    A LogSumExp instance's block, CSVs and plot rows are labelled with the
-    instance's own mu, so one loaded from a file is labelled with the mu it
-    was saved with, and the hashed config names that mu as its mu and
-    mu_values; a sweep of more than one mu over an instance file is a
-    "config key 'mu_values':" ValueError.
+    A block, its CSVs and plot rows are labelled with its objective's mu
+    (obj.mu: a loaded LogSumExp instance's own, 0 for quadratic and
+    softmax), and where that differs from the configured mu the hashed
+    config names it as its mu and mu_values.  A sweep of more than one mu
+    over an instance file is a "config key 'mu_values':" ValueError.
 
     Without tuning, hasd runs at scale 1 and baselines at 1/L.  Nothing is
     written, and no directory made, until every objective, method config and
@@ -308,10 +307,9 @@ def run_experiment(cfg: ExperimentConfig, mu_values=None,
 
     for mu in mu_values:
         obj = make_objective(cfg, mu=mu)
-        if isinstance(obj, LogSumExpAffine):
-            mu = obj.mu  # a loaded instance's own
-            if cfg.instance_path:
-                doc.update(mu=mu, mu_values=[mu])
+        if obj.mu != mu:
+            mu = obj.mu
+            doc.update(mu=mu, mu_values=[mu])
         L = smoothness_bound(obj, geom)
         x0 = default_x0(obj)
         tuned, reports, block = {}, {}, {"L": L, "methods": {}}

@@ -96,6 +96,8 @@ class SmoothObjective:
         Declared smoothness constant and the geometry it certifies.
     reference_optimum : None or (ndarray, float)
         Known or precomputed (x_star, f_star).
+    mu : float
+        Weight of the objective's (mu/2) ||x||_2^2 term; 0.0 without one.
 
     A subclass whose oracles share one map of the point supplies _map(x)
     and reads (x, map) through _at.
@@ -107,6 +109,7 @@ class SmoothObjective:
         self.dim = int(dim)
         self.smoothness = None
         self.reference_optimum = None
+        self.mu = 0.0
         self._last = None  # (x.tobytes(), _map(x)) at the last point mapped
 
     def _check(self, x):
@@ -356,27 +359,25 @@ def convert_smoothness(L: float, q: float, p: float, d: int) -> float:
     return float(L * d ** (2.0 * iq - 2.0 * ip))
 
 
-def empirical_smoothness(obj: SmoothObjective, geom: LpGeometry,
-                         num_pairs: int = 200, radius: float = 2.0,
-                         seed: int = 0, safety: float = 1.5) -> float:
+def empirical_smoothness(obj: SmoothObjective, geom: LpGeometry) -> float:
     """Estimate L as the max gradient-difference ratio over sampled pairs.
 
-    Pairs are drawn around the origin at the given radius scale; the max
-    observed ||grad f(x) - grad f(y)||_{p*} / ||x - y||_p is inflated by
-    the safety factor.  An estimate, not a certificate.
+    200 pairs are drawn from seed 0 around the origin at radius scale 2;
+    the max observed ||grad f(x) - grad f(y)||_{p*} / ||x - y||_p is
+    inflated by a safety factor of 1.5.  An estimate, not a certificate.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = 0.0
-    for _ in range(num_pairs):
-        x = radius * rng.standard_normal(obj.dim)
-        y = x + radius * 10.0 ** rng.uniform(-6, 0) * rng.standard_normal(obj.dim)
+    for _ in range(200):
+        x = 2.0 * rng.standard_normal(obj.dim)
+        y = x + 2.0 * 10.0 ** rng.uniform(-6, 0) * rng.standard_normal(obj.dim)
         dg = lp_norm(obj.gradient(x) - obj.gradient(y), geom.p_dual)
         dx = lp_norm(x - y, geom.p)
         if dx > 0:
             best = max(best, dg / dx)
     if best == 0.0:
         raise SmoothnessUnavailable("all sampled pairs degenerate")
-    return safety * best
+    return 1.5 * best
 
 
 def smoothness_bound(obj: SmoothObjective, geom: LpGeometry) -> float:

@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms under test: the step oracle is
 a general-purpose constrained/quasi-Newton minimizer applied to the raw
 subproblem, the reference-optimum oracle is scipy's L-BFGS-B, derivatives
-are checked by central finite differences, the coupling search is rerun
+are checked by central finite differences, smoothness is sampled from
+gradient differences with no safety factor, the coupling search is rerun
 measuring every probe, and HASD and the four baselines on a quadratic are
 rerun in exact rational arithmetic, and a problem is restated in signed,
 permuted coordinates.  The step subproblem's value and the
@@ -252,6 +253,22 @@ def fd_hessian(f, x, h=1e-4):
                        - f(x - ei + ej) + f(x - ei - ej)) / (4 * h * h)
             H[j, i] = H[i, j]
     return H
+
+
+def sampled_smoothness(obj, geom: LpGeometry, num_pairs: int, seed: int):
+    """The largest ||grad f(x) - grad f(y)||_{p*} / ||x - y||_p over
+    num_pairs pairs drawn from seed, with no safety factor: x ~ 2 N(0, I)
+    and y = x + 2 * 10^u N(0, I), u uniform in [-6, 0]."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(num_pairs):
+        x = 2.0 * rng.standard_normal(obj.dim)
+        y = x + 2.0 * 10.0 ** rng.uniform(-6, 0) * rng.standard_normal(obj.dim)
+        dx = lp_norm(x - y, geom.p)
+        if dx > 0:
+            dg = lp_norm(obj.gradient(x) - obj.gradient(y), geom.p_dual)
+            best = max(best, dg / dx)
+    return best
 
 
 def exact_hasd_quadratic(h, center, x0, p, iters):

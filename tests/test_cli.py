@@ -85,8 +85,9 @@ def test_cli_runs_of_every_method_hold_their_invariants_and_rows(tmp_path,
                                                                 capsys):
     # a HASD run with the quadratic's optimum attached passes every
     # invariant, alone and beside the four baselines; each summary final_f
-    # is the f of its CSV's last row, and every row of every method carries
-    # ||grad f||_{p*}, the baselines' taken in the run's geometry
+    # and iters are the f and iter of its CSV's last row, and every row of
+    # every method carries ||grad f||_{p*}, the baselines' taken in the
+    # run's geometry
     argv = ["run", "--objective", "quadratic", "--d", "5", "--iters", "30",
             "--check-invariants"]
     assert main(argv + ["--out", str(tmp_path / "q")]) == 0
@@ -104,6 +105,7 @@ def test_cli_runs_of_every_method_hold_their_invariants_and_rows(tmp_path,
         rows = _rows(out / entry["csv"])
         assert rows, m
         assert float(rows[-1]["f"]) == entry["final_f"], m
+        assert int(rows[-1]["iter"]) == entry["iters"], m
         assert [r["iter"] for r in rows if not r["grad_dual"]] == [], m
 
 
@@ -137,6 +139,23 @@ def test_default_bench_reruns_byte_for_byte_in_a_new_process(tmp_path):
     first = _tree(tmp_path / "a")
     assert "summary.json" in first
     assert _tree(tmp_path / "b") == first
+
+
+@pytest.mark.parametrize("objective", ["quadratic", "softmax"])
+def test_an_objective_with_no_mu_term_runs_once_whatever_mu_says(
+        tmp_path, capsys, objective):
+    # the objective never reads --mu: both settings write one run, under
+    # one config hash, labelled with the objective's mu of 0
+    argv = ["run", "--objective", objective, "--d", "5", "--iters", "5",
+            "--methods", "hasd,gd"]
+    for mu in ("0", "1"):
+        assert main(argv + ["--mu", mu, "--out", str(tmp_path / mu)]) == 0
+    capsys.readouterr()
+    first = _tree(tmp_path / "0")
+    assert "hasd_mu0.csv" in first
+    assert _tree(tmp_path / "1") == first
+    config = json.loads(first["summary.json"])["config"]
+    assert (config["mu"], config["mu_values"]) == (0.0, [0.0])
 
 
 _RSS = """

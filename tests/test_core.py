@@ -824,6 +824,19 @@ def test_run_zero_iterations():
     assert report.grad_calls == 1 and not report.traces[-1].converged
 
 
+def test_a_run_that_stops_at_a_zero_gradient_counts_that_step():
+    # the first step from 0 lands exactly on the center: a zero gradient
+    # at x_1, one step taken, whether rows are built, off or restarted
+    obj = Quadratic(np.full(3, 2.0), center=[1.0, -2.0, 3.0])
+    cfg = HasdConfig(L=2.0, geom=LpGeometry(2), step_scale=2.0)
+    x0 = np.zeros(3)
+    reports = [run(obj, x0, cfg), _run(obj, x0, cfg, rows=False),
+               run_restarting(obj, x0, mu=2.0, eps=1e-3, cfg=cfg, K=1)]
+    for rep in reports:
+        assert rep.traces[-1].converged and rep.final_f == 0.0
+        assert rep.iters == rep.traces[-1].iter == 1
+
+
 def test_run_stationary_start():
     obj, cfg = quad_cfg([1.0, 2.0])
     report = run(obj, np.zeros(2), cfg)
@@ -971,7 +984,7 @@ def test_rows_off_runs_equal_core_run():
             assert obj.values == 1, label  # the final row's f alone
         last = full.traces[-1]
         kind = ("stopped at iters" if fast.iters == cfg.max_iters
-                else "zero gradient at x_1" if last.iter == 1 > fast.iters
+                else "zero gradient at x_1" if last.iter == 1 and last.A is None
                 else "row 0 only" if last.iter == 0
                 else "gap stop at an iterate" if (
                     last.converged and last.violations is not None)
@@ -982,7 +995,7 @@ def test_rows_off_runs_equal_core_run():
             # a probe's zero gradient after a folded step: the row folds
             # nothing in, so it carries A, B and G_running as they stood
             before = full.traces[-2]
-            assert before.iter == last.iter - 1 == full.iters, label
+            assert before.iter == last.iter - 1 == full.iters - 1, label
             assert None not in (last.A, last.B, last.G_running), label
             assert (last.A, last.B) == (before.A, before.B), label
             assert last.G_running.hex() == before.G_running.hex(), label

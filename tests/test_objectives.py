@@ -18,11 +18,11 @@ from hasd.geometry import LpGeometry, lp_norm
 from hasd.objectives import (LogSumExpAffine, Quadratic, SmoothObjective,
                              SmoothnessUnavailable, SymmetricSoftmax,
                              _BOUND_BLOCK_BYTES, _logsumexp, _softmax,
-                             convert_smoothness,
-                             empirical_smoothness, load_instance,
+                             convert_smoothness, load_instance,
                              make_logsumexp_instance, save_instance,
                              smoothness_bound, solve_reference)
-from oracles import fd_gradient, fd_hessian, lbfgsb_reference
+from oracles import (fd_gradient, fd_hessian, lbfgsb_reference,
+                     sampled_smoothness)
 
 
 # ------------------------------------------------------------- quadratic
@@ -242,7 +242,7 @@ def test_logsumexp_smoothness_upper_holds_empirically():
     for p in [2.0, 4.0, math.inf]:
         geom = LpGeometry(p)
         bound = obj.smoothness_upper(geom)
-        est = empirical_smoothness(obj, geom, num_pairs=300, seed=14, safety=1.0)
+        est = sampled_smoothness(obj, geom, num_pairs=300, seed=14)
         assert est <= bound * (1 + 1e-9)
 
 
